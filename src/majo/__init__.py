@@ -51,6 +51,7 @@ from .operators import (
     psi,
     restrict,
     sds_approx_sequence,
+    sequence_apply,
 )
 from .stepfn import Piece, StepFunction, canonicalize, indicator
 
@@ -106,6 +107,7 @@ __all__ = [
     "psi",
     "restrict",
     "sds_approx_sequence",
+    "sequence_apply",
     "small_set_modulus",
     "tail_distribution_criterion",
     "weak_majorize",

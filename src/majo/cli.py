@@ -41,14 +41,12 @@ from .majorize import (
     weak_majorize,
 )
 from .operators import (
-    AlignedStep,
     Partition,
-    align,
-    apply_matrix,
     classify_matrix,
     ds_witness,
     lift,
-    psi,
+    lift_apply,
+    sequence_apply,
 )
 
 EXIT_HOLDS = 0
@@ -239,9 +237,9 @@ def cmd_classify(args) -> int:
     return EXIT_HOLDS
 
 
-def _load_partition(path, *, require: bool = True) -> Optional[Partition]:
+def _load_partition(path) -> Partition:
     doc = load_sfn(path)
-    if doc.partition is None and require:
+    if doc.partition is None:
         raise MajoError(f"{path} carries no partition block")
     return doc.partition
 
@@ -296,35 +294,22 @@ def cmd_apply(args) -> int:
         and partition.size == matrix.cols == matrix.rows
     ):
         # square matrix on the file's own partition: the lifted action
-        out_values = apply_matrix(lift(partition, matrix), align(partition, f).values)
-        result = AlignedStep(partition, out_values).step_function()
+        result = lift_apply(partition, matrix, f).step_function()
         out_partition = partition
     else:
         # sequence action on an equal-mass alignment, rectangular allowed
-        if args.atom_mass:
+        if args.atom_mass is not None:
             mass = as_fraction(args.atom_mass)
         elif partition is not None and partition.equal_masses and partition.atoms:
             mass = partition.atoms[0]
         elif f.total_measure is not INF:
-            mass = f.total_measure / matrix.cols
+            mass = _tiling_mass(f, matrix)
         else:
             raise MajoError(
                 "an infinite-measure function needs a partition block or "
                 "--atom-mass to fix the alignment"
             )
-        infinite = f.total_measure is INF
-        col_total = INF if infinite else mass * matrix.cols
-        if not infinite and col_total != f.total_measure:
-            raise MajoError(
-                f"{matrix.cols} atoms of mass {format_rational(mass)} cannot "
-                f"tile total {format_rational(f.total_measure)}"
-            )
-        col_partition = Partition.equal_mass(matrix.cols, mass, col_total)
-        values = align(col_partition, f).values
-        coefficients = apply_matrix(matrix, tuple(v * mass for v in values))
-        row_total = INF if infinite else mass * matrix.rows
-        out_partition = Partition.equal_mass(matrix.rows, mass, row_total)
-        result = psi(out_partition, coefficients).step_function()
+        result, out_partition = sequence_apply(matrix, f, mass)
     text = dumps_sfn(result, out_partition)
     if args.output:
         Path(args.output).write_text(text)
@@ -340,6 +325,13 @@ def cmd_apply(args) -> int:
     return EXIT_HOLDS
 
 
+def _tiling_mass(f, matrix) -> Fraction:
+    """The one atom mass whose ``matrix.cols`` atoms tile a finite space."""
+    if not matrix.cols:
+        raise MajoError("a matrix without columns acts on no atoms")
+    return f.total_measure / matrix.cols
+
+
 def _parse_delta_grid(pattern: str):
     pattern = pattern.strip()
     if ".." in pattern:
@@ -347,9 +339,12 @@ def _parse_delta_grid(pattern: str):
 
         def power(tok: str) -> int:
             tok = tok.strip()
-            if not tok.startswith("2^"):
-                raise MajoError(f"delta grid bounds look like 2^-3, got {tok!r}")
-            return int(tok[2:])
+            if tok.startswith("2^"):
+                try:
+                    return int(tok[2:])
+                except ValueError:
+                    pass
+            raise MajoError(f"delta grid bounds look like 2^-3, got {tok!r}")
 
         a, b = power(lo), power(hi)
         step = -1 if a > b else 1
@@ -365,30 +360,17 @@ def cmd_equi(args) -> int:
     matrices = sorted(ops_dir.glob("*.mat"))
     if not matrices:
         raise MajoError(f"no .mat files under {ops_dir}")
+    # on an infinite space the coarsest grid that refines every level set
     unit = fraction_gcd([p.mass for p in f.pieces]) if f.pieces else Fraction(1)
-    needed = int(f.support_measure / unit)
     family = []
     names = []
     for path in matrices:
         matrix = load_mat(path)
-        if needed > matrix.cols:
-            raise MajoError(
-                f"{path.name}: function needs {needed} atoms of mass "
-                f"{format_rational(unit)}, matrix has {matrix.cols} columns"
-            )
-        if f.total_measure is not INF and unit * matrix.cols != f.total_measure:
-            raise MajoError(
-                f"{path.name}: {matrix.cols} columns of mass "
-                f"{format_rational(unit)} cannot tile total "
-                f"{format_rational(f.total_measure)}"
-            )
-        infinite = f.total_measure is INF
-        col_partition = Partition.equal_mass(matrix.cols, unit, f.total_measure)
-        row_total = INF if infinite else unit * matrix.rows
-        row_partition = Partition.equal_mass(matrix.rows, unit, row_total)
-        values = align(col_partition, f).values
-        coefficients = apply_matrix(matrix, tuple(v * unit for v in values))
-        family.append(psi(row_partition, coefficients).step_function())
+        try:
+            mass = unit if f.total_measure is INF else _tiling_mass(f, matrix)
+            family.append(sequence_apply(matrix, f, mass)[0])
+        except MajoError as exc:
+            raise MajoError(f"{path.name}: {exc}") from None
         names.append(path.name)
     rows = []
     all_within = True

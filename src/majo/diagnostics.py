@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import DeltaOutOfRangeError, EmptyFamilyError, MeasureMismatchError
 from .extended import as_fraction
-from .stepfn import ZERO, StepFunction
+from .stepfn import ZERO, StepFunction, _in_order
 
 
 def small_set_modulus(h: StepFunction, delta) -> Fraction:
@@ -88,26 +88,12 @@ def l1_distance(f: StepFunction, g: StepFunction) -> Fraction:
 
     Both functions are laid out as their rearrangements on [0, total); the
     piece masses of both induce the common refinement on which the pointwise
-    difference is constant per segment.
+    difference is constant per segment (zero past a support).
     """
     if f.total_measure != g.total_measure:
         raise MeasureMismatchError(
             f"total measures differ: {f.total_measure} vs {g.total_measure}"
         )
-    cuts = sorted(set(f.cumulative_masses()) | set(g.cumulative_masses()))
-    acc, lo = ZERO, ZERO
-    for hi in cuts:
-        if hi > lo:
-            acc += abs(_layout_value(f, lo) - _layout_value(g, lo)) * (hi - lo)
-            lo = hi
-    return acc
-
-
-def _layout_value(f: StepFunction, position: Fraction) -> Fraction:
-    """Value of the canonical layout at a position in [0, total)."""
-    acc = ZERO
-    for value, mass in f.pieces:
-        if position < acc + mass:
-            return value
-        acc += mass
-    return ZERO
+    a, b = f.values() + (ZERO,), g.values() + (ZERO,)
+    segments = _in_order([p.mass for p in f.pieces], [p.mass for p in g.pieces])
+    return sum((abs(a[i] - b[j]) * mass for i, j, mass in segments), ZERO)

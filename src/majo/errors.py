@@ -16,6 +16,10 @@ class ExtendedArithmeticError(MajoError):
     """An extended-rational operation with no unambiguous value (e.g. inf - inf)."""
 
 
+class InvalidRationalError(MajoError, ValueError):
+    """Text that is not an integer or ``p/q`` with a nonzero denominator."""
+
+
 # ---------------------------------------------------------------------------
 # step functions
 # ---------------------------------------------------------------------------
@@ -76,6 +80,14 @@ class InternalInconsistencyError(MajoError):
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
+
+
+class InvalidPartitionError(MajoError, ValueError):
+    """A partition's tail does not fit the space (or a finite tail is empty)."""
+
+
+class InvalidTTransformError(MajoError, ValueError):
+    """A T-transform's coordinates or mixing weight are out of range."""
 
 
 class NegativeEntryError(MajoError):

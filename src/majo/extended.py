@@ -8,12 +8,16 @@ negation) raise :class:`~majo.errors.ExtendedArithmeticError`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 from typing import Iterable, Union
 
-from .errors import ExtendedArithmeticError
+from .errors import ExtendedArithmeticError, InvalidRationalError
+
+# an optionally signed integer, or p/q with a nonzero denominator
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 class Infinity:
@@ -92,7 +96,10 @@ ExtendedRational = Union[Fraction, Infinity]
 def as_fraction(x) -> Fraction:
     """Coerce an exact rational given as int, Fraction or 'p/q' string.
 
-    Floats are rejected: binary rounding would silently break the exactness
+    Strings follow the rule of the text formats: an optionally signed
+    integer or ``p/q``, never a decimal or exponent, and never a zero
+    denominator; anything else raises :class:`InvalidRationalError`. Floats
+    are rejected: binary rounding would silently break the exactness
     guarantees every verdict in this package relies on.
     """
     if isinstance(x, Fraction):
@@ -100,7 +107,12 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        if _RATIONAL.fullmatch(x.strip()):
+            try:
+                return Fraction(x)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise InvalidRationalError(f"expected an integer or p/q, got {x[:40]!r}")
     raise TypeError(f"exact rational expected, got {type(x).__name__}: {x!r}")
 
 

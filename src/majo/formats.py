@@ -17,8 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .errors import ParseError
-from .extended import INF, ExtendedRational, Infinity
+from .errors import InvalidRationalError, ParseError
+from .extended import INF, ExtendedRational, Infinity, as_fraction
 from .operators import OperatorMatrix, Partition, Tail
 from .stepfn import StepFunction, canonicalize
 
@@ -35,10 +35,8 @@ def format_rational(x) -> str:
 
 def _parse_rational(token: str, line: int, column: int) -> Fraction:
     try:
-        if "." in token:
-            raise ValueError("decimals are not exact")
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        return as_fraction(token)
+    except InvalidRationalError:
         raise ParseError(
             "expected a rational p/q or integer", line=line, column=column, token=token
         ) from None
@@ -108,11 +106,10 @@ def loads_sfn(text: str) -> SfnDocument:
                     token=" ".join(tokens),
                 )
             mass = _parse_rational(tokens[1], number, 2)
-            if tokens[3].lower() == "inf":
-                tail = Tail(mass, None)
-            else:
+            count = None
+            if tokens[3].lower() != "inf":
                 try:
-                    tail = Tail(mass, int(tokens[3]))
+                    count = int(tokens[3])
                 except ValueError:
                     raise ParseError(
                         "tail count must be an integer or inf",
@@ -120,6 +117,7 @@ def loads_sfn(text: str) -> SfnDocument:
                         column=4,
                         token=tokens[3],
                     ) from None
+            tail = Tail(mass, count)
             tail_line = number
         elif len(tokens) == 2:
             value = _parse_rational(tokens[0], number, 1)

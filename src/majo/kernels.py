@@ -79,14 +79,9 @@ class StepKernel:
 
 def kernel_classify(kernel: StepKernel) -> OperatorClass:
     """Most specific class by exact marginal integrals."""
-    if any(s != 1 for s in kernel.column_integrals()):
-        return OperatorClass.NONE
-    row_integrals = kernel.row_integrals()
-    if any(s > 1 for s in row_integrals):
-        return OperatorClass.MARKOV
-    if any(s != 1 for s in row_integrals):
-        return OperatorClass.SEMI_DOUBLY_STOCHASTIC
-    return OperatorClass.DOUBLY_STOCHASTIC
+    return OperatorClass.from_marginals(
+        kernel.column_integrals(), kernel.row_integrals()
+    )
 
 
 def kernel_apply(kernel: StepKernel, g: AlignedStep) -> AlignedStep:

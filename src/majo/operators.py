@@ -19,6 +19,8 @@ from typing import Optional, Sequence, Tuple
 from .errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
+    InvalidPartitionError,
+    InvalidTTransformError,
     MeasureMismatchError,
     NegativeEntryError,
     NegativeMassError,
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .extended import INF, ExtendedRational, as_extended, as_fraction, fraction_gcd
 from .majorize import majorize
-from .stepfn import ZERO, StepFunction, canonicalize
+from .stepfn import ZERO, StepFunction, _in_order, canonicalize
 
 ONE = Fraction(1)
 
@@ -57,7 +59,7 @@ class Tail:
         if self.mass <= 0:
             raise NegativeMassError(f"tail atom mass {self.mass} must be positive")
         if self.count is not None and self.count < 1:
-            raise ValueError("finite tail count must be >= 1")
+            raise InvalidPartitionError("finite tail count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,16 @@ class Partition:
         explicit = sum(self.atoms, ZERO)
         if self.total_measure is INF:
             if self.tail is None or self.tail.count is not None:
-                raise ValueError("an infinite-measure partition needs an unbounded tail")
+                raise InvalidPartitionError(
+                    "an infinite-measure partition needs an unbounded tail"
+                )
         else:
             tail_mass = ZERO
             if self.tail is not None:
                 if self.tail.count is None:
-                    raise ValueError("unbounded tail on a finite measure space")
+                    raise InvalidPartitionError(
+                        "unbounded tail on a finite measure space"
+                    )
                 tail_mass = self.tail.mass * self.tail.count
             if explicit + tail_mass != self.total_measure:
                 raise MeasureMismatchError(
@@ -146,37 +152,40 @@ class AlignedStep:
         )
 
 
-def align(partition: Partition, f: StepFunction) -> AlignedStep:
-    """Lay the canonical rearrangement of f over the partition, in order.
+def _layout(partition: Partition, f: StepFunction):
+    """Segments ``(atom, level set, mass)`` of f's rearrangement laid over the atoms.
 
-    Succeeds exactly when the partition refines the level sets of the
-    canonical layout and the explicit atoms cover the support.
+    The level-set index equals ``len(f.pieces)`` past the support; support
+    reaching past the explicit atoms is an error.
     """
     if partition.total_measure != f.total_measure:
         raise MeasureMismatchError(
             f"partition tiles {partition.total_measure}, function lives on "
             f"{f.total_measure}"
         )
-    values = []
-    index, left = 0, f.pieces[0].mass if f.pieces else ZERO
-    for atom in partition.atoms:
-        if index >= len(f.pieces):
-            values.append(ZERO)
-            continue
-        if atom > left:
+    for n, k, mass in _in_order(partition.atoms, [p.mass for p in f.pieces]):
+        if n == partition.size:
             raise PartitionMisalignedError(
-                f"atom of mass {atom} straddles a level boundary "
-                f"(only {left} left at value {f.pieces[index].value})"
+                "support extends past the explicit atoms into the tail"
             )
-        values.append(f.pieces[index].value)
-        left -= atom
-        if left == 0:
-            index += 1
-            left = f.pieces[index].mass if index < len(f.pieces) else ZERO
-    if index < len(f.pieces):
-        raise PartitionMisalignedError(
-            "support extends past the explicit atoms into the tail"
-        )
+        yield n, k, mass
+
+
+def align(partition: Partition, f: StepFunction) -> AlignedStep:
+    """Lay the canonical rearrangement of f over the partition, in order.
+
+    Succeeds exactly when the partition refines the level sets of the
+    canonical layout and the explicit atoms cover the support.
+    """
+    levels = f.values() + (ZERO,)
+    values = []
+    for n, k, mass in _layout(partition, f):
+        if mass != partition.atoms[n]:
+            raise PartitionMisalignedError(
+                f"atom of mass {partition.atoms[n]} straddles a level boundary "
+                f"(only {mass} left at value {levels[k]})"
+            )
+        values.append(levels[k])
     return AlignedStep(partition=partition, values=tuple(values))
 
 
@@ -190,30 +199,11 @@ def in_order_overlaps(
     the explicit alignment metadata :func:`partition_average` needs for a
     function that is not constant on atoms.
     """
-    if partition.total_measure != f.total_measure:
-        raise MeasureMismatchError(
-            f"partition tiles {partition.total_measure}, function lives on "
-            f"{f.total_measure}"
-        )
-    rows = []
-    index, left = 0, f.pieces[0].mass if f.pieces else ZERO
-    for atom in partition.atoms:
-        row = [ZERO] * len(f.pieces)
-        need = atom
-        while need > 0 and index < len(f.pieces):
-            take = left if left < need else need
-            row[index] += take
-            left -= take
-            need -= take
-            if left == 0:
-                index += 1
-                left = f.pieces[index].mass if index < len(f.pieces) else ZERO
-        rows.append(tuple(row))
-    if index < len(f.pieces):
-        raise PartitionMisalignedError(
-            "support extends past the explicit atoms into the tail"
-        )
-    return tuple(rows)
+    rows = [[ZERO] * len(f.pieces) for _ in partition.atoms]
+    for n, k, mass in _layout(partition, f):
+        if k < len(f.pieces):
+            rows[n][k] = mass
+    return tuple(tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +218,17 @@ class OperatorClass(enum.IntEnum):
     MARKOV = 1
     SEMI_DOUBLY_STOCHASTIC = 2
     DOUBLY_STOCHASTIC = 3
+
+    @staticmethod
+    def from_marginals(column_sums: Sequence, row_sums: Sequence) -> "OperatorClass":
+        """Most specific class whose conditions the exact marginals meet."""
+        if any(s != 1 for s in column_sums):
+            return OperatorClass.NONE
+        if any(s > 1 for s in row_sums):
+            return OperatorClass.MARKOV
+        if any(s != 1 for s in row_sums):
+            return OperatorClass.SEMI_DOUBLY_STOCHASTIC
+        return OperatorClass.DOUBLY_STOCHASTIC
 
     @property
     def label(self) -> str:
@@ -302,14 +303,7 @@ class OperatorMatrix:
 
 def classify_matrix(matrix: OperatorMatrix) -> OperatorClass:
     """Most specific class by exact column and row sums."""
-    if matrix.cols and any(s != 1 for s in matrix.column_sums()):
-        return OperatorClass.NONE
-    row_sums = matrix.row_sums()
-    if any(s > 1 for s in row_sums):
-        return OperatorClass.MARKOV
-    if any(s != 1 for s in row_sums):
-        return OperatorClass.SEMI_DOUBLY_STOCHASTIC
-    return OperatorClass.DOUBLY_STOCHASTIC
+    return OperatorClass.from_marginals(matrix.column_sums(), matrix.row_sums())
 
 
 def apply_matrix(matrix: OperatorMatrix, vector: Sequence) -> Tuple[Fraction, ...]:
@@ -417,17 +411,12 @@ def partition_average_matrix(
             "the refinement's explicit atoms must tile the partition's"
         )
     blocks = []
-    index, left = 0, partition.atoms[0] if partition.atoms else ZERO
-    for fine in refinement.atoms:
-        if index >= partition.size or fine > left:
+    for r, block, mass in _in_order(refinement.atoms, partition.atoms):
+        if mass != refinement.atoms[r]:
             raise PartitionMisalignedError(
-                f"fine atom of mass {fine} straddles a coarse boundary"
+                f"fine atom of mass {refinement.atoms[r]} straddles a coarse boundary"
             )
-        blocks.append(index)
-        left -= fine
-        if left == 0:
-            index += 1
-            left = partition.atoms[index] if index < partition.size else ZERO
+        blocks.append(block)
     entries = tuple(
         tuple(
             refinement.atoms[r] / partition.atoms[blocks[r]]
@@ -469,13 +458,44 @@ def lift_apply(partition: Partition, matrix: OperatorMatrix, f) -> AlignedStep:
     return AlignedStep(partition=partition, values=values)
 
 
+def sequence_apply(
+    matrix: OperatorMatrix, f: StepFunction, mass
+) -> Tuple[StepFunction, Partition]:
+    """Image of f under a sequence matrix acting on atoms of one mass.
+
+    f is laid over ``matrix.cols`` atoms of ``mass``, which must tile a finite
+    space; the matrix maps the per-atom integrals (:func:`phi`), and
+    :func:`psi` spreads the image over ``matrix.rows`` atoms of the same mass.
+    Rectangular matrices are allowed, so on a finite space the image lives on
+    total ``mass * matrix.rows``. Returns the image and that row partition.
+    """
+    mass = as_fraction(mass)
+    infinite = f.total_measure is INF
+    if not infinite and mass * matrix.cols != f.total_measure:
+        raise MeasureMismatchError(
+            f"{matrix.cols} atoms of mass {mass} cannot tile total {f.total_measure}"
+        )
+    col_partition = Partition.equal_mass(matrix.cols, mass, f.total_measure)
+    if f.support_measure > mass * matrix.cols:
+        raise DimensionMismatchError(
+            f"support of mass {f.support_measure} needs more than {matrix.cols} "
+            f"atoms of mass {mass}"
+        )
+    row_total = INF if infinite else mass * matrix.rows
+    row_partition = Partition.equal_mass(matrix.rows, mass, row_total)
+    coefficients = apply_matrix(matrix, phi(col_partition, f))
+    return psi(row_partition, coefficients).step_function(), row_partition
+
+
 def restrict(partition: Partition, operator: OperatorMatrix) -> OperatorMatrix:
     """Sequence-basis matrix of a value-basis operator on the partition.
 
     Exact inverse of :func:`lift`. Only equal-mass partitions are accepted:
     with unequal masses the restricted row sums are bounded by mass ratios
     that can exceed 1, so the semi-doubly stochastic guarantee would be
-    silently lost; that is surfaced as an error instead.
+    silently lost; that is surfaced as an error instead. On equal masses the
+    rescaling factor mass(n)/mass(j) is 1, so the validated operator is
+    returned as it is.
     """
     if not partition.equal_masses:
         raise UnequalMassesUnsupportedError(
@@ -487,12 +507,7 @@ def restrict(partition: Partition, operator: OperatorMatrix) -> OperatorMatrix:
         )
     if classify_matrix(operator) < OperatorClass.SEMI_DOUBLY_STOCHASTIC:
         raise NotStochasticError("restrict needs a semi-doubly stochastic operator")
-    masses = partition.atoms
-    entries = tuple(
-        tuple(operator.entries[n][j] * masses[n] / masses[j] for j in range(operator.cols))
-        for n in range(operator.rows)
-    )
-    return OperatorMatrix(entries)
+    return operator
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +526,9 @@ class TTransform:
     def __post_init__(self):
         object.__setattr__(self, "weight", as_fraction(self.weight))
         if not 0 <= self.j < self.k:
-            raise ValueError("T-transform needs coordinates 0 <= j < k")
+            raise InvalidTTransformError("T-transform needs coordinates 0 <= j < k")
         if not 0 <= self.weight <= 1:
-            raise ValueError(f"mixing weight {self.weight} outside [0, 1]")
+            raise InvalidTTransformError(f"mixing weight {self.weight} outside [0, 1]")
 
     def matrix(self, n: int) -> OperatorMatrix:
         if self.k >= n:
@@ -551,15 +566,6 @@ class WitnessChain:
         aligned = align(self.source_partition, g)
         values = apply_matrix(self.product, aligned.values)
         return AlignedStep(self.source_partition, values).step_function()
-
-
-def _spread(f: StepFunction, unit: Fraction, length: int) -> list:
-    """Value vector of f on ``length`` atoms of mass ``unit``, zero padded."""
-    out = []
-    for value, mass in f.pieces:
-        out.extend([value] * int(mass / unit))
-    out.extend([ZERO] * (length - len(out)))
-    return out
 
 
 def _t_transform_chain(target: Sequence, source: Sequence):
@@ -622,12 +628,9 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     masses = [p.mass for p in f.pieces] + [p.mass for p in g.pieces]
     unit = fraction_gcd(masses) if masses else ONE
     length = max(int(f.support_measure / unit), int(g.support_measure / unit), 1)
+    partition = Partition.equal_mass(length, unit, f.total_measure)
     steps, product = _t_transform_chain(
-        _spread(f, unit, length), _spread(g, unit, length)
-    )
-    tail = Tail(unit, None) if f.total_measure is INF else None
-    partition = Partition(
-        atoms=(unit,) * length, total_measure=f.total_measure, tail=tail
+        align(partition, f).values, align(partition, g).values
     )
     return WitnessChain(steps=tuple(steps), product=product, source_partition=partition)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import (
     DivergentHingeError,
@@ -206,6 +206,37 @@ def canonicalize(raw_pieces: Iterable, total) -> StepFunction:
             merged[ZERO] = merged.get(ZERO, ZERO) + (total - supp)
     pieces = tuple(Piece(v, merged[v]) for v in sorted(merged, reverse=True))
     return StepFunction(pieces=pieces, total_measure=total)
+
+
+def _in_order(
+    a: Sequence[Fraction], b: Sequence[Fraction]
+) -> Iterator[Tuple[int, int, Fraction]]:
+    """Lay two sequences of positive masses left to right from 0 and walk both.
+
+    Yields ``(i, j, mass)`` for each segment of the common refinement, in
+    order: the segment lies in the i-th mass of ``a`` and the j-th mass of
+    ``b``. Past the end of the shorter sequence its index equals its length,
+    so the segments cover both sequences whole.
+    """
+    i = j = 0
+    left_a = a[0] if a else ZERO
+    left_b = b[0] if b else ZERO
+    while i < len(a) or j < len(b):
+        take = left_a if j == len(b) or (i < len(a) and left_a < left_b) else left_b
+        yield i, j, take
+        # a segment that ends a mass advances without a Fraction subtraction
+        if i < len(a):
+            if left_a == take:
+                i += 1
+                left_a = a[i] if i < len(a) else ZERO
+            else:
+                left_a -= take
+        if j < len(b):
+            if left_b == take:
+                j += 1
+                left_b = b[j] if j < len(b) else ZERO
+            else:
+                left_b -= take
 
 
 def indicator(mass, total=INF) -> StepFunction:

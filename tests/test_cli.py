@@ -229,6 +229,28 @@ class TestEqui:
         assert len(report["rows"]) == 4
         assert all(row["within_bound"] for row in report["rows"])
 
+    def test_family_member_is_the_apply_image(self, workdir, capsys, monkeypatch):
+        import majo.cli
+
+        tmp, write = workdir
+        f = write("f.sfn", "total 2\n1 2\n")
+        mix = write("mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
+        image = str(tmp / "image.sfn")
+        assert main(["apply", mix, f, "-o", image]) == 0
+        ops = tmp / "ops"
+        ops.mkdir()
+        (ops / "mix.mat").write_text(open(mix).read())
+        families = []
+        real_modulus = majo.cli.equi_modulus
+
+        def recording(family, delta, source):
+            families.append(family)
+            return real_modulus(family, delta, source)
+
+        monkeypatch.setattr("majo.cli.equi_modulus", recording)
+        assert main(["equi", f, "--ops", str(ops)]) == 0
+        assert families[0] == [loads_sfn(open(image).read()).function]
+
     def test_explicit_delta_list(self, workdir, capsys):
         tmp, write = workdir
         f = write("f.sfn", "total inf\n2 1\n")
@@ -254,6 +276,36 @@ class TestSelftest:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rearrange", "unbounded-tail.sfn"],
+            ["rearrange", "empty-tail.sfn"],
+            ["apply", "mix.mat", "f.sfn", "--atom-mass", "1/0"],
+            ["apply", "mix.mat", "f.sfn", "--atom-mass", "abc"],
+            ["apply", "mix.mat", "f.sfn", "--atom-mass", "1.0"],
+            ["apply", "no-columns.mat", "f.sfn"],
+            ["equi", "f.sfn", "--ops", "ops", "--delta-grid", "1/0"],
+            ["equi", "f.sfn", "--ops", "ops", "--delta-grid", "2^x..2^-3"],
+        ],
+    )
+    def test_bad_input_exits_two_without_a_traceback(
+        self, workdir, capsys, monkeypatch, argv
+    ):
+        tmp, write = workdir
+        write("unbounded-tail.sfn", "total 2\n1 2\npartition 1\ntail 1 x inf\n")
+        write("empty-tail.sfn", "total 2\n1 2\npartition 1\ntail 1 x 0\n")
+        write("f.sfn", "total 2\n1 2\n")
+        write("mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
+        write("no-columns.mat", "2 0\n")
+        (tmp / "ops").mkdir()
+        write("ops/mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
+        monkeypatch.chdir(tmp)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "tail count must be an integer" not in err
+
     def test_internal_inconsistency_exits_three(self, workdir, capsys, monkeypatch):
         from majo.errors import InternalInconsistencyError
 

@@ -10,9 +10,11 @@ from majo import (
     INF,
     AlignedStep,
     Partition,
+    align,
     apply_matrix,
     canonicalize,
     equi_modulus,
+    fraction_gcd,
     l1_distance,
     majorize,
     psi,
@@ -173,3 +175,16 @@ class TestL1Distance:
             f = random_step_function(rng, infinite=True)
             g = random_step_function(rng, infinite=True)
             assert (l1_distance(f, g) == 0) == (f == g)
+
+    def test_signed_finite_pairs_match_a_common_equal_mass_grid(self):
+        rng = random.Random(151)
+        for _ in range(40):
+            f = random_step_function(rng, infinite=False, signed=True, max_pieces=40)
+            g = random_step_function(rng, infinite=False, signed=True, max_pieces=40)
+            total = max(f.total_measure, g.total_measure)
+            f, g = canonicalize(f.pieces, total), canonicalize(g.pieces, total)
+            unit = fraction_gcd([p.mass for p in f.pieces + g.pieces])
+            grid = Partition.equal_mass(int(total / unit), unit, total)
+            a, b = align(grid, f).values, align(grid, g).values
+            expected = sum((abs(x - y) for x, y in zip(a, b)), F(0)) * unit
+            assert l1_distance(f, g) == expected

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from majo import INF, as_fraction, fraction_gcd
-from majo.errors import ExtendedArithmeticError
+from majo.errors import ExtendedArithmeticError, MajoError
 from majo.extended import Infinity, as_extended
 
 
@@ -47,6 +47,14 @@ class TestCoercions:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             as_fraction(0.5)
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", "1.0", "1e3", "1_0", "abc", "", "1/0", "2/00"]
+    )
+    def test_strings_follow_the_integer_or_p_over_q_rule(self, text):
+        with pytest.raises(MajoError) as info:
+            as_fraction(text)
+        assert isinstance(info.value, ValueError)
 
     def test_extended_accepts_inf_spelling(self):
         assert as_extended("inf") is INF

@@ -28,9 +28,11 @@ from majo import (
     psi,
     restrict,
     sds_approx_sequence,
+    sequence_apply,
 )
 from majo.errors import (
     DimensionMismatchError,
+    MajoError,
     MeasureMismatchError,
     NegativeEntryError,
     NotMajorizedError,
@@ -340,6 +342,30 @@ class TestTTransform:
             TTransform(0, 1, F(3, 2))
         with pytest.raises(ValueError):
             TTransform(1, 1, F(1, 2))
+
+    def test_bad_parameters_are_majo_errors(self):
+        with pytest.raises(MajoError):
+            TTransform(0, 1, F(-1, 2))
+        with pytest.raises(MajoError):
+            TTransform(2, 1, F(1, 2))
+
+
+class TestSequenceApply:
+    def test_rectangular_shift_lands_on_the_row_total(self):
+        f = canonicalize([(3, 1), (1, 1)], 2)
+        image, partition = sequence_apply(shift_truncation(3, 2), f, 1)
+        assert image == canonicalize([(0, 1), (3, 1), (1, 1)], 3)
+        assert partition == Partition.equal_mass(3, 1, 3)
+
+    def test_atoms_must_tile_a_finite_space(self):
+        f = canonicalize([(1, 2)], 2)
+        with pytest.raises(MeasureMismatchError):
+            sequence_apply(OperatorMatrix.identity(2), f, 2)
+
+    def test_support_must_fit_the_columns(self):
+        f = canonicalize([(1, 3)], INF)
+        with pytest.raises(DimensionMismatchError):
+            sequence_apply(OperatorMatrix.identity(2), f, 1)
 
 
 class TestDsWitness:
