@@ -73,6 +73,14 @@ def _emit(report: dict, as_json: bool, lines) -> None:
             print(line)
 
 
+def _emit_text(args, report: dict, text: str) -> int:
+    """Write ``text`` to ``--output`` when given, then print the report or it."""
+    if args.output:
+        Path(args.output).write_text(text)
+    _emit(report, args.json, text.splitlines())
+    return EXIT_HOLDS
+
+
 def _checkpoint_dict(point) -> Optional[dict]:
     if point is None:
         return None
@@ -102,9 +110,6 @@ def _verdict_dict(verdict: MajorizationVerdict) -> dict:
 def cmd_rearrange(args) -> int:
     doc = load_sfn(args.function)
     rearranged = doc.function.rearrangement()
-    text = dumps_sfn(rearranged)
-    if args.output:
-        Path(args.output).write_text(text)
     report = {
         "command": "rearrange",
         "input": args.function,
@@ -112,8 +117,7 @@ def cmd_rearrange(args) -> int:
         "total": rearranged.total_measure,
         "output": args.output,
     }
-    _emit(report, args.json, text.splitlines())
-    return EXIT_HOLDS
+    return _emit_text(args, report, dumps_sfn(rearranged))
 
 
 _CRITERIA = {
@@ -133,7 +137,6 @@ def cmd_check(args) -> int:
         # hinge and tail scans need nonnegative inputs; signed functions on a
         # finite space are decided by the rearrangement criterion directly
         criterion = "rearr"
-    verdicts = []
     if criterion == "all":
         report_obj = cross_check(f, g, weak=args.weak)
         verdicts = list(report_obj.verdicts)
@@ -145,17 +148,13 @@ def cmd_check(args) -> int:
         holds = verdict.holds
         agreement = None
 
-    summary: str
     reverse_holds = None
     if holds:
         relation = "weakly majorized" if args.weak else "majorized"
         summary = f"f is {relation} by g"
     else:
-        reverse = (
-            weak_majorize(g, f) if args.weak else majorize(g, f)
-        )
-        reverse_holds = reverse.holds
-        if reverse.holds:
+        reverse_holds = _CRITERIA["rearr"](g, f, args.weak).holds
+        if reverse_holds:
             summary = "not majorized (the reverse direction holds)"
         else:
             summary = "incomparable: both directions fail"
@@ -202,20 +201,21 @@ def cmd_witness(args) -> int:
     chain = ds_witness(f, g)
     dump_mat(args.output, chain.product)
     partition = chain.source_partition
+    atom_mass = partition.atoms[0] if partition.atoms else None
     report = {
         "command": "witness",
         "inputs": {"f": args.f, "g": args.g},
         "witness_path": args.output,
         "steps": [[s.j, s.k, s.weight] for s in chain.steps],
         "dimension": chain.dimension,
-        "atom_mass": partition.atoms[0] if partition.atoms else None,
+        "atom_mass": atom_mass,
         "total": partition.total_measure,
     }
+    atoms = f"atoms of mass {format_rational(atom_mass)}" if atom_mass else "no atoms"
     lines = [
         f"wrote {chain.dimension}x{chain.dimension} doubly stochastic witness "
         f"to {args.output}",
-        f"chain of {len(chain.steps)} T-transform(s) on atoms of mass "
-        f"{format_rational(partition.atoms[0])}",
+        f"chain of {len(chain.steps)} T-transform(s) on {atoms}",
     ]
     _emit(report, args.json, lines)
     return EXIT_HOLDS
@@ -248,9 +248,6 @@ def cmd_lift(args) -> int:
     partition = _load_partition(args.partition)
     matrix = load_mat(args.matrix)
     lifted = lift(partition, matrix)
-    text = dumps_mat(lifted)
-    if args.output:
-        Path(args.output).write_text(text)
     report = {
         "command": "lift",
         "partition": args.partition,
@@ -258,8 +255,7 @@ def cmd_lift(args) -> int:
         "entries": [list(row) for row in lifted.entries],
         "output": args.output,
     }
-    _emit(report, args.json, text.splitlines())
-    return EXIT_HOLDS
+    return _emit_text(args, report, dumps_mat(lifted))
 
 
 def cmd_kernel(args) -> int:
@@ -286,18 +282,14 @@ def cmd_kernel(args) -> int:
 def cmd_apply(args) -> int:
     matrix = load_mat(args.matrix)
     doc = load_sfn(args.function)
-    f = doc.function
-    partition = doc.partition
-    if (
-        partition is not None
-        and args.atom_mass is None
-        and partition.size == matrix.cols == matrix.rows
+    f, partition = doc.function, doc.partition
+    if partition is not None and args.atom_mass is None and (
+        partition.size == matrix.cols == matrix.rows
     ):
-        # square matrix on the file's own partition: the lifted action
+        # a square matrix on the file's own partition
         result = lift_apply(partition, matrix, f).step_function()
-        out_partition = partition
     else:
-        # sequence action on an equal-mass alignment, rectangular allowed
+        # equal-mass atoms, rectangular matrices allowed
         if args.atom_mass is not None:
             mass = as_fraction(args.atom_mass)
         elif partition is not None and partition.equal_masses and partition.atoms:
@@ -309,10 +301,7 @@ def cmd_apply(args) -> int:
                 "an infinite-measure function needs a partition block or "
                 "--atom-mass to fix the alignment"
             )
-        result, out_partition = sequence_apply(matrix, f, mass)
-    text = dumps_sfn(result, out_partition)
-    if args.output:
-        Path(args.output).write_text(text)
+        result, partition = sequence_apply(matrix, f, mass)
     report = {
         "command": "apply",
         "matrix": args.matrix,
@@ -321,8 +310,7 @@ def cmd_apply(args) -> int:
         "total": result.total_measure,
         "output": args.output,
     }
-    _emit(report, args.json, text.splitlines())
-    return EXIT_HOLDS
+    return _emit_text(args, report, dumps_sfn(result, partition))
 
 
 def _tiling_mass(f, matrix) -> Fraction:

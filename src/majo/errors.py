@@ -25,6 +25,10 @@ class InvalidRationalError(MajoError, ValueError):
 # ---------------------------------------------------------------------------
 
 
+class NonCanonicalError(MajoError, ValueError):
+    """A step function constructed directly is not in canonical form."""
+
+
 class NegativeMassError(MajoError):
     """A level set was given a zero or negative mass."""
 
@@ -62,8 +66,12 @@ class SignednessViolationError(MajoError):
     """A criterion that requires nonnegative inputs received a signed one."""
 
 
-class EmptyFamilyError(MajoError):
-    """A test-function family or function family with no members."""
+class EmptyFamilyError(MajoError, ValueError):
+    """A test-function family, function family or gcd input with no members."""
+
+
+class InvalidTestFamilyError(MajoError, ValueError):
+    """A test-function family parameter lies outside its range."""
 
 
 class InternalInconsistencyError(MajoError):

@@ -14,7 +14,7 @@ from functools import reduce
 from math import gcd
 from typing import Iterable, Union
 
-from .errors import ExtendedArithmeticError, InvalidRationalError
+from .errors import EmptyFamilyError, ExtendedArithmeticError, InvalidRationalError
 
 # an optionally signed integer, or p/q with a nonzero denominator
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
@@ -136,5 +136,5 @@ def fraction_gcd(values: Iterable[Fraction]) -> Fraction:
 
     values = [as_fraction(v) for v in values]
     if not values:
-        raise ValueError("gcd of an empty collection")
+        raise EmptyFamilyError("gcd of an empty collection")
     return reduce(pair, values)

@@ -13,6 +13,7 @@ row-major entries separated by arbitrary whitespace.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -40,6 +41,19 @@ def _parse_rational(token: str, line: int, column: int) -> Fraction:
         raise ParseError(
             "expected a rational p/q or integer", line=line, column=column, token=token
         ) from None
+
+
+_COUNT = re.compile("[0-9]+")
+
+
+def _parse_count(token: str, line: int, column: int, message: str) -> int:
+    """A nonnegative integer written in ASCII digits only (no sign, no '_')."""
+    if _COUNT.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(message, line=line, column=column, token=token)
 
 
 def _effective_lines(text: str) -> List[Tuple[int, List[str]]]:
@@ -108,15 +122,8 @@ def loads_sfn(text: str) -> SfnDocument:
             mass = _parse_rational(tokens[1], number, 2)
             count = None
             if tokens[3].lower() != "inf":
-                try:
-                    count = int(tokens[3])
-                except ValueError:
-                    raise ParseError(
-                        "tail count must be an integer or inf",
-                        line=number,
-                        column=4,
-                        token=tokens[3],
-                    ) from None
+                message = "tail count must be a nonnegative integer or inf"
+                count = _parse_count(tokens[3], number, 4, message)
             tail = Tail(mass, count)
             tail_line = number
         elif len(tokens) == 2:
@@ -176,14 +183,11 @@ def loads_mat(text: str) -> OperatorMatrix:
         raise ParseError(
             "first line must be 'rows cols'", line=number, token=" ".join(tokens)
         )
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ParseError(
-            "rows and cols must be integers", line=number, token=" ".join(tokens)
-        ) from None
-    if rows < 0 or cols < 0:
-        raise ParseError("rows and cols must be nonnegative", line=number)
+    message = "rows and cols must be nonnegative integers"
+    rows = _parse_count(tokens[0], number, 1, message)
+    cols = _parse_count(tokens[1], number, 2, message)
+    if rows == 0 and cols > 0:
+        raise ParseError("a matrix without rows has no columns", line=number)
     entries: List[Fraction] = []
     for number, tokens in lines[1:]:
         for column, token in enumerate(tokens, start=1):

@@ -7,6 +7,10 @@ when additionally every row integral (over y) is at most 1, and doubly
 stochastic when the row integrals equal 1. Applying a kernel to a function
 aligned with the column partition integrates against it exactly.
 
+A kernel is a change of basis of a sequence matrix: with row masses r, the
+kernel K and the sequence matrix d = diag(r) · K describe one operator, so
+the marginals and the action are those of d.
+
 On a partition with an unbounded tail the kernel is stored over the explicit
 atoms only; applied to aligned functions (zero on the tail) this coincides
 with an operator acting as the identity on the tail.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Tuple
 
 from .errors import (
@@ -26,10 +31,13 @@ from .errors import (
 )
 from .extended import as_fraction
 from .operators import (
+    ONE,
     AlignedStep,
     OperatorClass,
     OperatorMatrix,
     Partition,
+    _image,
+    _rescale,
     classify_matrix,
 )
 from .stepfn import ZERO
@@ -62,19 +70,18 @@ class StepKernel:
 
     def column_integrals(self) -> Tuple[Fraction, ...]:
         """Integral over x of K(x, y) on each column atom."""
-        masses = self.row_partition.atoms
-        return tuple(
-            sum((self.values[n][j] * masses[n] for n in range(len(masses))), ZERO)
-            for j in range(self.col_partition.size)
-        )
+        # a kernel without rows integrates to 0 over every column atom
+        sums = _sequence_matrix(self).column_sums()
+        return sums or (ZERO,) * self.col_partition.size
 
     def row_integrals(self) -> Tuple[Fraction, ...]:
         """Integral over y of K(x, y) on each row atom."""
-        masses = self.col_partition.atoms
-        return tuple(
-            sum((row[j] * masses[j] for j in range(len(masses))), ZERO)
-            for row in self.values
-        )
+        return _rescale(repeat(ONE), self.values, self.col_partition.atoms).row_sums()
+
+
+def _sequence_matrix(kernel: StepKernel) -> OperatorMatrix:
+    """The sequence matrix diag(r) · K of the kernel's operator."""
+    return _rescale(kernel.row_partition.atoms, kernel.values, repeat(ONE))
 
 
 def kernel_classify(kernel: StepKernel) -> OperatorClass:
@@ -90,12 +97,8 @@ def kernel_apply(kernel: StepKernel, g: AlignedStep) -> AlignedStep:
         raise PartitionMisalignedError(
             "function must be aligned with the kernel's column partition"
         )
-    masses = kernel.col_partition.atoms
-    values = tuple(
-        sum((row[j] * g.values[j] * masses[j] for j in range(len(masses))), ZERO)
-        for row in kernel.values
-    )
-    return AlignedStep(partition=kernel.row_partition, values=values)
+    matrix = _sequence_matrix(kernel)
+    return _image(matrix, kernel.col_partition, g, kernel.row_partition)
 
 
 def matrix_to_kernel(partition: Partition, matrix: OperatorMatrix) -> StepKernel:
@@ -123,11 +126,8 @@ def matrix_to_kernel(partition: Partition, matrix: OperatorMatrix) -> StepKernel
         col_partition = Partition(
             atoms=leading, total_measure=sum(leading, ZERO), tail=None
         )
-    masses = partition.atoms
-    values = tuple(
-        tuple(matrix.entries[n][j] / masses[n] for j in range(matrix.cols))
-        for n in range(matrix.rows)
-    )
+    inverse = [1 / m for m in partition.atoms]
+    values = _rescale(inverse, matrix.entries, repeat(ONE)).entries
     return StepKernel(
         row_partition=partition, col_partition=col_partition, values=values
     )

@@ -18,6 +18,7 @@ from typing import Sequence, Tuple
 from .errors import (
     EmptyFamilyError,
     InternalInconsistencyError,
+    InvalidTestFamilyError,
     MeasureMismatchError,
     SignednessViolationError,
 )
@@ -213,10 +214,12 @@ class TestFunctionFamily:
             raise EmptyFamilyError("test-function family has no parameters")
         if self.kind is FamilyKind.HINGE:
             if any(u < 0 for u in self.parameters):
-                raise ValueError("hinge thresholds must be nonnegative")
+                raise InvalidTestFamilyError("hinge thresholds must be nonnegative")
         else:
             if any(a < 0 or b < 0 for a, b in self.parameters):
-                raise ValueError("sublinear slope pairs must be nonnegative")
+                raise InvalidTestFamilyError(
+                    "sublinear slope pairs must be nonnegative"
+                )
 
     @staticmethod
     def hinges(thresholds: Sequence) -> "TestFunctionFamily":

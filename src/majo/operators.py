@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -276,9 +277,7 @@ class OperatorMatrix:
         )
 
     def column_sums(self) -> Tuple[Fraction, ...]:
-        return tuple(
-            sum((row[j] for row in self.entries), ZERO) for j in range(self.cols)
-        )
+        return tuple(sum(column, ZERO) for column in zip(*self.entries))
 
     def row_sums(self) -> Tuple[Fraction, ...]:
         return tuple(sum(row, ZERO) for row in self.entries)
@@ -288,17 +287,13 @@ class OperatorMatrix:
             raise DimensionMismatchError(
                 f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        product = tuple(
+        columns = tuple(zip(*other.entries))
+        return OperatorMatrix(
             tuple(
-                sum(
-                    (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                    ZERO,
-                )
-                for j in range(other.cols)
+                tuple(sum(map(mul, row, column), ZERO) for column in columns)
+                for row in self.entries
             )
-            for i in range(self.rows)
         )
-        return OperatorMatrix(product)
 
 
 def classify_matrix(matrix: OperatorMatrix) -> OperatorClass:
@@ -307,16 +302,13 @@ def classify_matrix(matrix: OperatorMatrix) -> OperatorClass:
 
 
 def apply_matrix(matrix: OperatorMatrix, vector: Sequence) -> Tuple[Fraction, ...]:
-    """Exact matrix-vector product."""
+    """Exact matrix-vector product; a matrix without rows takes any vector to ()."""
     vector = tuple(as_fraction(v) for v in vector)
-    if len(vector) != matrix.cols:
+    if matrix.entries and len(vector) != matrix.cols:
         raise DimensionMismatchError(
             f"vector of length {len(vector)} for a {matrix.rows}x{matrix.cols} matrix"
         )
-    return tuple(
-        sum((row[j] * vector[j] for j in range(matrix.cols)), ZERO)
-        for row in matrix.entries
-    )
+    return tuple(sum(map(mul, row, vector), ZERO) for row in matrix.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +338,38 @@ def psi(partition: Partition, coefficients: Sequence) -> AlignedStep:
     padded = coefficients + (ZERO,) * (partition.size - len(coefficients))
     values = tuple(a / m for a, m in zip(padded, partition.atoms))
     return AlignedStep(partition=partition, values=values)
+
+
+def _rescale(left: Sequence, rows, right: Sequence) -> OperatorMatrix:
+    """The matrix diag(left) · M · diag(right), M given by its rows.
+
+    A sequence matrix d between row masses r and column masses c has the
+    kernel diag(1/r) · d and the value-basis matrix diag(1/r) · d · diag(c):
+    every change of basis of one operator is such a rescaling.
+    """
+    return OperatorMatrix(
+        tuple(
+            tuple(a * x * b for x, b in zip(row, right)) for a, row in zip(left, rows)
+        )
+    )
+
+
+def _image(matrix: OperatorMatrix, columns: Partition, f, rows: Partition):
+    """The action of a sequence matrix: psi(rows, matrix · phi(columns, f))."""
+    return psi(rows, apply_matrix(matrix, phi(columns, f)))
+
+
+def _require_sds(matrix: OperatorMatrix, partition: Optional[Partition] = None) -> None:
+    """Every action's class rule; on a partition, also one row and column per atom."""
+    if partition is not None and not matrix.rows == matrix.cols == partition.size:
+        raise DimensionMismatchError(
+            f"{matrix.rows}x{matrix.cols} matrix on {partition.size} atoms"
+        )
+    cls = classify_matrix(matrix)
+    if cls < OperatorClass.SEMI_DOUBLY_STOCHASTIC:
+        raise NotStochasticError(
+            f"the action needs a semi-doubly stochastic matrix, not {cls.label}"
+        )
 
 
 def partition_average(
@@ -417,16 +441,10 @@ def partition_average_matrix(
                 f"fine atom of mass {refinement.atoms[r]} straddles a coarse boundary"
             )
         blocks.append(block)
-    entries = tuple(
-        tuple(
-            refinement.atoms[r] / partition.atoms[blocks[r]]
-            if blocks[r] == blocks[c]
-            else ZERO
-            for c in range(refinement.size)
-        )
-        for r in range(refinement.size)
+    same_block = tuple(tuple(ONE if b == c else ZERO for c in blocks) for b in blocks)
+    return _rescale(
+        refinement.atoms, same_block, [1 / partition.atoms[b] for b in blocks]
     )
-    return OperatorMatrix(entries)
 
 
 def lift(partition: Partition, matrix: OperatorMatrix) -> OperatorMatrix:
@@ -437,25 +455,19 @@ def lift(partition: Partition, matrix: OperatorMatrix) -> OperatorMatrix:
     the sequence matrix. Integrals are preserved for every Markov input; the
     full semi-doubly stochastic guarantee carries over on equal masses.
     """
-    if matrix.rows != partition.size or matrix.cols != partition.size:
-        raise DimensionMismatchError(
-            f"{matrix.rows}x{matrix.cols} matrix on {partition.size} atoms"
-        )
-    if classify_matrix(matrix) < OperatorClass.SEMI_DOUBLY_STOCHASTIC:
-        raise NotStochasticError("lift needs a semi-doubly stochastic matrix")
+    _require_sds(matrix, partition)
     masses = partition.atoms
-    entries = tuple(
-        tuple(matrix.entries[n][j] * masses[j] / masses[n] for j in range(matrix.cols))
-        for n in range(matrix.rows)
-    )
-    return OperatorMatrix(entries)
+    return _rescale([1 / m for m in masses], matrix.entries, masses)
 
 
 def lift_apply(partition: Partition, matrix: OperatorMatrix, f) -> AlignedStep:
-    """Apply the lifted operator to an aligned (or alignable) function."""
-    aligned = f if isinstance(f, AlignedStep) else align(partition, f)
-    values = apply_matrix(lift(partition, matrix), aligned.values)
-    return AlignedStep(partition=partition, values=values)
+    """Apply the lifted operator to an aligned (or alignable) function.
+
+    The lifted matrix is never built: its action on the values of f is the
+    sequence matrix acting on the per-atom integrals of f.
+    """
+    _require_sds(matrix, partition)
+    return _image(matrix, partition, f, partition)
 
 
 def sequence_apply(
@@ -468,7 +480,9 @@ def sequence_apply(
     :func:`psi` spreads the image over ``matrix.rows`` atoms of the same mass.
     Rectangular matrices are allowed, so on a finite space the image lives on
     total ``mass * matrix.rows``. Returns the image and that row partition.
+    The matrix must be semi-doubly stochastic, as for :func:`lift`.
     """
+    _require_sds(matrix)
     mass = as_fraction(mass)
     infinite = f.total_measure is INF
     if not infinite and mass * matrix.cols != f.total_measure:
@@ -483,8 +497,8 @@ def sequence_apply(
         )
     row_total = INF if infinite else mass * matrix.rows
     row_partition = Partition.equal_mass(matrix.rows, mass, row_total)
-    coefficients = apply_matrix(matrix, phi(col_partition, f))
-    return psi(row_partition, coefficients).step_function(), row_partition
+    image = _image(matrix, col_partition, f, row_partition)
+    return image.step_function(), row_partition
 
 
 def restrict(partition: Partition, operator: OperatorMatrix) -> OperatorMatrix:
@@ -501,12 +515,7 @@ def restrict(partition: Partition, operator: OperatorMatrix) -> OperatorMatrix:
         raise UnequalMassesUnsupportedError(
             "sequence restriction is only exact on equal-mass partitions"
         )
-    if operator.rows != partition.size or operator.cols != partition.size:
-        raise DimensionMismatchError(
-            f"{operator.rows}x{operator.cols} matrix on {partition.size} atoms"
-        )
-    if classify_matrix(operator) < OperatorClass.SEMI_DOUBLY_STOCHASTIC:
-        raise NotStochasticError("restrict needs a semi-doubly stochastic operator")
+    _require_sds(operator, partition)
     return operator
 
 
@@ -533,12 +542,15 @@ class TTransform:
     def matrix(self, n: int) -> OperatorMatrix:
         if self.k >= n:
             raise DimensionMismatchError(f"coordinate {self.k} outside dimension {n}")
-        rows = [[ONE if a == b else ZERO for b in range(n)] for a in range(n)]
-        rows[self.j][self.j] = self.weight
-        rows[self.j][self.k] = 1 - self.weight
-        rows[self.k][self.j] = 1 - self.weight
-        rows[self.k][self.k] = self.weight
-        return OperatorMatrix(tuple(tuple(r) for r in rows))
+        rows = list(OperatorMatrix.identity(n).entries)
+        self._mix(rows)
+        return OperatorMatrix(tuple(rows))
+
+    def _mix(self, rows: list) -> None:
+        """Left-multiply by this step in place: rows j and k become their mixes."""
+        w, rest, a, b = self.weight, 1 - self.weight, rows[self.j], rows[self.k]
+        rows[self.j] = tuple(w * x + rest * y for x, y in zip(a, b))
+        rows[self.k] = tuple(rest * x + w * y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -547,7 +559,8 @@ class WitnessChain:
 
     ``product`` equals the ordered product of the step matrices (last step
     leftmost) and maps the source value vector exactly onto the target one on
-    ``source_partition``.
+    ``source_partition``. Its atoms have equal masses, so the value and
+    sequence bases agree and the product acts like any sequence matrix.
     """
 
     steps: Tuple[TTransform, ...]
@@ -563,9 +576,8 @@ class WitnessChain:
 
     def apply_to(self, g: StepFunction) -> StepFunction:
         """Apply the witness operator to a function on its partition."""
-        aligned = align(self.source_partition, g)
-        values = apply_matrix(self.product, aligned.values)
-        return AlignedStep(self.source_partition, values).step_function()
+        partition = self.source_partition
+        return _image(self.product, partition, g, partition).step_function()
 
 
 def _t_transform_chain(target: Sequence, source: Sequence):
@@ -581,7 +593,7 @@ def _t_transform_chain(target: Sequence, source: Sequence):
     x = list(target)
     y = list(source)
     n = len(x)
-    rows = [[ONE if a == b else ZERO for b in range(n)] for a in range(n)]
+    rows = list(OperatorMatrix.identity(n).entries)
     steps = []
     for _ in range(n + 1):
         j = next((i for i in range(n) if y[i] != x[i]), None)
@@ -597,16 +609,14 @@ def _t_transform_chain(target: Sequence, source: Sequence):
                 "surplus without a later deficit; sums cannot have been equal"
             )
         delta = min(y[j] - x[j], x[k] - y[k])
-        lam = 1 - delta / (y[j] - y[k])
-        steps.append(TTransform(j, k, lam))
+        step = TTransform(j, k, 1 - delta / (y[j] - y[k]))
+        steps.append(step)
+        step._mix(rows)
         y[j] -= delta
         y[k] += delta
-        mixed_j = [lam * a + (1 - lam) * b for a, b in zip(rows[j], rows[k])]
-        mixed_k = [(1 - lam) * a + lam * b for a, b in zip(rows[j], rows[k])]
-        rows[j], rows[k] = mixed_j, mixed_k
     else:
         raise InternalInconsistencyError("T-transform chain failed to terminate")
-    return steps, OperatorMatrix(tuple(tuple(r) for r in rows))
+    return steps, OperatorMatrix(tuple(rows))
 
 
 def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
@@ -616,7 +626,8 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     equal-mass refinement whose atom mass is the gcd of all piece masses
     (infinite spaces get enough zero-tail atoms to pad both value vectors to
     one length), and the chain is built coordinate by coordinate. The product
-    satisfies ``apply_matrix(product, values(g)) == values(f)`` exactly.
+    satisfies ``apply_matrix(product, values(g)) == values(f)`` exactly. Two
+    null functions need no atoms, and get the empty witness.
     """
     verdict = majorize(f, g)
     if not verdict.holds:
@@ -627,7 +638,7 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
         )
     masses = [p.mass for p in f.pieces] + [p.mass for p in g.pieces]
     unit = fraction_gcd(masses) if masses else ONE
-    length = max(int(f.support_measure / unit), int(g.support_measure / unit), 1)
+    length = max(int(f.support_measure / unit), int(g.support_measure / unit))
     partition = Partition.equal_mass(length, unit, f.total_measure)
     steps, product = _t_transform_chain(
         align(partition, f).values, align(partition, g).values

@@ -19,6 +19,7 @@ from .errors import (
     MassExceedsTotalError,
     NegativeMassError,
     NegativeValueOnInfiniteSpaceError,
+    NonCanonicalError,
     SOutOfRangeError,
 )
 from .extended import INF, ExtendedRational, Infinity, as_extended, as_fraction
@@ -60,10 +61,14 @@ class StepFunction:
                     f"value {piece.value} < 0 on an infinite measure space"
                 )
             if infinite and piece.value == 0:
-                raise ValueError("zero piece must be absorbed into the infinite tail")
+                raise NonCanonicalError(
+                    "zero piece must be absorbed into the infinite tail"
+                )
         values = [p.value for p in self.pieces]
         if any(a <= b for a, b in zip(values, values[1:])):
-            raise ValueError("pieces must be sorted by strictly decreasing value")
+            raise NonCanonicalError(
+                "pieces must be sorted by strictly decreasing value"
+            )
         supp = sum((p.mass for p in self.pieces), ZERO)
         if infinite:
             return
@@ -72,7 +77,9 @@ class StepFunction:
                 f"masses sum to {supp} > total measure {self.total_measure}"
             )
         if supp != self.total_measure:
-            raise ValueError("on a finite space the pieces must tile the total measure")
+            raise NonCanonicalError(
+                "on a finite space the pieces must tile the total measure"
+            )
 
     # -- derived structure ---------------------------------------------------
 

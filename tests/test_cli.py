@@ -147,6 +147,22 @@ class TestWitnessRoundTrip:
         assert loads_sfn(open(image).read()).function == loads_sfn(open(f).read()).function
 
 
+class TestNullWitness:
+    def test_null_space_writes_the_empty_witness(self, workdir, capsys):
+        tmp, write = workdir
+        null = write("z.sfn", "total 0\n")
+        out = str(tmp / "D.mat")
+        assert main(["check", null, null]) == 0
+        capsys.readouterr()
+        assert main(["witness", null, null, "-o", out]) == 0
+        assert "on no atoms" in capsys.readouterr().out
+        assert open(out).read() == "0 0\n"
+        assert loads_mat(open(out).read()).entries == ()
+        assert main(["witness", null, null, "-o", out, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["dimension"], report["atom_mass"]) == (0, None)
+
+
 class TestClassify:
     def test_identity_doubly_stochastic(self, workdir, capsys):
         tmp, write = workdir
@@ -200,6 +216,28 @@ class TestLiftKernelApply:
         f = write("f.sfn", "total inf\n2 2\n")
         mix = write("mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
         assert main(["apply", mix, f]) == 2
+
+
+class TestOneAction:
+    """A matrix that is not semi-doubly stochastic acts on no layout."""
+
+    MARKOV = "2 2\n1 1\n0 0\n"
+
+    @pytest.mark.parametrize("block", ["", "partition 1 1\n"])
+    def test_apply_refuses_a_markov_matrix(self, workdir, capsys, block):
+        _, write = workdir
+        t = write("t.mat", self.MARKOV)
+        f = write("f.sfn", "total 2\n1 1\n0 1\n" + block)
+        assert main(["apply", t, f]) == 2
+        assert "semi-doubly stochastic" in capsys.readouterr().err
+
+    def test_equi_refuses_a_markov_matrix(self, workdir, capsys):
+        tmp, write = workdir
+        f = write("f.sfn", "total 2\n1 1\n0 1\n")
+        (tmp / "ops").mkdir()
+        write("ops/t.mat", self.MARKOV)
+        assert main(["equi", f, "--ops", str(tmp / "ops")]) == 2
+        assert "t.mat: " in capsys.readouterr().err
 
 
 class TestRearrange:
@@ -287,6 +325,7 @@ class TestExitCodes:
             ["apply", "no-columns.mat", "f.sfn"],
             ["equi", "f.sfn", "--ops", "ops", "--delta-grid", "1/0"],
             ["equi", "f.sfn", "--ops", "ops", "--delta-grid", "2^x..2^-3"],
+            ["classify", "no-rows.mat"],
         ],
     )
     def test_bad_input_exits_two_without_a_traceback(
@@ -298,6 +337,7 @@ class TestExitCodes:
         write("f.sfn", "total 2\n1 2\n")
         write("mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
         write("no-columns.mat", "2 0\n")
+        write("no-rows.mat", "0 3\n")
         (tmp / "ops").mkdir()
         write("ops/mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
         monkeypatch.chdir(tmp)
@@ -305,6 +345,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "tail count must be an integer" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rearrange", "tail.sfn"], "tail count must be a nonnegative integer"),
+            (["classify", "header.mat"], "rows and cols must be nonnegative integers"),
+        ],
+    )
+    def test_integer_tokens_are_ascii_digits(
+        self, workdir, capsys, monkeypatch, argv, message
+    ):
+        tmp, write = workdir
+        write("tail.sfn", "total 11\n1 1\npartition 1\ntail 1 x 1_0\n")
+        write("header.mat", "1_0 1\n" + "1\n" * 10)
+        monkeypatch.chdir(tmp)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_internal_inconsistency_exits_three(self, workdir, capsys, monkeypatch):
         from majo.errors import InternalInconsistencyError

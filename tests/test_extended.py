@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from majo import INF, as_fraction, fraction_gcd
+from majo import INF, StepFunction, as_fraction, fraction_gcd
+from majo import TestFunctionFamily as Family
 from majo.errors import ExtendedArithmeticError, MajoError
 from majo.extended import Infinity, as_extended
 
@@ -79,3 +80,21 @@ class TestFractionGcd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fraction_gcd([])
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StepFunction(((0, 1),), INF),
+            lambda: StepFunction(((1, 1), (2, 1)), 2),
+            lambda: StepFunction(((1, 1),), 2),
+            lambda: Family.hinges([-1]),
+            lambda: Family.sublinears([(1, -1)]),
+            lambda: fraction_gcd([]),
+        ],
+    )
+    def test_value_errors_are_majo_errors(self, build):
+        with pytest.raises(MajoError) as info:
+            build()
+        assert isinstance(info.value, ValueError)

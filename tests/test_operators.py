@@ -394,6 +394,13 @@ class TestDsWitness:
         chain = ds_witness(zero, zero)
         assert chain.apply_to(zero) == zero
 
+    def test_null_space_gives_the_empty_witness(self):
+        null = canonicalize([], 0)
+        chain = ds_witness(null, null)
+        assert (chain.dimension, chain.steps) == (0, ())
+        assert chain.product == OperatorMatrix(())
+        assert chain.apply_to(null) == null
+
     def test_padding_when_supports_differ(self):
         f = canonicalize([(1, 4)], INF)
         g = canonicalize([(2, 2)], INF)
