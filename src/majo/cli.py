@@ -314,10 +314,8 @@ def cmd_apply(args) -> int:
 
 
 def _tiling_mass(f, matrix) -> Fraction:
-    """The one atom mass whose ``matrix.cols`` atoms tile a finite space."""
-    if not matrix.cols:
-        raise MajoError("a matrix without columns acts on no atoms")
-    return f.total_measure / matrix.cols
+    """The atom mass whose ``matrix.cols`` atoms would tile a finite space."""
+    return f.total_measure / max(matrix.cols, 1)
 
 
 def _parse_delta_grid(pattern: str):

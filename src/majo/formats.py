@@ -3,9 +3,9 @@
 A step-function file starts with ``total <rational>|inf``, followed by one
 ``<value> <mass>`` line per level set in any order (the loader
 canonicalizes). An optional alignment block gives a partition of the same
-space: ``partition <mass> <mass> ...`` and, when needed, ``tail <mass> x
-<count|inf>``. ``#`` starts a comment anywhere; rationals are written
-``p/q`` or as plain integers, never as decimals.
+space: ``partition <mass> ...`` (zero or more masses) and, when needed,
+``tail <mass> x <count|inf>``. ``#`` starts a comment anywhere; rationals
+are written ``p/q`` or as plain integers, never as decimals.
 
 A matrix file is ``rows cols`` on the first effective line followed by
 row-major entries separated by arbitrary whitespace.
@@ -104,8 +104,6 @@ def loads_sfn(text: str) -> SfnDocument:
         if tokens[0] == "partition":
             if atoms is not None:
                 raise ParseError("second partition block", line=number)
-            if len(tokens) < 2:
-                raise ParseError("partition needs at least one mass", line=number)
             atoms = [
                 _parse_rational(tok, number, col)
                 for col, tok in enumerate(tokens[1:], start=2)
@@ -141,7 +139,7 @@ def loads_sfn(text: str) -> SfnDocument:
     function = canonicalize(pieces, total)
     partition = None
     if atoms is not None:
-        if total is INF and tail is None:
+        if total is INF and tail is None and atoms:
             tail = Tail(atoms[-1], None)
         partition = Partition(atoms=tuple(atoms), total_measure=total, tail=tail)
     return SfnDocument(function, partition)

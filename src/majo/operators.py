@@ -555,21 +555,27 @@ class TTransform:
 
 @dataclass(frozen=True)
 class WitnessChain:
-    """Doubly stochastic witness: ordered T-transforms and their product.
+    """Doubly stochastic witness: ordered T-transforms on ``source_partition``.
 
-    ``product`` equals the ordered product of the step matrices (last step
-    leftmost) and maps the source value vector exactly onto the target one on
-    ``source_partition``. Its atoms have equal masses, so the value and
-    sequence bases agree and the product acts like any sequence matrix.
+    The chain is the only stored form: :meth:`apply_to` mixes a function's
+    values step by step and :attr:`product` mixes identity rows the same way.
+    The atoms have equal masses, so value and sequence bases agree.
     """
 
     steps: Tuple[TTransform, ...]
-    product: OperatorMatrix
     source_partition: Partition
 
     @property
     def dimension(self) -> int:
-        return self.product.rows
+        return self.source_partition.size
+
+    @property
+    def product(self) -> OperatorMatrix:
+        """The ordered step matrices' product (last step leftmost), built on access."""
+        rows = list(OperatorMatrix.identity(self.dimension).entries)
+        for step in self.steps:
+            step._mix(rows)
+        return OperatorMatrix(tuple(rows))
 
     def step_matrices(self) -> Tuple[OperatorMatrix, ...]:
         return tuple(step.matrix(self.dimension) for step in self.steps)
@@ -577,10 +583,13 @@ class WitnessChain:
     def apply_to(self, g: StepFunction) -> StepFunction:
         """Apply the witness operator to a function on its partition."""
         partition = self.source_partition
-        return _image(self.product, partition, g, partition).step_function()
+        column = [(v,) for v in align(partition, g).values]
+        for step in self.steps:
+            step._mix(column)
+        return AlignedStep(partition, [v for (v,) in column]).step_function()
 
 
-def _t_transform_chain(target: Sequence, source: Sequence):
+def _t_transform_chain(target: Sequence, source: Sequence) -> Tuple[TTransform, ...]:
     """Chain of two-coordinate mixings carrying ``source`` onto ``target``.
 
     Both vectors start sorted decreasingly with equal sums and the target
@@ -590,11 +599,8 @@ def _t_transform_chain(target: Sequence, source: Sequence):
     coordinate j, first deficit coordinate k after it, transfer the smaller
     of the two discrepancies.
     """
-    x = list(target)
-    y = list(source)
+    x, y, steps = list(target), list(source), []
     n = len(x)
-    rows = list(OperatorMatrix.identity(n).entries)
-    steps = []
     for _ in range(n + 1):
         j = next((i for i in range(n) if y[i] != x[i]), None)
         if j is None:
@@ -609,14 +615,12 @@ def _t_transform_chain(target: Sequence, source: Sequence):
                 "surplus without a later deficit; sums cannot have been equal"
             )
         delta = min(y[j] - x[j], x[k] - y[k])
-        step = TTransform(j, k, 1 - delta / (y[j] - y[k]))
-        steps.append(step)
-        step._mix(rows)
+        steps.append(TTransform(j, k, 1 - delta / (y[j] - y[k])))
         y[j] -= delta
         y[k] += delta
     else:
         raise InternalInconsistencyError("T-transform chain failed to terminate")
-    return steps, OperatorMatrix(tuple(rows))
+    return tuple(steps)
 
 
 def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
@@ -625,7 +629,7 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     Requires f majorized by g. Both functions are laid out on the common
     equal-mass refinement whose atom mass is the gcd of all piece masses
     (infinite spaces get enough zero-tail atoms to pad both value vectors to
-    one length), and the chain is built coordinate by coordinate. The product
+    one length), and the chain is built coordinate by coordinate. Its product
     satisfies ``apply_matrix(product, values(g)) == values(f)`` exactly. Two
     null functions need no atoms, and get the empty witness.
     """
@@ -640,10 +644,8 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     unit = fraction_gcd(masses) if masses else ONE
     length = max(int(f.support_measure / unit), int(g.support_measure / unit))
     partition = Partition.equal_mass(length, unit, f.total_measure)
-    steps, product = _t_transform_chain(
-        align(partition, f).values, align(partition, g).values
-    )
-    return WitnessChain(steps=tuple(steps), product=product, source_partition=partition)
+    steps = _t_transform_chain(align(partition, f).values, align(partition, g).values)
+    return WitnessChain(steps=steps, source_partition=partition)
 
 
 def sds_approx_sequence(

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .errors import DimensionMismatchError
 from .extended import INF
 from .operators import OperatorMatrix, Partition, TTransform
 from .stepfn import StepFunction, canonicalize
@@ -112,15 +113,15 @@ def random_t_transform(rng: random.Random, n: int) -> TTransform:
 def random_doubly_stochastic(
     rng: random.Random, n: int, *, steps: Optional[int] = None
 ) -> OperatorMatrix:
-    """Random doubly stochastic matrix: a product of T-transforms."""
+    """Random doubly stochastic matrix: identity rows mixed by random T-transforms."""
     if n == 1:
         return OperatorMatrix.identity(1)
     if steps is None:
         steps = rng.randint(1, 2 * n)
-    product = OperatorMatrix.identity(n)
+    rows = list(OperatorMatrix.identity(n).entries)
     for _ in range(steps):
-        product = random_t_transform(rng, n).matrix(n) @ product
-    return product
+        random_t_transform(rng, n)._mix(rows)
+    return OperatorMatrix(tuple(rows))
 
 
 def random_sds_matrix(rng: random.Random, rows: int, cols: int) -> OperatorMatrix:
@@ -131,7 +132,7 @@ def random_sds_matrix(rng: random.Random, rows: int, cols: int) -> OperatorMatri
     most 1.
     """
     if rows < cols:
-        raise ValueError("semi-doubly stochastic mixtures need rows >= cols")
+        raise DimensionMismatchError("semi-doubly stochastic mixtures need rows >= cols")
     count = rng.randint(1, 4)
     weights = [rng.randint(1, 6) for _ in range(count)]
     total = sum(weights)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -114,7 +115,7 @@ class TestWitnessRoundTrip:
         image = str(tmp / "image.sfn")
         assert main(["apply", out, g, "-o", image]) == 0
         capsys.readouterr()
-        assert loads_sfn(open(image).read()).function == loads_sfn(open(f).read()).function
+        assert loads_sfn(Path(image).read_text()).function == loads_sfn(Path(f).read_text()).function
 
     def test_witness_refuses_incomparable(self, workdir, capsys):
         tmp, write = workdir
@@ -128,7 +129,7 @@ class TestWitnessRoundTrip:
         out = str(tmp / "D.mat")
         main(["witness", f, g, "-o", out])
         capsys.readouterr()
-        matrix = loads_mat(open(out).read())
+        matrix = loads_mat(Path(out).read_text())
         assert matrix.entries == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
 
     def test_infinite_space_round_trip_with_atom_mass(self, workdir, capsys):
@@ -144,7 +145,7 @@ class TestWitnessRoundTrip:
             == 0
         )
         capsys.readouterr()
-        assert loads_sfn(open(image).read()).function == loads_sfn(open(f).read()).function
+        assert loads_sfn(Path(image).read_text()).function == loads_sfn(Path(f).read_text()).function
 
 
 class TestNullWitness:
@@ -156,11 +157,23 @@ class TestNullWitness:
         capsys.readouterr()
         assert main(["witness", null, null, "-o", out]) == 0
         assert "on no atoms" in capsys.readouterr().out
-        assert open(out).read() == "0 0\n"
-        assert loads_mat(open(out).read()).entries == ()
+        assert Path(out).read_text() == "0 0\n"
+        assert loads_mat(Path(out).read_text()).entries == ()
         assert main(["witness", null, null, "-o", out, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["dimension"], report["atom_mass"]) == (0, None)
+
+    @pytest.mark.parametrize("total", ["0", "inf"])
+    def test_null_witness_round_trips_through_apply(self, workdir, capsys, total):
+        tmp, write = workdir
+        null = write("z.sfn", f"total {total}\n")
+        out, image = str(tmp / "D.mat"), str(tmp / "out.sfn")
+        assert main(["witness", null, null, "-o", out]) == 0
+        alignment = ["--atom-mass", "1"] if total == "inf" else []
+        assert main(["apply", out, null, *alignment, "-o", image]) == 0
+        assert main(["rearrange", image]) == 0
+        capsys.readouterr()
+        assert loads_sfn(Path(image).read_text()).function == canonicalize([], total)
 
 
 class TestClassify:
@@ -277,7 +290,7 @@ class TestEqui:
         assert main(["apply", mix, f, "-o", image]) == 0
         ops = tmp / "ops"
         ops.mkdir()
-        (ops / "mix.mat").write_text(open(mix).read())
+        (ops / "mix.mat").write_text(Path(mix).read_text())
         families = []
         real_modulus = majo.cli.equi_modulus
 
@@ -287,7 +300,7 @@ class TestEqui:
 
         monkeypatch.setattr("majo.cli.equi_modulus", recording)
         assert main(["equi", f, "--ops", str(ops)]) == 0
-        assert families[0] == [loads_sfn(open(image).read()).function]
+        assert families[0] == [loads_sfn(Path(image).read_text()).function]
 
     def test_explicit_delta_list(self, workdir, capsys):
         tmp, write = workdir
@@ -345,6 +358,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "tail count must be an integer" not in err
+
+    def test_a_matrix_without_columns_tiles_no_space_of_positive_measure(
+        self, workdir, capsys
+    ):
+        _, write = workdir
+        f = write("f.sfn", "total 2\n1 2\n")
+        no_columns = write("no-columns.mat", "2 0\n")
+        assert main(["apply", no_columns, f]) == 2
+        assert "0 atoms of mass 2 cannot tile total 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from majo import INF, OperatorMatrix, Partition, Tail, canonicalize
-from majo.errors import ParseError
+from majo.errors import InvalidPartitionError, ParseError
 from majo.formats import (
     dumps_mat,
     dumps_sfn,
@@ -65,6 +65,19 @@ class TestSfn:
     def test_infinite_partition_defaults_tail_to_last_atom(self):
         doc = loads_sfn("total inf\n2 2\npartition 1 1\n")
         assert doc.partition.tail == Tail(F(1), None)
+
+    @pytest.mark.parametrize(
+        "total, tail", [(F(0), None), (INF, Tail(F(1), None))]
+    )
+    def test_partition_without_atoms_round_trips(self, total, tail):
+        f = canonicalize([], total)
+        partition = Partition(atoms=(), total_measure=total, tail=tail)
+        doc = loads_sfn(dumps_sfn(f, partition))
+        assert (doc.function, doc.partition) == (f, partition)
+
+    def test_bare_partition_on_an_infinite_space_needs_a_tail(self):
+        with pytest.raises(InvalidPartitionError):
+            loads_sfn("total inf\npartition\n")
 
     def test_missing_total_line(self):
         with pytest.raises(ParseError) as err:

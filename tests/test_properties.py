@@ -12,9 +12,14 @@ from majo import (
     Partition,
     Tail,
     align,
+    apply_matrix,
+    canonicalize,
+    ds_witness,
     kernel_apply,
     lift_apply,
     matrix_to_kernel,
+    phi,
+    psi,
     sequence_apply,
 )
 
@@ -64,3 +69,33 @@ def test_lift_kernel_and_sequence_actions_agree(case):
         assert rows == partition
         via_lift = lift_apply(partition, d, align(partition, g))
         assert via_lift.step_function() == via_sequence
+
+
+@st.composite
+def witnessed(draw):
+    """A majorized pair (g averaged over coarse unequal blocks of its atoms,
+    and g), on a grid of at most 60 atoms, and values for every grid atom."""
+    n = draw(st.integers(1, 60))
+    unit = draw(rationals(positive=True))
+    infinite = draw(st.booleans())
+    total = INF if infinite else unit * n
+    values = [abs(v) if infinite else v for v in (draw(rationals()) for _ in range(n))]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    blocks = list(zip([0] + cuts, cuts + [n]))
+    averaged = [(sum(values[a:b]) / (b - a), unit * (b - a)) for a, b in blocks]
+    f = canonicalize(averaged, total)
+    g = canonicalize([(v, unit) for v in values], total)
+    h = [abs(v) if infinite else v for v in (draw(rationals()) for _ in range(n))]
+    return f, g, h
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(witnessed())
+def test_witness_steps_and_product_are_one_operator(case):
+    f, g, h_values = case
+    chain = ds_witness(f, g)
+    partition = chain.source_partition
+    assert chain.apply_to(g) == f
+    h = AlignedStep(partition, h_values[: partition.size]).step_function()
+    via_product = psi(partition, apply_matrix(chain.product, phi(partition, h)))
+    assert chain.apply_to(h) == via_product.step_function()
