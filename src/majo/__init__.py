@@ -42,7 +42,6 @@ from .operators import (
     apply_matrix,
     classify_matrix,
     ds_witness,
-    in_order_overlaps,
     lift,
     lift_apply,
     partition_average,
@@ -92,7 +91,6 @@ __all__ = [
     "equi_modulus",
     "fraction_gcd",
     "hinge_criterion",
-    "in_order_overlaps",
     "indicator",
     "kernel_apply",
     "kernel_classify",

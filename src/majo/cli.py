@@ -335,7 +335,10 @@ def _parse_delta_grid(pattern: str):
         a, b = power(lo), power(hi)
         step = -1 if a > b else 1
         return [Fraction(2) ** k for k in range(a, b + step, step)]
-    return [as_fraction(tok) for tok in pattern.split(",") if tok.strip()]
+    deltas = [as_fraction(tok) for tok in pattern.split(",") if tok.strip()]
+    if not deltas:
+        raise MajoError(f"delta grid {pattern!r} lists no deltas")
+    return deltas
 
 
 def cmd_equi(args) -> int:

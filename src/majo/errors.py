@@ -107,8 +107,8 @@ class DimensionMismatchError(MajoError):
 
 
 class PartitionMisalignedError(MajoError):
-    """A function is not constant on the atoms of a partition (or overlap
-    data needed to average it was not supplied)."""
+    """A function is not constant on the atoms of a partition, or its
+    support reaches past the explicit atoms."""
 
 
 class NotStochasticError(MajoError):

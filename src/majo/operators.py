@@ -190,23 +190,6 @@ def align(partition: Partition, f: StepFunction) -> AlignedStep:
     return AlignedStep(partition=partition, values=tuple(values))
 
 
-def in_order_overlaps(
-    partition: Partition, f: StepFunction
-) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Overlap masses of each atom with each level set, in the canonical layout.
-
-    ``overlaps[n][k]`` is the mass of atom n lying in the k-th level set of f
-    when the rearrangement is laid left to right over the partition. This is
-    the explicit alignment metadata :func:`partition_average` needs for a
-    function that is not constant on atoms.
-    """
-    rows = [[ZERO] * len(f.pieces) for _ in partition.atoms]
-    for n, k, mass in _layout(partition, f):
-        if k < len(f.pieces):
-            rows[n][k] = mass
-    return tuple(tuple(row) for row in rows)
-
-
 # ---------------------------------------------------------------------------
 # operator matrices
 # ---------------------------------------------------------------------------
@@ -372,51 +355,19 @@ def _require_sds(matrix: OperatorMatrix, partition: Optional[Partition] = None) 
         )
 
 
-def partition_average(
-    partition: Partition,
-    f: StepFunction,
-    overlaps: Optional[Sequence[Sequence]] = None,
-) -> AlignedStep:
+def partition_average(partition: Partition, f: StepFunction) -> AlignedStep:
     """Average f over each atom (the conditional-expectation operator).
 
-    A function constant on every atom averages to itself. Otherwise the
-    per-atom overlap masses with each level set must be supplied (see
-    :func:`in_order_overlaps` for the canonical layout); the geometry of
-    level sets is never invented here.
+    f is laid over the atoms as its decreasing rearrangement, left to right,
+    the layout :func:`align` uses; each atom gets the mass-weighted mean of
+    the levels it covers, so a function constant on every atom averages to
+    its :func:`align` values.
     """
-    if overlaps is None:
-        try:
-            return align(partition, f)
-        except PartitionMisalignedError:
-            raise PartitionMisalignedError(
-                "function is not constant on the atoms; supply overlap masses"
-            ) from None
-    overlaps = tuple(tuple(as_fraction(m) for m in row) for row in overlaps)
-    if len(overlaps) != partition.size:
-        raise DimensionMismatchError(
-            f"{len(overlaps)} overlap rows for {partition.size} atoms"
-        )
-    if any(len(row) != len(f.pieces) for row in overlaps):
-        raise DimensionMismatchError("overlap rows must cover every level set")
-    for k, piece in enumerate(f.pieces):
-        assigned = sum((row[k] for row in overlaps), ZERO)
-        if assigned != piece.mass:
-            raise PartitionMisalignedError(
-                f"level set {k} has mass {piece.mass} but overlaps assign {assigned}"
-            )
-    values = []
-    for row, atom in zip(overlaps, partition.atoms):
-        inside = sum(row, ZERO)
-        if inside > atom:
-            raise PartitionMisalignedError(
-                f"overlaps put mass {inside} into an atom of mass {atom}"
-            )
-        if not f.infinite and inside != atom:
-            raise PartitionMisalignedError(
-                "on a finite space the overlaps must tile every atom"
-            )
-        values.append(sum((m * p.value for m, p in zip(row, f.pieces)), ZERO) / atom)
-    return AlignedStep(partition=partition, values=tuple(values))
+    levels = f.values() + (ZERO,)
+    sums = [ZERO] * partition.size
+    for n, k, mass in _layout(partition, f):
+        sums[n] += levels[k] * mass
+    return AlignedStep(partition, tuple(s / m for s, m in zip(sums, partition.atoms)))
 
 
 def partition_average_matrix(
@@ -540,11 +491,8 @@ class TTransform:
             raise InvalidTTransformError(f"mixing weight {self.weight} outside [0, 1]")
 
     def matrix(self, n: int) -> OperatorMatrix:
-        if self.k >= n:
-            raise DimensionMismatchError(f"coordinate {self.k} outside dimension {n}")
-        rows = list(OperatorMatrix.identity(n).entries)
-        self._mix(rows)
-        return OperatorMatrix(tuple(rows))
+        """This step on n atoms: the product of its one-step chain."""
+        return WitnessChain((self,), Partition.equal_mass(n, 1, n)).product
 
     def _mix(self, rows: list) -> None:
         """Left-multiply by this step in place: rows j and k become their mixes."""
@@ -565,13 +513,24 @@ class WitnessChain:
     steps: Tuple[TTransform, ...]
     source_partition: Partition
 
+    def __post_init__(self):
+        for step in self.steps:
+            if step.k >= self.dimension:
+                raise DimensionMismatchError(
+                    f"coordinate {step.k} outside dimension {self.dimension}"
+                )
+
     @property
     def dimension(self) -> int:
         return self.source_partition.size
 
     @property
     def product(self) -> OperatorMatrix:
-        """The ordered step matrices' product (last step leftmost), built on access."""
+        """The ordered step matrices' product (last step leftmost), built on access.
+
+        The only place identity rows are mixed: :meth:`TTransform.matrix` and
+        random doubly stochastic matrices are products of chains.
+        """
         rows = list(OperatorMatrix.identity(self.dimension).entries)
         for step in self.steps:
             step._mix(rows)
@@ -623,6 +582,17 @@ def _t_transform_chain(target: Sequence, source: Sequence) -> Tuple[TTransform, 
     return tuple(steps)
 
 
+def _require_majorized(f: StepFunction, g: StepFunction) -> None:
+    """Refuse the pair unless f is majorized by g, naming the first violation."""
+    verdict = majorize(f, g)
+    if not verdict.holds:
+        point = verdict.violation.point if verdict.violation else "?"
+        raise NotMajorizedError(
+            f"f is not majorized by g (violation at {point} under the "
+            f"{verdict.criterion.value} criterion)"
+        )
+
+
 def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     """Doubly stochastic matrix carrying g onto f, as a T-transform chain.
 
@@ -633,13 +603,7 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     satisfies ``apply_matrix(product, values(g)) == values(f)`` exactly. Two
     null functions need no atoms, and get the empty witness.
     """
-    verdict = majorize(f, g)
-    if not verdict.holds:
-        point = verdict.violation.point if verdict.violation else "?"
-        raise NotMajorizedError(
-            f"f is not majorized by g (violation at {point} under the "
-            f"{verdict.criterion.value} criterion)"
-        )
+    _require_majorized(f, g)
     masses = [p.mass for p in f.pieces] + [p.mass for p in g.pieces]
     unit = fraction_gcd(masses) if masses else ONE
     length = max(int(f.support_measure / unit), int(g.support_measure / unit))
@@ -648,34 +612,27 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     return WitnessChain(steps=steps, source_partition=partition)
 
 
-def sds_approx_sequence(
-    f: StepFunction,
-    g: StepFunction,
-    n_steps: int,
-    *,
-    approximate: bool = False,
-) -> list:
-    """Operators carrying f toward g (for g majorized by f), with L1 errors.
+def sds_approx_sequence(f: StepFunction, g: StepFunction, n_steps: int) -> list:
+    """Witnesses carrying f toward g (for g majorized by f), with L1 errors.
 
-    Exact rational masses always admit a single exact witness, returned as a
-    one-element list with error 0. ``approximate=True`` instead builds the
-    approximating sequence: g is averaged over equal-mass binnings whose
-    width halves up to ``n_steps`` times, each average gets its own exact
-    witness, and only strictly improving errors are reported.
+    g is averaged over equal-mass binnings of its support whose width halves
+    up to ``n_steps`` times; each average gets its own exact witness from f,
+    and only strictly improving errors are reported. A null g needs no
+    binning: its one exact witness comes with error 0. The exact witness for
+    any g is ``ds_witness(g, f)``.
     """
     from .diagnostics import l1_distance
 
-    if not approximate or not g.pieces:
+    if not g.pieces:
         return [(ds_witness(g, f), ZERO)]
+    _require_majorized(g, f)
     support = g.support_measure
     out = []
     last_error = None
     for k in range(1, n_steps + 1):
         count = 2**k
         partition = Partition.equal_mass(count, support / count, g.total_measure)
-        averaged = partition_average(
-            partition, g, in_order_overlaps(partition, g)
-        ).step_function()
+        averaged = partition_average(partition, g).step_function()
         chain = ds_witness(averaged, f)
         error = l1_distance(averaged, g)
         if last_error is None or error < last_error:

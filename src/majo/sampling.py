@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from .errors import DimensionMismatchError
 from .extended import INF
-from .operators import OperatorMatrix, Partition, TTransform
+from .operators import OperatorMatrix, Partition, TTransform, WitnessChain
 from .stepfn import StepFunction, canonicalize
 
 
@@ -113,15 +113,13 @@ def random_t_transform(rng: random.Random, n: int) -> TTransform:
 def random_doubly_stochastic(
     rng: random.Random, n: int, *, steps: Optional[int] = None
 ) -> OperatorMatrix:
-    """Random doubly stochastic matrix: identity rows mixed by random T-transforms."""
+    """Random doubly stochastic matrix: the product of a random T-transform chain."""
     if n == 1:
         return OperatorMatrix.identity(1)
     if steps is None:
         steps = rng.randint(1, 2 * n)
-    rows = list(OperatorMatrix.identity(n).entries)
-    for _ in range(steps):
-        random_t_transform(rng, n)._mix(rows)
-    return OperatorMatrix(tuple(rows))
+    chain = tuple(random_t_transform(rng, n) for _ in range(steps))
+    return WitnessChain(chain, Partition.equal_mass(n, 1, n)).product
 
 
 def random_sds_matrix(rng: random.Random, rows: int, cols: int) -> OperatorMatrix:

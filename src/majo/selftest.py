@@ -27,7 +27,6 @@ from .operators import (
     apply_matrix,
     classify_matrix,
     ds_witness,
-    in_order_overlaps,
     lift,
     partition_average,
     partition_average_matrix,
@@ -314,7 +313,7 @@ def criterion_partition_ops(seed: int, cases: int = 200) -> SuiteOutcome:
 
         # averaging a random function never breaks majorization
         f = random_step_function(rng, infinite=False, total=coarse.total_measure)
-        averaged = partition_average(coarse, f, in_order_overlaps(coarse, f))
+        averaged = partition_average(coarse, f)
         if not majorize(averaged.step_function(), f).holds:
             outcome.fail(f"case #{index}: averaged function escapes majorization")
         if averaged.integral() != f.integral():

@@ -339,6 +339,8 @@ class TestExitCodes:
             ["equi", "f.sfn", "--ops", "ops", "--delta-grid", "1/0"],
             ["equi", "f.sfn", "--ops", "ops", "--delta-grid", "2^x..2^-3"],
             ["classify", "no-rows.mat"],
+            ["equi", "f.sfn", "--ops", "ops", "--delta-grid", ""],
+            ["equi", "f.sfn", "--ops", "ops", "--delta-grid", ","],
         ],
     )
     def test_bad_input_exits_two_without_a_traceback(

@@ -27,7 +27,6 @@ from majo.operators import (
     AlignedStep,
     Partition,
     apply_matrix,
-    in_order_overlaps,
     partition_average,
 )
 from majo.sampling import (
@@ -277,7 +276,7 @@ class TestDilationMonotonicity:
         for _ in range(80):
             partition = random_unequal_partition(rng, rng.randint(2, 4))
             f = random_step_function(rng, infinite=False, total=partition.total_measure)
-            averaged = partition_average(partition, f, in_order_overlaps(partition, f))
+            averaged = partition_average(partition, f)
             assert majorize(averaged.step_function(), f).holds
 
 

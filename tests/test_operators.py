@@ -17,7 +17,6 @@ from majo import (
     canonicalize,
     classify_matrix,
     ds_witness,
-    in_order_overlaps,
     l1_distance,
     lift,
     lift_apply,
@@ -40,7 +39,7 @@ from majo.errors import (
     PartitionMisalignedError,
     UnequalMassesUnsupportedError,
 )
-from majo.operators import TTransform
+from majo.operators import TTransform, WitnessChain
 from majo.sampling import (
     random_doubly_stochastic,
     random_fraction,
@@ -233,7 +232,7 @@ class TestPartitionAverage:
     def test_merging_two_atoms_averages(self):
         partition = Partition(atoms=(F(2),), total_measure=F(2))
         f = canonicalize([(3, 1), (1, 1)], 2)
-        averaged = partition_average(partition, f, in_order_overlaps(partition, f))
+        averaged = partition_average(partition, f)
         assert averaged.values == (F(2),)
         assert majorize(averaged.step_function(), f).holds
 
@@ -241,12 +240,6 @@ class TestPartitionAverage:
         partition = Partition.equal_mass(2, 1, 2)
         f = canonicalize([], 2)
         assert partition_average(partition, f).step_function() == f
-
-    def test_missing_overlaps_rejected(self):
-        partition = Partition(atoms=(F(2),), total_measure=F(2))
-        f = canonicalize([(3, 1), (1, 1)], 2)
-        with pytest.raises(PartitionMisalignedError):
-            partition_average(partition, f)
 
     def test_integral_preserved(self):
         rng = random.Random(73)
@@ -256,7 +249,7 @@ class TestPartitionAverage:
             from majo.sampling import random_step_function
 
             f = random_step_function(rng, infinite=False, total=sum(atoms))
-            averaged = partition_average(partition, f, in_order_overlaps(partition, f))
+            averaged = partition_average(partition, f)
             assert averaged.integral() == f.integral()
 
     def test_average_matrix_classifies_markov_and_kernel_ds(self):
@@ -348,6 +341,12 @@ class TestTTransform:
             TTransform(0, 1, F(-1, 2))
         with pytest.raises(MajoError):
             TTransform(2, 1, F(1, 2))
+
+    def test_chain_steps_must_fit_the_partition(self):
+        with pytest.raises(DimensionMismatchError):
+            WitnessChain((TTransform(0, 3, F(1, 2)),), Partition.equal_mass(2, 1, 2))
+        with pytest.raises(DimensionMismatchError):
+            TTransform(0, 2, F(1, 2)).matrix(2)
 
 
 class TestSequenceApply:
@@ -454,9 +453,7 @@ class TestDsWitness:
                 total_measure=INF,
                 tail=Tail(F(1), None),
             )
-            f = partition_average(
-                coarse, g, in_order_overlaps(coarse, g)
-            ).step_function()
+            f = partition_average(coarse, g).step_function()
             chain = ds_witness(f, g)
             seen_dimensions.append(chain.dimension)
             assert len(chain.steps) <= chain.dimension - 1
@@ -503,9 +500,7 @@ class TestSdsApproxSequence:
     def test_averaging_is_its_own_operator(self):
         partition = Partition(atoms=(F(2),), total_measure=F(2))
         f = canonicalize([(3, 1), (1, 1)], 2)
-        averaged = partition_average(
-            partition, f, in_order_overlaps(partition, f)
-        ).step_function()
+        averaged = partition_average(partition, f).step_function()
         sequence = sds_approx_sequence(f, averaged, 3)
         chain, error = sequence[0]
         assert error == 0
@@ -517,7 +512,7 @@ class TestSdsApproxSequence:
         # refinement strictly improves without ever reaching zero
         g = canonicalize([(3, F(4, 3)), (F(3, 2), F(8, 3))], 4)
         assert majorize(g, f).holds
-        sequence = sds_approx_sequence(f, g, 4, approximate=True)
+        sequence = sds_approx_sequence(f, g, 4)
         errors = [error for _, error in sequence]
         assert errors == [F(4, 3), F(2, 3), F(1, 3), F(1, 6)]
         for chain, _ in sequence:
@@ -532,3 +527,11 @@ class TestSdsApproxSequence:
         # spiky is not majorized by flat, so flat cannot be steered onto it
         with pytest.raises(NotMajorizedError):
             sds_approx_sequence(flat, spiky, 3)
+
+    def test_rejects_wrong_direction_finer_than_the_bins(self):
+        f = canonicalize([(2, 1), (0, 1)], 2)
+        # g is not majorized by f, but its average over two halves equals f
+        g = canonicalize([(3, F(1, 2)), (1, F(1, 2)), (0, 1)], 2)
+        assert not majorize(g, f).holds
+        with pytest.raises(NotMajorizedError):
+            sds_approx_sequence(f, g, 1)

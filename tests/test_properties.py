@@ -17,11 +17,14 @@ from majo import (
     ds_witness,
     kernel_apply,
     lift_apply,
+    majorize,
     matrix_to_kernel,
+    partition_average,
     phi,
     psi,
     sequence_apply,
 )
+from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -99,3 +102,78 @@ def test_witness_steps_and_product_are_one_operator(case):
     h = AlignedStep(partition, h_values[: partition.size]).step_function()
     via_product = psi(partition, apply_matrix(chain.product, phi(partition, h)))
     assert chain.apply_to(h) == via_product.step_function()
+
+
+@st.composite
+def averaging_cases(draw):
+    """A function and an unequal partition of its space: finite (signed
+    values, atoms rescaled to tile the total) or infinite (explicit atoms
+    covering the support, then an unbounded tail)."""
+    infinite = draw(st.booleans())
+    count = draw(st.integers(0, 30))
+    raw = [(draw(rationals()), draw(rationals(positive=True))) for _ in range(count)]
+    pieces = [(abs(v) if infinite else v, m) for v, m in raw]
+    f = canonicalize(pieces, INF if infinite else sum(m for _, m in pieces))
+    atoms = [draw(rationals(positive=True)) for _ in range(draw(st.integers(1, 30)))]
+    if infinite:
+        short = f.support_measure - sum(atoms)
+        if short > 0:
+            atoms.append(short + draw(rationals(positive=True)))
+        return f, Partition(tuple(atoms), INF, Tail(draw(rationals(positive=True))))
+    if f.total_measure == 0:
+        return f, Partition((), 0)
+    scale = f.total_measure / sum(atoms)
+    return f, Partition(tuple(a * scale for a in atoms), f.total_measure)
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(averaging_cases())
+def test_averaging_is_the_conditional_expectation_of_the_layout(case):
+    f, partition = case
+    average = partition_average(partition, f)
+    cuts = [F(0)]
+    for atom in partition.atoms:
+        cuts.append(cuts[-1] + atom)
+    for n, atom in enumerate(partition.atoms):
+        inside = f.partial_integral(cuts[n + 1]) - f.partial_integral(cuts[n])
+        assert average.values[n] == inside / atom
+    assert average.integral() == f.integral()
+    assert majorize(average.step_function(), f).holds
+    assert partition_average(partition, average.step_function()) == average
+
+
+@st.composite
+def documents(draw):
+    """A function of up to 10^3 pieces, alone or with a partition of up to
+    10^3 atoms and a tail."""
+    infinite = draw(st.booleans())
+    count = draw(st.integers(0, 1000))
+    raw = [(draw(rationals()), draw(rationals(positive=True))) for _ in range(count)]
+    pieces = [(abs(v) if infinite else v, m) for v, m in raw]
+    rest = draw(rationals(positive=True))
+    atoms = tuple(m for _, m in pieces)
+    f = canonicalize(pieces, INF if infinite else sum(atoms) + rest)
+    if draw(st.booleans()):
+        return f, None
+    if infinite:
+        return f, Partition(atoms, INF, Tail(draw(rationals(positive=True))))
+    tail_count = draw(st.integers(1, 10))
+    return f, Partition(atoms, f.total_measure, Tail(rest / tail_count, tail_count))
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(documents())
+def test_sfn_round_trip_and_canonical_form_at_scale(case):
+    f, partition = case
+    document = loads_sfn(dumps_sfn(f, partition))
+    assert (document.function, document.partition) == (f, partition)
+    assert canonicalize(f.pieces, f.total_measure) == f
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(st.integers(0, 40), st.integers(0, 25), st.data())
+def test_mat_round_trip_at_scale(rows, cols, data):
+    matrix = OperatorMatrix(
+        [[abs(data.draw(rationals())) for _ in range(cols)] for _ in range(rows)]
+    )
+    assert loads_mat(dumps_mat(matrix)) == matrix
