@@ -6,6 +6,21 @@ the union of the breakpoints of both sides is a complete test set: the
 difference is piecewise linear and attains its extrema at breakpoints. Every
 verdict therefore carries either the full list of checked breakpoints or a
 single violating point that re-verifies by direct evaluation.
+
+Each criterion evaluates a function at all of its breakpoints in one ordered
+sweep with running sums, rather than evaluating each point from scratch:
+
+* rearrangement: one forward pass over the sorted cumulative masses of f and
+  g, carrying the integral up to the current piece;
+* hinge: one downward pass over the value grid, carrying W = sum v*m and
+  M = sum m over the pieces above u, so the hinge integral is W - u*M;
+* tail distribution: one downward pass carrying the mass above u and adding
+  one layer of the layer-cake sum per grid step.
+
+A sweep costs one sort of the m + n breakpoints plus O(m + n) exact rational
+operations per function. The three sweeps share only their grids, so
+:func:`cross_check` still compares independent computations; the direct
+per-point evaluators on :class:`StepFunction` re-verify any certificate.
 """
 
 from __future__ import annotations
@@ -117,8 +132,26 @@ def _partial_points(f: StepFunction, g: StepFunction):
     points = sorted(cuts) + ([INF] if endpoint is INF else [])
     if endpoint is not INF and endpoint not in cuts:
         points.append(endpoint)
+    return map(CheckPoint, points, _partial_sweep(f, points), _partial_sweep(g, points))
+
+
+def _partial_sweep(h: StepFunction, points):
+    """Integral of h's rearrangement over [0, s] for each s of an ascending list."""
+    pieces, k = h.pieces, 0
+    base = start = ZERO  # integral over [0, start), start = left end of piece k
+    end = pieces[0].mass if pieces else None
+    out = []
     for s in points:
-        yield CheckPoint(s, f.partial_integral(s), g.partial_integral(s))
+        if s is INF:
+            out.append(h.integral())
+            continue
+        while end is not None and end <= s:
+            base += pieces[k].value * pieces[k].mass
+            start, k = end, k + 1
+            end = start + pieces[k].mass if k < len(pieces) else None
+        out.append(base if end is None or s == start
+                   else base + pieces[k].value * (s - start))
+    return out
 
 
 def weak_majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
@@ -149,12 +182,47 @@ def _value_grid(f: StepFunction, g: StepFunction):
     return sorted(cuts)
 
 
-def _scan_points(f, g, evaluate, weak: bool):
-    for u in _value_grid(f, g):
+def _scan_points(f, g, sweep, weak: bool):
+    grid = _value_grid(f, g)
+    for u, left, right in zip(grid, sweep(f, grid), sweep(g, grid)):
         if u == 0 and not weak:
-            yield CheckPoint(u, evaluate(f, u), evaluate(g, u), Relation.EQ)
+            yield CheckPoint(u, left, right, Relation.EQ)
         else:
-            yield CheckPoint(u, evaluate(f, u), evaluate(g, u))
+            yield CheckPoint(u, left, right)
+
+
+def _hinge_sweep(h: StepFunction, grid):
+    """Integral of (h - u)+ for each u of an ascending grid of nonnegative values."""
+    pieces, k = h.pieces, 0
+    weight = mass = ZERO  # sum of v*m and of m over the pieces with v > u
+    out = []
+    for u in reversed(grid):
+        while k < len(pieces) and pieces[k].value > u:
+            weight += pieces[k].value * pieces[k].mass
+            mass += pieces[k].mass
+            k += 1
+        out.append(weight - u * mass)
+    return out[::-1]
+
+
+def _tail_sweep(h: StepFunction, grid):
+    """Integral of d_h over [u, oo) for each u of an ascending grid holding h's values.
+
+    Between two grid points d_h is constant, equal to the mass strictly above
+    the lower point, so each step adds one layer of the layer-cake sum.
+    """
+    pieces, k = h.pieces, 0
+    above = tail = ZERO  # mass strictly above u, integral of d_h over [u, oo)
+    previous = grid[-1]
+    out = []
+    for u in reversed(grid):
+        while k < len(pieces) and pieces[k].value > u:
+            above += pieces[k].mass
+            k += 1
+        tail += above * (previous - u)
+        out.append(tail)
+        previous = u
+    return out[::-1]
 
 
 def hinge_criterion(
@@ -168,7 +236,7 @@ def hinge_criterion(
     """
     _require_same_total(f, g)
     _require_nonnegative(f, g)
-    points = _scan_points(f, g, lambda h, u: h.hinge_integral(u), weak)
+    points = _scan_points(f, g, _hinge_sweep, weak)
     return _decide(Criterion.HINGE, weak, points)
 
 
@@ -183,7 +251,7 @@ def tail_distribution_criterion(
     """
     _require_same_total(f, g)
     _require_nonnegative(f, g)
-    points = _scan_points(f, g, lambda h, u: h.tail_distribution_integral(u), weak)
+    points = _scan_points(f, g, _tail_sweep, weak)
     return _decide(Criterion.TAIL_DISTRIBUTION, weak, points)
 
 

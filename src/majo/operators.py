@@ -156,8 +156,10 @@ class AlignedStep:
 def _layout(partition: Partition, f: StepFunction):
     """Segments ``(atom, level set, mass)`` of f's rearrangement laid over the atoms.
 
-    The level-set index equals ``len(f.pieces)`` past the support; support
-    reaching past the explicit atoms is an error.
+    The level-set index equals ``len(f.pieces)`` past the support. Segments
+    past the explicit atoms lie in the tail, where every function of the
+    partition is zero: a zero level set there is dropped, and a nonzero one
+    is an error.
     """
     if partition.total_measure != f.total_measure:
         raise MeasureMismatchError(
@@ -165,11 +167,12 @@ def _layout(partition: Partition, f: StepFunction):
             f"{f.total_measure}"
         )
     for n, k, mass in _in_order(partition.atoms, [p.mass for p in f.pieces]):
-        if n == partition.size:
+        if n < partition.size:
+            yield n, k, mass
+        elif f.pieces[k].value != 0:
             raise PartitionMisalignedError(
                 "support extends past the explicit atoms into the tail"
             )
-        yield n, k, mass
 
 
 def align(partition: Partition, f: StepFunction) -> AlignedStep:

@@ -230,6 +230,23 @@ class TestLiftKernelApply:
         mix = write("mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
         assert main(["apply", mix, f]) == 2
 
+    def test_apply_on_a_partition_with_a_finite_tail(self, workdir, capsys):
+        tmp, write = workdir
+        one = write("one.mat", "1 1\n1\n")
+        f = write("t.sfn", "total 2\n1 1\npartition 1\ntail 1 x 1\n")
+        out = str(tmp / "image.sfn")
+        assert main(["apply", one, f, "-o", out]) == 0
+        image = loads_sfn(Path(out).read_text())
+        assert image.function == loads_sfn(Path(f).read_text()).function
+        assert image.partition.tail is not None
+
+    def test_apply_refuses_support_in_a_finite_tail(self, workdir, capsys):
+        _, write = workdir
+        one = write("one.mat", "1 1\n1\n")
+        f = write("t.sfn", "total 2\n2 1\n1 1\npartition 1\ntail 1 x 1\n")
+        assert main(["apply", one, f]) == 2
+        assert "into the tail" in capsys.readouterr().err
+
 
 class TestOneAction:
     """A matrix that is not semi-doubly stochastic acts on no layout."""

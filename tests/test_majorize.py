@@ -1,5 +1,6 @@
 """Criteria, certificates, cross-checks, and the preorder laws."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -309,3 +310,96 @@ class TestBreakpointSufficiency:
             )
             if hinge_criterion(f, g, weak=True).holds:
                 assert grid_holds
+
+
+def wide_pair(rng, kind):
+    """Two step functions of about 60 level sets on one space, sharing some values.
+
+    ``kind`` is "signed" (finite space, values of both signs), "finite" or
+    "infinite" (both nonnegative).
+    """
+    low = -300 if kind == "signed" else 0
+
+    def raw(shared=()):
+        values = list(shared) + [
+            F(rng.randint(low, 300), rng.choice((1, 2, 3, 5)))
+            for _ in range(60 - len(shared))
+        ]
+        return [(v, F(rng.randint(1, 6), rng.randint(1, 12))) for v in values]
+
+    f_raw = raw()
+    g_raw = raw(rng.sample([v for v, _ in f_raw], 20))
+    if kind == "infinite":
+        total = INF
+    else:
+        support = max(sum(m for _, m in f_raw), sum(m for _, m in g_raw))
+        total = F(math.ceil(support) + rng.randint(0, 1))
+    return canonicalize(f_raw, total), canonicalize(g_raw, total)
+
+
+class TestSweepsMatchDirectEvaluators:
+    """Every checkpoint of every criterion equals the per-point definition."""
+
+    EVALUATORS = {
+        Criterion.REARRANGEMENT: "partial_integral",
+        Criterion.HINGE: "hinge_integral",
+        Criterion.TAIL_DISTRIBUTION: "tail_distribution_integral",
+    }
+
+    def verdicts(self, kind, f, g):
+        for a, b in ((f, g), (g, f), (f, f)):
+            yield a, b, majorize(a, b)
+            yield a, b, weak_majorize(a, b)
+            if kind != "signed":
+                for weak in (False, True):
+                    for verdict in cross_check(a, b, weak=weak).verdicts[1:]:
+                        yield a, b, verdict
+
+    def expected_points(self, verdict, f, g):
+        if verdict.criterion is Criterion.REARRANGEMENT:
+            cuts = {F(0)} | set(f.cumulative_masses()) | set(g.cumulative_masses())
+            points = sorted(cuts | ({f.total_measure} - {INF}))
+            points += [INF] if f.infinite else []
+            return points + ([] if verdict.weak else [f.total_measure])
+        return sorted({F(0)} | set(f.values()) | set(g.values()))
+
+    def test_checkpoints_equal_direct_evaluation(self):
+        rng = random.Random(61)
+        cache = {}
+
+        def direct(h, name, point):
+            key = (id(h), name, point)
+            if key not in cache:
+                cache[key] = getattr(h, name)(point)
+            return cache[key]
+
+        seen = set()
+        for kind in ("signed", "finite", "infinite"):
+            for _ in range(2):
+                f, g = wide_pair(rng, kind)
+                assert min(len(f.pieces), len(g.pieces)) >= 40
+                for a, b, verdict in self.verdicts(kind, f, g):
+                    name = self.EVALUATORS[verdict.criterion]
+                    points = [p.point for p in verdict.checked]
+                    assert points == self.expected_points(verdict, a, b)
+                    for p in verdict.checked:
+                        assert type(p.left) is F and type(p.right) is F
+                        assert p.left == direct(a, name, p.point)
+                        assert p.right == direct(b, name, p.point)
+                    strict_points = {p.point for p in verdict.checked
+                                     if p.relation is Relation.EQ}
+                    if verdict.weak:
+                        assert not strict_points
+                    elif verdict.criterion is Criterion.REARRANGEMENT:
+                        assert verdict.checked[-1].relation is Relation.EQ
+                        assert verdict.checked[-1].left == a.integral()
+                    else:
+                        assert strict_points == {F(0)}
+                    assert verdict.violation == next(
+                        (p for p in verdict.checked if not p.satisfied), None
+                    )
+                    seen.add((kind, verdict.criterion, verdict.holds))
+        # both outcomes occur for every criterion on nonnegative inputs
+        for kind in ("finite", "infinite"):
+            for criterion in self.EVALUATORS:
+                assert {(kind, criterion, True), (kind, criterion, False)} <= seen

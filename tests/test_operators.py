@@ -160,6 +160,17 @@ class TestAlign:
         with pytest.raises(PartitionMisalignedError):
             align(partition, f)
 
+    def test_zero_level_set_may_reach_a_finite_tail(self):
+        partition = Partition((F(1),), F(2), Tail(F(1), 1))
+        f = canonicalize([(1, 1)], 2)
+        assert align(partition, f).values == (F(1),)
+
+    def test_nonzero_level_set_may_not_reach_a_finite_tail(self):
+        partition = Partition((F(1),), F(2), Tail(F(1), 1))
+        for pieces in ([(2, 1), (1, 1)], [(1, 1), (-1, 1)]):
+            with pytest.raises(PartitionMisalignedError, match="into the tail"):
+                align(partition, canonicalize(pieces, 2))
+
 
 class TestPhiPsi:
     def test_phi_example(self):
@@ -240,6 +251,13 @@ class TestPartitionAverage:
         partition = Partition.equal_mass(2, 1, 2)
         f = canonicalize([], 2)
         assert partition_average(partition, f).step_function() == f
+
+    def test_zero_level_set_may_reach_a_finite_tail(self):
+        partition = Partition((F(2),), F(3), Tail(F(1), 1))
+        f = canonicalize([(3, 1), (1, 1)], 3)
+        assert partition_average(partition, f).values == (F(2),)
+        with pytest.raises(PartitionMisalignedError, match="into the tail"):
+            partition_average(partition, canonicalize([(3, 1), (1, 2)], 3))
 
     def test_integral_preserved(self):
         rng = random.Random(73)
