@@ -19,11 +19,8 @@ from .majorize import (
     CheckPoint,
     Criterion,
     CrossCheckReport,
-    FamilyKind,
     MajorizationVerdict,
     Relation,
-    TestFunctionFamily,
-    convex_sample_test,
     cross_check,
     hinge_criterion,
     majorize,
@@ -49,7 +46,6 @@ from .operators import (
     phi,
     psi,
     restrict,
-    sds_approx_sequence,
     sequence_apply,
 )
 from .stepfn import Piece, StepFunction, canonicalize, indicator
@@ -63,7 +59,6 @@ __all__ = [
     "CrossCheckReport",
     "EquiIntegrabilityReport",
     "ExtendedRational",
-    "FamilyKind",
     "INF",
     "Infinity",
     "MajoError",
@@ -78,14 +73,12 @@ __all__ = [
     "StepKernel",
     "Tail",
     "TTransform",
-    "TestFunctionFamily",
     "WitnessChain",
     "align",
     "apply_matrix",
     "as_fraction",
     "canonicalize",
     "classify_matrix",
-    "convex_sample_test",
     "cross_check",
     "ds_witness",
     "equi_modulus",
@@ -104,7 +97,6 @@ __all__ = [
     "phi",
     "psi",
     "restrict",
-    "sds_approx_sequence",
     "sequence_apply",
     "small_set_modulus",
     "tail_distribution_criterion",

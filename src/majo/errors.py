@@ -67,11 +67,7 @@ class SignednessViolationError(MajoError):
 
 
 class EmptyFamilyError(MajoError, ValueError):
-    """A test-function family, function family or gcd input with no members."""
-
-
-class InvalidTestFamilyError(MajoError, ValueError):
-    """A test-function family parameter lies outside its range."""
+    """A function family, truncation grid or gcd input with no members."""
 
 
 class InternalInconsistencyError(MajoError):

@@ -56,6 +56,16 @@ def _parse_count(token: str, line: int, column: int, message: str) -> int:
     raise ParseError(message, line=line, column=column, token=token)
 
 
+def _read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 are a parse error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} is not UTF-8 text", line=line) from None
+
+
 def _effective_lines(text: str) -> List[Tuple[int, List[str]]]:
     """(line number, tokens) for every line with content, comments stripped."""
     out = []
@@ -160,7 +170,7 @@ def dumps_sfn(
 
 
 def load_sfn(path) -> SfnDocument:
-    return loads_sfn(Path(path).read_text())
+    return loads_sfn(_read_text(path))
 
 
 def dump_sfn(path, function: StepFunction, partition: Optional[Partition] = None) -> None:
@@ -209,7 +219,7 @@ def dumps_mat(matrix: OperatorMatrix) -> str:
 
 
 def load_mat(path) -> OperatorMatrix:
-    return loads_mat(Path(path).read_text())
+    return loads_mat(_read_text(path))
 
 
 def dump_mat(path, matrix: OperatorMatrix) -> None:

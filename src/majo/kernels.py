@@ -8,8 +8,9 @@ stochastic when the row integrals equal 1. Applying a kernel to a function
 aligned with the column partition integrates against it exactly.
 
 A kernel is a change of basis of a sequence matrix: with row masses r, the
-kernel K and the sequence matrix d = diag(r) · K describe one operator, so
-the marginals and the action are those of d.
+kernel K and the sequence matrix d = diag(r) · K describe one operator. The
+kernel is stored as d, so the column integrals and the action are those of d
+and the values K are derived on request.
 
 On a partition with an unbounded tail the kernel is stored over the explicit
 atoms only; applied to aligned functions (zero on the tail) this coincides
@@ -23,13 +24,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Tuple
 
-from .errors import (
-    DimensionMismatchError,
-    NegativeEntryError,
-    NotStochasticError,
-    PartitionMisalignedError,
-)
-from .extended import as_fraction
+from .errors import DimensionMismatchError, NotStochasticError
 from .operators import (
     ONE,
     AlignedStep,
@@ -45,43 +40,44 @@ from .stepfn import ZERO
 
 @dataclass(frozen=True)
 class StepKernel:
-    """Kernel constant on boxes of row_partition x col_partition."""
+    """Kernel constant on boxes of row_partition x col_partition.
+
+    Stored as its sequence matrix d, one row per row atom and one column per
+    column atom; the kernel values are diag(1/r) · d.
+    """
 
     row_partition: Partition
     col_partition: Partition
-    values: Tuple[Tuple[Fraction, ...], ...]
+    matrix: OperatorMatrix
 
     def __post_init__(self):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in self.values)
-        object.__setattr__(self, "values", rows)
-        if len(rows) != self.row_partition.size:
+        rows, cols = self.row_partition.size, self.col_partition.size
+        # a matrix without rows has no columns to count
+        if self.matrix.rows != rows or (rows and self.matrix.cols != cols):
             raise DimensionMismatchError(
-                f"{len(rows)} kernel rows for {self.row_partition.size} row atoms"
+                f"{self.matrix.rows}x{self.matrix.cols} sequence matrix for "
+                f"{rows} row atoms and {cols} column atoms"
             )
-        for row in rows:
-            if len(row) != self.col_partition.size:
-                raise DimensionMismatchError(
-                    f"kernel row of length {len(row)} for "
-                    f"{self.col_partition.size} column atoms"
-                )
-            for value in row:
-                if value < 0:
-                    raise NegativeEntryError(f"negative kernel value {value}")
+
+    @property
+    def values(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """K[n][j] = d[n][j] / mass(n), the kernel's value on box n x j."""
+        inverse = [1 / m for m in self.row_partition.atoms]
+        return _rescale(inverse, self.matrix.entries, repeat(ONE)).entries
 
     def column_integrals(self) -> Tuple[Fraction, ...]:
-        """Integral over x of K(x, y) on each column atom."""
+        """Integral over x of K(x, y) on each column atom: d's column sums."""
         # a kernel without rows integrates to 0 over every column atom
-        sums = _sequence_matrix(self).column_sums()
-        return sums or (ZERO,) * self.col_partition.size
+        return self.matrix.column_sums() or (ZERO,) * self.col_partition.size
 
     def row_integrals(self) -> Tuple[Fraction, ...]:
-        """Integral over y of K(x, y) on each row atom."""
-        return _rescale(repeat(ONE), self.values, self.col_partition.atoms).row_sums()
+        """Integral over y of K(x, y) on each row atom.
 
-
-def _sequence_matrix(kernel: StepKernel) -> OperatorMatrix:
-    """The sequence matrix diag(r) · K of the kernel's operator."""
-    return _rescale(kernel.row_partition.atoms, kernel.values, repeat(ONE))
+        These are the row sums of the value-basis matrix diag(1/r) · d · diag(c).
+        """
+        inverse = [1 / m for m in self.row_partition.atoms]
+        masses = self.col_partition.atoms
+        return _rescale(inverse, self.matrix.entries, masses).row_sums()
 
 
 def kernel_classify(kernel: StepKernel) -> OperatorClass:
@@ -92,22 +88,15 @@ def kernel_classify(kernel: StepKernel) -> OperatorClass:
 
 
 def kernel_apply(kernel: StepKernel, g: AlignedStep) -> AlignedStep:
-    """Integrate the kernel against g: the induced integral operator."""
-    if g.partition != kernel.col_partition:
-        raise PartitionMisalignedError(
-            "function must be aligned with the kernel's column partition"
-        )
-    matrix = _sequence_matrix(kernel)
-    return _image(matrix, kernel.col_partition, g, kernel.row_partition)
+    """Integrate the kernel against g (aligned with the column partition)."""
+    return _image(kernel.matrix, kernel.col_partition, g, kernel.row_partition)
 
 
 def matrix_to_kernel(partition: Partition, matrix: OperatorMatrix) -> StepKernel:
-    """Kernel form of the operator a sequence matrix induces on the partition.
+    """Kernel of the operator a sequence matrix induces on the partition.
 
-    K[n][j] = d[n][j] / mass(n), so applying the kernel to an aligned
-    function reproduces the lifted operator exactly. The matrix must have one
-    row per explicit atom; a narrower matrix gets the leading atoms as its
-    column partition.
+    The matrix must have one row per explicit atom; a narrower matrix gets
+    the leading atoms as its column partition.
     """
     if classify_matrix(matrix) < OperatorClass.MARKOV:
         raise NotStochasticError("kernels are built from Markov matrices only")
@@ -126,8 +115,6 @@ def matrix_to_kernel(partition: Partition, matrix: OperatorMatrix) -> StepKernel
         col_partition = Partition(
             atoms=leading, total_measure=sum(leading, ZERO), tail=None
         )
-    inverse = [1 / m for m in partition.atoms]
-    values = _rescale(inverse, matrix.entries, repeat(ONE)).entries
     return StepKernel(
-        row_partition=partition, col_partition=col_partition, values=values
+        row_partition=partition, col_partition=col_partition, matrix=matrix
     )

@@ -28,16 +28,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .errors import (
-    EmptyFamilyError,
     InternalInconsistencyError,
-    InvalidTestFamilyError,
     MeasureMismatchError,
     SignednessViolationError,
 )
-from .extended import INF, ExtendedRational, as_fraction
+from .extended import INF, ExtendedRational
 from .stepfn import ZERO, StepFunction
 
 
@@ -45,8 +43,6 @@ class Criterion(enum.Enum):
     REARRANGEMENT = "rearrangement"
     TAIL_DISTRIBUTION = "tail-distribution"
     HINGE = "hinge"
-    CONVEX_SAMPLE = "convex-sample"
-    SUBLINEAR_SAMPLE = "sublinear-sample"
 
 
 class Relation(enum.Enum):
@@ -58,7 +54,7 @@ class Relation(enum.Enum):
 class CheckPoint:
     """One evaluated comparison: left vs right at a scan point."""
 
-    point: object  # Fraction, INF, or an (alpha, beta) slope pair
+    point: object  # Fraction or INF
     left: Fraction
     right: Fraction
     relation: Relation = Relation.LE
@@ -142,9 +138,6 @@ def _partial_sweep(h: StepFunction, points):
     end = pieces[0].mass if pieces else None
     out = []
     for s in points:
-        if s is INF:
-            out.append(h.integral())
-            continue
         while end is not None and end <= s:
             base += pieces[k].value * pieces[k].mass
             start, k = end, k + 1
@@ -164,9 +157,8 @@ def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
     """Decide f < g: weak majorization plus exactly equal total integrals."""
     _require_same_total(f, g)
     points = list(_partial_points(f, g))
-    points.append(
-        CheckPoint(f.total_measure, f.integral(), g.integral(), Relation.EQ)
-    )
+    last = points[-1]  # at the endpoint (or INF): both full integrals
+    points.append(CheckPoint(f.total_measure, last.left, last.right, Relation.EQ))
     return _decide(Criterion.REARRANGEMENT, False, points)
 
 
@@ -253,99 +245,6 @@ def tail_distribution_criterion(
     _require_nonnegative(f, g)
     points = _scan_points(f, g, _tail_sweep, weak)
     return _decide(Criterion.TAIL_DISTRIBUTION, weak, points)
-
-
-# ---------------------------------------------------------------------------
-# sampled test families
-# ---------------------------------------------------------------------------
-
-
-class FamilyKind(enum.Enum):
-    HINGE = "hinge"
-    SUBLINEAR = "sublinear"
-
-
-@dataclass(frozen=True)
-class TestFunctionFamily:
-    """Finite family of scalar test functions.
-
-    ``HINGE`` parameters are thresholds u >= 0 for t -> max(t - u, 0).
-    ``SUBLINEAR`` parameters are slope pairs (alpha, beta) >= 0 for
-    t -> beta * max(t, 0) + alpha * max(-t, 0).
-    """
-
-    kind: FamilyKind
-    parameters: Tuple
-
-    def __post_init__(self):
-        if not self.parameters:
-            raise EmptyFamilyError("test-function family has no parameters")
-        if self.kind is FamilyKind.HINGE:
-            if any(u < 0 for u in self.parameters):
-                raise InvalidTestFamilyError("hinge thresholds must be nonnegative")
-        else:
-            if any(a < 0 or b < 0 for a, b in self.parameters):
-                raise InvalidTestFamilyError(
-                    "sublinear slope pairs must be nonnegative"
-                )
-
-    @staticmethod
-    def hinges(thresholds: Sequence) -> "TestFunctionFamily":
-        return TestFunctionFamily(
-            FamilyKind.HINGE, tuple(as_fraction(u) for u in thresholds)
-        )
-
-    @staticmethod
-    def sublinears(pairs: Sequence) -> "TestFunctionFamily":
-        return TestFunctionFamily(
-            FamilyKind.SUBLINEAR,
-            tuple((as_fraction(a), as_fraction(b)) for a, b in pairs),
-        )
-
-
-def _sublinear_integral(h: StepFunction, alpha: Fraction, beta: Fraction) -> Fraction:
-    def phi(v: Fraction) -> Fraction:
-        return beta * max(v, ZERO) + alpha * max(-v, ZERO)
-
-    return sum((phi(p.value) * p.mass for p in h.pieces), ZERO)
-
-
-def convex_sample_test(
-    f: StepFunction,
-    g: StepFunction,
-    family: TestFunctionFamily,
-    *,
-    weak: bool = False,
-) -> MajorizationVerdict:
-    """Sample the integral inequalities over a finite test-function family.
-
-    A necessary condition for majorization. For a hinge family it is also
-    sufficient when the thresholds include every piece value of f and g and
-    the equal-integrals clause is checked (``weak=False``); the sublinear
-    family only samples its integral inequalities and never implies
-    majorization on its own.
-    """
-    _require_same_total(f, g)
-    if family.kind is FamilyKind.HINGE:
-        _require_nonnegative(f, g)
-        points = [
-            CheckPoint(u, f.hinge_integral(u), g.hinge_integral(u))
-            for u in family.parameters
-        ]
-        if not weak:
-            points.append(
-                CheckPoint(f.total_measure, f.integral(), g.integral(), Relation.EQ)
-            )
-        return _decide(Criterion.CONVEX_SAMPLE, weak, points)
-    points = [
-        CheckPoint(
-            (alpha, beta),
-            _sublinear_integral(f, alpha, beta),
-            _sublinear_integral(g, alpha, beta),
-        )
-        for alpha, beta in family.parameters
-    ]
-    return _decide(Criterion.SUBLINEAR_SAMPLE, weak, points)
 
 
 # ---------------------------------------------------------------------------

@@ -539,9 +539,6 @@ class WitnessChain:
             step._mix(rows)
         return OperatorMatrix(tuple(rows))
 
-    def step_matrices(self) -> Tuple[OperatorMatrix, ...]:
-        return tuple(step.matrix(self.dimension) for step in self.steps)
-
     def apply_to(self, g: StepFunction) -> StepFunction:
         """Apply the witness operator to a function on its partition."""
         partition = self.source_partition
@@ -614,33 +611,3 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     steps = _t_transform_chain(align(partition, f).values, align(partition, g).values)
     return WitnessChain(steps=steps, source_partition=partition)
 
-
-def sds_approx_sequence(f: StepFunction, g: StepFunction, n_steps: int) -> list:
-    """Witnesses carrying f toward g (for g majorized by f), with L1 errors.
-
-    g is averaged over equal-mass binnings of its support whose width halves
-    up to ``n_steps`` times; each average gets its own exact witness from f,
-    and only strictly improving errors are reported. A null g needs no
-    binning: its one exact witness comes with error 0. The exact witness for
-    any g is ``ds_witness(g, f)``.
-    """
-    from .diagnostics import l1_distance
-
-    if not g.pieces:
-        return [(ds_witness(g, f), ZERO)]
-    _require_majorized(g, f)
-    support = g.support_measure
-    out = []
-    last_error = None
-    for k in range(1, n_steps + 1):
-        count = 2**k
-        partition = Partition.equal_mass(count, support / count, g.total_measure)
-        averaged = partition_average(partition, g).step_function()
-        chain = ds_witness(averaged, f)
-        error = l1_distance(averaged, g)
-        if last_error is None or error < last_error:
-            out.append((chain, error))
-            last_error = error
-        if error == 0:
-            break
-    return out

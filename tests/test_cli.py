@@ -378,6 +378,39 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "tail count must be an integer" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rearrange", "bad.sfn"],
+            ["check", "bad.sfn", "f.sfn"],
+            ["check", "f.sfn", "bad.sfn", "--json"],
+            ["witness", "bad.sfn", "f.sfn", "-o", "w.mat"],
+            ["classify", "bad.mat"],
+            ["lift", "bad.sfn", "mix.mat"],
+            ["lift", "p.sfn", "bad.mat"],
+            ["kernel", "p.sfn", "bad.mat"],
+            ["apply", "bad.mat", "f.sfn"],
+            ["apply", "mix.mat", "bad.sfn"],
+            ["equi", "bad.sfn", "--ops", "ops"],
+            ["equi", "f.sfn", "--ops", "bad-ops"],
+        ],
+    )
+    def test_non_utf8_input_exits_two(self, workdir, capsys, monkeypatch, argv):
+        tmp, write = workdir
+        write("f.sfn", "total 2\n1 2\n")
+        write("p.sfn", "total 2\n1 2\npartition 1 1\n")
+        write("mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
+        (tmp / "bad.sfn").write_bytes(b"total 2\n1 \xff2\n")
+        (tmp / "bad.mat").write_bytes(b"2 2\n1/2 1/2\n1/2 1/2\xff\n")
+        (tmp / "ops").mkdir()
+        (tmp / "bad-ops").mkdir()
+        write("ops/mix.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
+        (tmp / "bad-ops" / "bad.mat").write_bytes(b"1 1\n\xc3\n")
+        monkeypatch.chdir(tmp)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+
     def test_a_matrix_without_columns_tiles_no_space_of_positive_measure(
         self, workdir, capsys
     ):

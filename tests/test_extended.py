@@ -4,8 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from majo import INF, StepFunction, as_fraction, fraction_gcd
-from majo import TestFunctionFamily as Family
+from majo import INF, StepFunction, as_fraction, equi_modulus, fraction_gcd, indicator
 from majo.errors import ExtendedArithmeticError, MajoError
 from majo.extended import Infinity, as_extended
 
@@ -89,8 +88,8 @@ class TestErrorContract:
             lambda: StepFunction(((0, 1),), INF),
             lambda: StepFunction(((1, 1), (2, 1)), 2),
             lambda: StepFunction(((1, 1),), 2),
-            lambda: Family.hinges([-1]),
-            lambda: Family.sublinears([(1, -1)]),
+            lambda: equi_modulus([], 0, indicator(1, 2)),
+            lambda: equi_modulus([indicator(1, 2)], 0, indicator(1, 2), c_grid=[]),
             lambda: fraction_gcd([]),
         ],
     )

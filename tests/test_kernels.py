@@ -66,17 +66,40 @@ class TestMatrixToKernel:
             matrix_to_kernel(partition, OperatorMatrix.identity(2))
 
 
+class TestStepKernel:
+    def test_matrix_must_fit_the_partitions(self):
+        partition = Partition.equal_mass(2, 1, 2)
+        narrow = Partition(atoms=(F(1),), total_measure=F(1))
+        for rows, cols in ((partition, narrow), (narrow, partition)):
+            with pytest.raises(DimensionMismatchError):
+                StepKernel(rows, cols, OperatorMatrix.identity(2))
+
+    def test_values_are_the_matrix_over_row_masses(self):
+        rng = random.Random(109)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            partition = random_unequal_partition(rng, n)
+            mixer = random_doubly_stochastic(rng, n)
+            kernel = matrix_to_kernel(partition, mixer)
+            assert kernel.matrix == mixer
+            for row, d_row, mass in zip(kernel.values, mixer.entries, partition.atoms):
+                assert [v * mass for v in row] == list(d_row)
+
+
 class TestKernelClassify:
     def test_all_zero_kernel_is_none(self):
         partition = Partition.equal_mass(2, 1, 2)
-        kernel = StepKernel(partition, partition, ((F(0), F(0)), (F(0), F(0))))
+        zero = OperatorMatrix(((F(0), F(0)), (F(0), F(0))))
+        kernel = StepKernel(partition, partition, zero)
         assert kernel_classify(kernel) is OperatorClass.NONE
 
     def test_unequal_mass_averaging_kernel_is_ds(self):
-        # constant kernel 1/total on one block averages with any masses
+        # constant kernel 1/total on one block averages with any masses;
+        # its sequence matrix d = diag(r) · K has rows r * 1/4
         partition = Partition(atoms=(F(1), F(3)), total_measure=F(4))
-        value = F(1, 4)
-        kernel = StepKernel(partition, partition, ((value,) * 2,) * 2)
+        d = OperatorMatrix(((F(1, 4),) * 2, (F(3, 4),) * 2))
+        kernel = StepKernel(partition, partition, d)
+        assert kernel.values == ((F(1, 4),) * 2,) * 2
         assert kernel_classify(kernel) is OperatorClass.DOUBLY_STOCHASTIC
 
     def test_markov_only_when_rows_overflow(self):
@@ -94,7 +117,9 @@ class TestKernelApply:
 
     def test_uniform_kernel_flattens(self):
         partition = Partition.equal_mass(2, 1, 2)
-        kernel = StepKernel(partition, partition, ((F(1, 2),) * 2,) * 2)
+        # unit masses: d = diag(r) · K equals K
+        uniform = OperatorMatrix(((F(1, 2),) * 2,) * 2)
+        kernel = StepKernel(partition, partition, uniform)
         f = AlignedStep(partition, (F(3), F(1)))
         image = kernel_apply(kernel, f)
         assert image.values == (F(2), F(2))

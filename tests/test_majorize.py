@@ -6,13 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from majo import TestFunctionFamily as Family
 from majo import (
     INF,
     Criterion,
     Relation,
     canonicalize,
-    convex_sample_test,
     cross_check,
     hinge_criterion,
     majorize,
@@ -20,7 +18,6 @@ from majo import (
     weak_majorize,
 )
 from majo.errors import (
-    EmptyFamilyError,
     MeasureMismatchError,
     SignednessViolationError,
 )
@@ -199,46 +196,6 @@ class TestTailDistributionCriterion:
         assert tail_distribution_criterion(g, g).holds
 
 
-class TestConvexSampleTest:
-    def test_sublinear_example_holds_despite_incomparability(self):
-        f, g = incomparable_pair()
-        family = Family.sublinears([(0, 1)])
-        verdict = convex_sample_test(f, g, family)
-        assert verdict.holds
-        assert verdict.criterion is Criterion.SUBLINEAR_SAMPLE
-
-    def test_hinge_family_on_all_values_matches_full_criterion(self):
-        rng = random.Random(21)
-        for _ in range(120):
-            f, g = random_pair_same_total(rng)
-            family = Family.hinges(
-                sorted({F(0)} | set(f.values()) | set(g.values()))
-            )
-            assert (
-                convex_sample_test(f, g, family).holds == hinge_criterion(f, g).holds
-            )
-
-    def test_identical_functions_pass_any_family(self):
-        f, _ = incomparable_pair()
-        family = Family.hinges([0, F(1, 3), 2, 7])
-        assert convex_sample_test(f, f, family).holds
-        family = Family.sublinears([(1, 1), (0, 3)])
-        assert convex_sample_test(f, f, family).holds
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(EmptyFamilyError):
-            Family.hinges([])
-
-    def test_sublinear_reduces_to_scaled_integrals_on_nonnegative(self):
-        rng = random.Random(31)
-        for _ in range(40):
-            f, g = random_pair_same_total(rng)
-            beta = random_fraction(rng, positive=True)
-            family = Family.sublinears([(random_fraction(rng), beta)])
-            verdict = convex_sample_test(f, g, family)
-            assert verdict.holds == (beta * f.integral() <= beta * g.integral())
-
-
 class TestCrossCheck:
     def test_incomparable_pair_consistent(self):
         f, g = incomparable_pair()
@@ -377,6 +334,8 @@ class TestSweepsMatchDirectEvaluators:
         for kind in ("signed", "finite", "infinite"):
             for _ in range(2):
                 f, g = wide_pair(rng, kind)
+                # keyed by id(): a freed pair's ids may be reused by the next
+                cache.clear()
                 assert min(len(f.pieces), len(g.pieces)) >= 40
                 for a, b, verdict in self.verdicts(kind, f, g):
                     name = self.EVALUATORS[verdict.criterion]

@@ -26,7 +26,6 @@ from majo import (
     phi,
     psi,
     restrict,
-    sds_approx_sequence,
     sequence_apply,
 )
 from majo.errors import (
@@ -444,8 +443,8 @@ class TestDsWitness:
             f = AlignedStep(partition, mixed).step_function()
             chain = ds_witness(f, g)
             current = align(chain.source_partition, g).values
-            for step_matrix in chain.step_matrices():
-                following = apply_matrix(step_matrix, current)
+            for step in chain.steps:
+                following = apply_matrix(step.matrix(chain.dimension), current)
                 before = AlignedStep(chain.source_partition, current).step_function()
                 after = AlignedStep(chain.source_partition, following).step_function()
                 assert majorize(after, before).holds
@@ -493,63 +492,14 @@ class TestDsWitness:
             chain = ds_witness(f, g)
             assert len(chain.steps) <= max(chain.dimension - 1, 0)
             assert classify_matrix(chain.product) is OperatorClass.DOUBLY_STOCHASTIC
-            for step_matrix in chain.step_matrices():
+            factors = [step.matrix(chain.dimension) for step in chain.steps]
+            for step_matrix in factors:
                 assert classify_matrix(step_matrix) is OperatorClass.DOUBLY_STOCHASTIC
             ordered = OperatorMatrix.identity(chain.dimension)
-            for step_matrix in chain.step_matrices():
+            for step_matrix in factors:
                 ordered = step_matrix @ ordered
             assert ordered == chain.product
             v_f = align(chain.source_partition, f).values
             v_g = align(chain.source_partition, g).values
             assert apply_matrix(chain.product, v_g) == v_f
             assert l1_distance(chain.apply_to(g), f) == 0
-
-
-class TestSdsApproxSequence:
-    def test_exact_case(self):
-        f = canonicalize([(2, 1), (0, 1)], 2)
-        g = canonicalize([(1, 2)], 2)
-        sequence = sds_approx_sequence(f, g, 5)
-        assert len(sequence) == 1
-        chain, error = sequence[0]
-        assert error == 0
-        assert chain.apply_to(f) == g
-
-    def test_averaging_is_its_own_operator(self):
-        partition = Partition(atoms=(F(2),), total_measure=F(2))
-        f = canonicalize([(3, 1), (1, 1)], 2)
-        averaged = partition_average(partition, f).step_function()
-        sequence = sds_approx_sequence(f, averaged, 3)
-        chain, error = sequence[0]
-        assert error == 0
-        assert chain.apply_to(f) == averaged
-
-    def test_binned_errors_strictly_decrease(self):
-        f = canonicalize([(4, 1), (2, 1), (1, 2)], 4)
-        # breakpoint at 4/3 never lands on a dyadic bin edge, so every
-        # refinement strictly improves without ever reaching zero
-        g = canonicalize([(3, F(4, 3)), (F(3, 2), F(8, 3))], 4)
-        assert majorize(g, f).holds
-        sequence = sds_approx_sequence(f, g, 4)
-        errors = [error for _, error in sequence]
-        assert errors == [F(4, 3), F(2, 3), F(1, 3), F(1, 6)]
-        for chain, _ in sequence:
-            assert (
-                classify_matrix(chain.product)
-                >= OperatorClass.SEMI_DOUBLY_STOCHASTIC
-            )
-
-    def test_rejects_wrong_direction(self):
-        flat = canonicalize([(1, 2)], 2)
-        spiky = canonicalize([(2, 1), (0, 1)], 2)
-        # spiky is not majorized by flat, so flat cannot be steered onto it
-        with pytest.raises(NotMajorizedError):
-            sds_approx_sequence(flat, spiky, 3)
-
-    def test_rejects_wrong_direction_finer_than_the_bins(self):
-        f = canonicalize([(2, 1), (0, 1)], 2)
-        # g is not majorized by f, but its average over two halves equals f
-        g = canonicalize([(3, F(1, 2)), (1, F(1, 2)), (0, 1)], 2)
-        assert not majorize(g, f).holds
-        with pytest.raises(NotMajorizedError):
-            sds_approx_sequence(f, g, 1)
