@@ -5,17 +5,18 @@ delta is attained on the top slice of its decreasing rearrangement, so the
 small-set modulus is a partial integral in closed form. For every family of
 images of one function under semi-doubly stochastic operators the modulus is
 certified against the truncation bound hinge(f, c) + c * delta, exact at
-every grid point.
+every grid point and read off one hinge sweep of f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DeltaOutOfRangeError, EmptyFamilyError, MeasureMismatchError
 from .extended import as_fraction
+from .majorize import _hinge_sweep
 from .stepfn import ZERO, StepFunction, _in_order
 
 
@@ -53,31 +54,23 @@ class EquiIntegrabilityReport:
 
 
 def equi_modulus(
-    family: Sequence[StepFunction],
-    delta,
-    source: StepFunction,
-    c_grid: Optional[Sequence] = None,
+    family: Sequence[StepFunction], delta, source: StepFunction
 ) -> EquiIntegrabilityReport:
     """Small-set modulus of a family with the truncation bound of its source.
 
-    ``bound`` is the minimum over the truncation grid of
-    hinge(source, c) + c * delta; it dominates the modulus whenever every
-    family member is the image of ``source`` under a semi-doubly stochastic
-    operator. The grid defaults to the piece values of the source (the bound
-    is piecewise linear in c between them).
+    ``bound`` is the minimum of hinge(source, c) + c * delta over the piece
+    values of the source and 0 (the bound is piecewise linear in c between
+    them), with every hinge value taken from one sweep of the source. It
+    dominates the modulus whenever every family member is the image of
+    ``source`` under a semi-doubly stochastic operator.
     """
     family = list(family)
     if not family:
         raise EmptyFamilyError("equi-integrability of an empty family")
     delta = as_fraction(delta)
-    if c_grid is None:
-        c_grid = sorted({p.value for p in source.pieces} | {ZERO})
-    else:
-        c_grid = [as_fraction(c) for c in c_grid]
-        if not c_grid:
-            raise EmptyFamilyError("empty truncation grid")
+    grid = sorted({p.value for p in source.pieces} | {ZERO})
     modulus = max(small_set_modulus(h, delta) for h in family)
-    bound = min(source.hinge_integral(c) + c * delta for c in c_grid)
+    bound = min(h + c * delta for c, h in zip(grid, _hinge_sweep(source, grid)))
     return EquiIntegrabilityReport(
         delta=delta, modulus=modulus, bound=bound, family_size=len(family)
     )

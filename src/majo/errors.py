@@ -67,7 +67,7 @@ class SignednessViolationError(MajoError):
 
 
 class EmptyFamilyError(MajoError, ValueError):
-    """A function family, truncation grid or gcd input with no members."""
+    """A function family or gcd input with no members."""
 
 
 class InternalInconsistencyError(MajoError):

@@ -184,7 +184,11 @@ def _scan_points(f, g, sweep, weak: bool):
 
 
 def _hinge_sweep(h: StepFunction, grid):
-    """Integral of (h - u)+ for each u of an ascending grid of nonnegative values."""
+    """Integral of (h - u)+ for each u of any ascending grid.
+
+    Negative points are valid only on a finite space, where signed sources
+    put them on the grid.
+    """
     pieces, k = h.pieces, 0
     weight = mass = ZERO  # sum of v*m and of m over the pieces with v > u
     out = []

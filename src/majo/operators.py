@@ -22,6 +22,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidPartitionError,
     InvalidTTransformError,
+    MajoError,
     MeasureMismatchError,
     NegativeEntryError,
     NegativeMassError,
@@ -36,6 +37,9 @@ from .majorize import majorize
 from .stepfn import ZERO, StepFunction, _in_order, canonicalize
 
 ONE = Fraction(1)
+# largest common refinement ds_witness builds: its chain scan is quadratic in
+# the atom count and the dense witness holds the square of it
+WITNESS_ATOM_BUDGET = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -601,12 +605,18 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     (infinite spaces get enough zero-tail atoms to pad both value vectors to
     one length), and the chain is built coordinate by coordinate. Its product
     satisfies ``apply_matrix(product, values(g)) == values(f)`` exactly. Two
-    null functions need no atoms, and get the empty witness.
+    null functions need no atoms, and get the empty witness. A refinement of
+    more than ``WITNESS_ATOM_BUDGET`` atoms is refused before it is built.
     """
     _require_majorized(f, g)
     masses = [p.mass for p in f.pieces] + [p.mass for p in g.pieces]
     unit = fraction_gcd(masses) if masses else ONE
     length = max(int(f.support_measure / unit), int(g.support_measure / unit))
+    if length > WITNESS_ATOM_BUDGET:
+        raise MajoError(
+            f"the witness needs {length} atoms of mass {unit}, "
+            f"over the budget of {WITNESS_ATOM_BUDGET}"
+        )
     partition = Partition.equal_mass(length, unit, f.total_measure)
     steps = _t_transform_chain(align(partition, f).values, align(partition, g).values)
     return WitnessChain(steps=steps, source_partition=partition)

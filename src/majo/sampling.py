@@ -18,14 +18,10 @@ from .stepfn import StepFunction, canonicalize
 
 
 def random_fraction(
-    rng: random.Random,
-    *,
-    max_numerator: int = 9,
-    denominators: Tuple[int, ...] = (1, 2, 3, 4),
-    positive: bool = False,
+    rng: random.Random, *, max_numerator: int = 9, positive: bool = False
 ) -> Fraction:
     lo = 1 if positive else 0
-    return Fraction(rng.randint(lo, max_numerator), rng.choice(denominators))
+    return Fraction(rng.randint(lo, max_numerator), rng.choice((1, 2, 3, 4)))
 
 
 def random_step_function(
@@ -62,11 +58,10 @@ def random_step_function(
 
 
 def random_pair_same_total(
-    rng: random.Random, *, infinite: Optional[bool] = None, equal_integrals: bool = False
+    rng: random.Random, *, equal_integrals: bool = False
 ) -> Tuple[StepFunction, StepFunction]:
     """Random nonnegative pair on one space, optionally with equal integrals."""
-    if infinite is None:
-        infinite = rng.random() < 0.5
+    infinite = rng.random() < 0.5
     f = random_step_function(rng, infinite=infinite)
     if infinite:
         g = random_step_function(rng, infinite=True)
@@ -110,14 +105,11 @@ def random_t_transform(rng: random.Random, n: int) -> TTransform:
     return TTransform(j, k, weight)
 
 
-def random_doubly_stochastic(
-    rng: random.Random, n: int, *, steps: Optional[int] = None
-) -> OperatorMatrix:
+def random_doubly_stochastic(rng: random.Random, n: int) -> OperatorMatrix:
     """Random doubly stochastic matrix: the product of a random T-transform chain."""
     if n == 1:
         return OperatorMatrix.identity(1)
-    if steps is None:
-        steps = rng.randint(1, 2 * n)
+    steps = rng.randint(1, 2 * n)
     chain = tuple(random_t_transform(rng, n) for _ in range(steps))
     return WitnessChain(chain, Partition.equal_mass(n, 1, n)).product
 
@@ -171,17 +163,15 @@ def random_unequal_partition(rng: random.Random, count: int) -> Partition:
     return Partition(atoms=atoms, total_measure=sum(atoms), tail=None)
 
 
-def random_integer_step_function(
-    rng: random.Random, *, max_pieces: int = 4, max_value: int = 8, max_mass: int = 4
-) -> StepFunction:
+def random_integer_step_function(rng: random.Random) -> StepFunction:
     """Integer-valued, integer-mass function on an infinite space.
 
-    Used by the dense-grid oracle: with integer data the piecewise-linear
-    criterion differences change by at least 1 across unit windows, so a
-    10^4-point grid over the (padded) domain cannot miss a violation.
+    One to four pieces, values 1..8 and masses 1..4. Used by the dense-grid
+    oracle: with integer data the piecewise-linear criterion differences
+    change by at least 1 across unit windows, so a 10^4-point grid over the
+    (padded) domain cannot miss a violation.
     """
     pieces = [
-        (rng.randint(1, max_value), rng.randint(1, max_mass))
-        for _ in range(rng.randint(1, max_pieces))
+        (rng.randint(1, 8), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))
     ]
     return canonicalize(pieces, INF)

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .diagnostics import equi_modulus, l1_distance
 from .extended import INF
-from .kernels import kernel_classify, matrix_to_kernel
+from .kernels import kernel_apply, kernel_classify, matrix_to_kernel
 from .majorize import cross_check, hinge_criterion, majorize, weak_majorize
 from .operators import (
     AlignedStep,
@@ -30,8 +30,8 @@ from .operators import (
     lift,
     partition_average,
     partition_average_matrix,
-    psi,
     restrict,
+    sequence_apply,
 )
 from .sampling import (
     random_doubly_stochastic,
@@ -48,6 +48,7 @@ from .sampling import (
 from .stepfn import ZERO, StepFunction, canonicalize
 
 ONE = Fraction(1)
+MAX_FAILURES = 8  # failure messages kept per battery
 
 
 @dataclass
@@ -64,10 +65,10 @@ class SuiteOutcome:
     def passed(self) -> bool:
         return not self.failures
 
-    def fail(self, message: str, *, cap: int = 8) -> None:
-        if len(self.failures) < cap:
+    def fail(self, message: str) -> None:
+        if len(self.failures) < MAX_FAILURES:
             self.failures.append(message)
-        elif len(self.failures) == cap:
+        elif len(self.failures) == MAX_FAILURES:
             self.failures.append("... further failures suppressed")
 
     def line(self) -> str:
@@ -95,22 +96,17 @@ def _constructed_majorized_pair(
     return f, g
 
 
-def phi_values(values: Sequence[Fraction], mass: Fraction) -> Tuple[Fraction, ...]:
-    """Per-atom integrals of a value vector on equal masses."""
-    return tuple(v * mass for v in values)
-
-
 # ---------------------------------------------------------------------------
 # criterion 1: the three exact criteria agree
 # ---------------------------------------------------------------------------
 
 
-def criterion_equivalence(seed: int, pairs: int = 1000) -> SuiteOutcome:
+def criterion_equivalence(seed: int) -> SuiteOutcome:
     rng = _rng(seed, "equivalence")
-    outcome = SuiteOutcome("criterion equivalence (rearrangement = hinge = tail)", pairs)
+    outcome = SuiteOutcome("criterion equivalence (rearrangement = hinge = tail)", 1000)
     start = time.monotonic()
     holds_count = 0
-    for index in range(pairs):
+    for index in range(outcome.cases):
         style = index % 5
         if style == 0:
             f, g = _constructed_majorized_pair(rng)
@@ -125,7 +121,7 @@ def criterion_equivalence(seed: int, pairs: int = 1000) -> SuiteOutcome:
             continue
         holds_count += report.holds
     outcome.elapsed_s = time.monotonic() - start
-    outcome.note = f"{holds_count} majorized, {pairs - holds_count} not"
+    outcome.note = f"{holds_count} majorized, {outcome.cases - holds_count} not"
     if outcome.elapsed_s >= 30.0:
         outcome.fail(f"runtime {outcome.elapsed_s:.1f}s breaches the 30s budget")
     return outcome
@@ -203,34 +199,33 @@ def criterion_fixtures(seed: int = 0) -> SuiteOutcome:
 # ---------------------------------------------------------------------------
 
 
-def criterion_sds_majorization(seed: int, cases: int = 500) -> SuiteOutcome:
+def criterion_sds_majorization(seed: int) -> SuiteOutcome:
     rng = _rng(seed, "sds-majorization")
-    outcome = SuiteOutcome("SDS image majorized by the source", cases)
+    outcome = SuiteOutcome("SDS image majorized by the source", 500)
     start = time.monotonic()
-    for index in range(cases):
+    for index in range(outcome.cases):
         cols = rng.randint(2, 5)
         rows = cols + rng.randint(0, 3)
         mass = random_fraction(rng, max_numerator=4, positive=True)
         col_part = Partition.equal_mass(cols, mass, INF)
-        row_part = Partition.equal_mass(rows, mass, INF)
         operator = random_sds_matrix(rng, rows, cols)
         values = random_vector(rng, cols)
         f = AlignedStep(col_part, values).step_function()
-        image = psi(row_part, apply_matrix(operator, phi_values(values, mass)))
-        verdict = majorize(image.step_function(), f)
+        image, _ = sequence_apply(operator, f, mass)
+        verdict = majorize(image, f)
         if not verdict.holds:
             outcome.fail(
                 f"case #{index}: Sf not majorized by f at {verdict.violation}"
             )
-    # the Markov-but-not-SDS fixture moves mass together: an indicator breaks
-    t1 = summing_truncation(4)
+    # the Markov-but-not-SDS fixture moves mass together: an indicator breaks;
+    # sequence_apply refuses a matrix below SDS, so it acts through its kernel
     partition = Partition.equal_mass(4, 1, INF)
+    t1 = matrix_to_kernel(partition, summing_truncation(4))
     broken = None
     for k in range(1, 5):
-        values = (ONE,) * k + (ZERO,) * (4 - k)
-        f = AlignedStep(partition, values).step_function()
-        image = psi(partition, apply_matrix(t1, phi_values(values, ONE)))
-        if not majorize(image.step_function(), f).holds:
+        indicator = AlignedStep(partition, (ONE,) * k + (ZERO,) * (4 - k))
+        image = kernel_apply(t1, indicator).step_function()
+        if not majorize(image, indicator.step_function()).holds:
             broken = k
             break
     if broken is None:
@@ -246,12 +241,12 @@ def criterion_sds_majorization(seed: int, cases: int = 500) -> SuiteOutcome:
 # ---------------------------------------------------------------------------
 
 
-def criterion_witness(seed: int, cases: int = 500) -> SuiteOutcome:
+def criterion_witness(seed: int) -> SuiteOutcome:
     rng = _rng(seed, "witness")
-    outcome = SuiteOutcome("doubly stochastic witness exactness", cases)
+    outcome = SuiteOutcome("doubly stochastic witness exactness", 500)
     start = time.monotonic()
     max_dimension = 0
-    for index in range(cases):
+    for index in range(outcome.cases):
         f, g = _constructed_majorized_pair(rng)
         try:
             chain = ds_witness(f, g)
@@ -294,11 +289,11 @@ def _random_refinement(rng: random.Random, partition: Partition) -> Partition:
     )
 
 
-def criterion_partition_ops(seed: int, cases: int = 200) -> SuiteOutcome:
+def criterion_partition_ops(seed: int) -> SuiteOutcome:
     rng = _rng(seed, "partition-ops")
-    outcome = SuiteOutcome("averaging, lifting and kernel marginals", cases)
+    outcome = SuiteOutcome("averaging, lifting and kernel marginals", 200)
     start = time.monotonic()
-    for index in range(cases):
+    for index in range(outcome.cases):
         # averaging operators classify doubly stochastic through their kernel
         coarse = random_unequal_partition(rng, rng.randint(2, 4))
         fine = _random_refinement(rng, coarse)
@@ -346,10 +341,9 @@ def criterion_partition_ops(seed: int, cases: int = 200) -> SuiteOutcome:
 # ---------------------------------------------------------------------------
 
 
-def criterion_equi_bound(
-    seed: int, functions: int = 10, operators: int = 50
-) -> SuiteOutcome:
+def criterion_equi_bound(seed: int) -> SuiteOutcome:
     rng = _rng(seed, "equi-bound")
+    functions, operators = 10, 50
     outcome = SuiteOutcome("equi-integrability truncation bound", functions * operators)
     start = time.monotonic()
     deltas = [Fraction(1, 2**k) for k in range(1, 9)]
@@ -362,22 +356,20 @@ def criterion_equi_bound(
         family = []
         for _ in range(operators):
             rows = cols + rng.randint(0, 2)
-            row_part = Partition.equal_mass(rows, mass, INF)
             operator = random_sds_matrix(rng, rows, cols)
-            image = psi(row_part, apply_matrix(operator, phi_values(values, mass)))
-            sf = image.step_function()
+            sf, _ = sequence_apply(operator, f, mass)
             if sf.integral() != f.integral():
                 outcome.fail(f"f #{f_index}: image integral drifted")
             family.append(sf)
-        c_grid = sorted({p.value for p in f.pieces} | {ZERO})
+        truncations = sorted({p.value for p in f.pieces} | {ZERO})
         for delta in deltas:
-            report = equi_modulus(family, delta, f, c_grid)
+            report = equi_modulus(family, delta, f)
             if not report.within_bound:
                 outcome.fail(
                     f"f #{f_index}, delta {delta}: modulus {report.modulus} "
                     f"exceeds bound {report.bound}"
                 )
-            for c in c_grid:
+            for c in truncations:
                 bound = f.hinge_integral(c) + c * delta
                 if report.modulus > bound:
                     outcome.fail(
@@ -392,12 +384,12 @@ def criterion_equi_bound(
 # ---------------------------------------------------------------------------
 
 
-def criterion_markov_norm(seed: int, cases: int = 500) -> SuiteOutcome:
+def criterion_markov_norm(seed: int) -> SuiteOutcome:
     rng = _rng(seed, "markov-norm")
-    outcome = SuiteOutcome("Markov norm (column-stochastic contraction)", cases)
+    outcome = SuiteOutcome("Markov norm (column-stochastic contraction)", 500)
     start = time.monotonic()
     top_ratio = ZERO
-    for index in range(cases):
+    for index in range(outcome.cases):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         matrix = random_markov_matrix(rng, rows, cols)
@@ -475,12 +467,13 @@ def _scaled_hinge_values(f: StepFunction, span: int, grid: int) -> List[int]:
     return out
 
 
-def criterion_grid_oracle(seed: int, pairs: int = 200, grid: int = 10**4) -> SuiteOutcome:
+def criterion_grid_oracle(seed: int) -> SuiteOutcome:
     rng = _rng(seed, "grid-oracle")
-    outcome = SuiteOutcome("breakpoint procedure against the dense grid", pairs)
+    outcome = SuiteOutcome("breakpoint procedure against the dense grid", 200)
     start = time.monotonic()
+    grid = 10**4
     agreements = {True: 0, False: 0}
-    for index in range(pairs):
+    for index in range(outcome.cases):
         if index % 3 == 0:
             # an integer Robin Hood transfer keeps the pair weakly majorized
             g = random_integer_step_function(rng)

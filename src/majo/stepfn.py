@@ -22,7 +22,7 @@ from .errors import (
     NonCanonicalError,
     SOutOfRangeError,
 )
-from .extended import INF, ExtendedRational, Infinity, as_extended, as_fraction
+from .extended import INF, ExtendedRational, as_extended, as_fraction
 
 ZERO = Fraction(0)
 
@@ -52,7 +52,11 @@ class StepFunction:
             tuple(Piece(as_fraction(v), as_fraction(m)) for v, m in self.pieces),
         )
         object.__setattr__(self, "total_measure", as_extended(self.total_measure))
-        infinite = self.total_measure is INF or isinstance(self.total_measure, Infinity)
+        infinite = self.total_measure is INF
+        if not infinite and self.total_measure < 0:
+            raise MassExceedsTotalError(
+                f"total measure {self.total_measure} must be nonnegative"
+            )
         for piece in self.pieces:
             if piece.mass <= 0:
                 raise NegativeMassError(f"piece {piece} has nonpositive mass")
@@ -194,21 +198,14 @@ def canonicalize(raw_pieces: Iterable, total) -> StepFunction:
     merged: dict = {}
     for value, mass in raw_pieces:
         value, mass = as_fraction(value), as_fraction(mass)
+        # merging could hide a nonpositive mass from StepFunction's own check
         if mass <= 0:
             raise NegativeMassError(f"mass {mass} must be positive")
-        if infinite and value < 0:
-            raise NegativeValueOnInfiniteSpaceError(
-                f"value {value} < 0 on an infinite measure space"
-            )
         merged[value] = merged.get(value, ZERO) + mass
     if infinite:
         merged.pop(ZERO, None)
-    supp = sum(merged.values(), ZERO)
-    if not infinite:
-        if total < 0:
-            raise MassExceedsTotalError(f"total measure {total} must be nonnegative")
-        if supp > total:
-            raise MassExceedsTotalError(f"masses sum to {supp} > total measure {total}")
+    else:
+        supp = sum(merged.values(), ZERO)
         if supp < total:
             merged[ZERO] = merged.get(ZERO, ZERO) + (total - supp)
     pieces = tuple(Piece(v, merged[v]) for v in sorted(merged, reverse=True))

@@ -43,7 +43,7 @@ def _report(outcome: SuiteOutcome) -> None:
 
 def test_criterion_1_three_criteria_agree_exactly():
     """>= 1000 random pairs, finite and infinite, zero-tolerance agreement."""
-    outcome = criterion_equivalence(SEED, pairs=1000)
+    outcome = criterion_equivalence(SEED)
     _report(outcome)
     assert outcome.cases >= 1000
     assert outcome.elapsed_s < 30.0
@@ -77,7 +77,7 @@ def test_criterion_2_published_fixtures():
 
 def test_criterion_3_sds_images_are_majorized():
     """>= 500 equal-mass SDS lifts; the Markov-only fixture is defeated."""
-    outcome = criterion_sds_majorization(SEED, cases=500)
+    outcome = criterion_sds_majorization(SEED)
     _report(outcome)
     assert outcome.cases >= 500
     assert "defeated" in outcome.note
@@ -85,33 +85,33 @@ def test_criterion_3_sds_images_are_majorized():
 
 def test_criterion_4_witness_exactness():
     """>= 500 constructed pairs; chains of <= n-1 exact doubly stochastic steps."""
-    outcome = criterion_witness(SEED, cases=500)
+    outcome = criterion_witness(SEED)
     _report(outcome)
     assert outcome.cases >= 500
 
 
 def test_criterion_5_averaging_lifting_kernels():
     """Averaging is doubly stochastic; restrict(lift) is exact; marginals hold."""
-    outcome = criterion_partition_ops(SEED, cases=200)
+    outcome = criterion_partition_ops(SEED)
     _report(outcome)
 
 
 def test_criterion_6_equi_integrability_bound():
     """>= 50 SDS operators on each of 10 functions, all c and delta grid points."""
-    outcome = criterion_equi_bound(SEED, functions=10, operators=50)
+    outcome = criterion_equi_bound(SEED)
     _report(outcome)
     assert outcome.cases >= 500
 
 
 def test_criterion_7_markov_norm():
     """>= 500 random Markov matrices: exact isometry on the positive cone."""
-    outcome = criterion_markov_norm(SEED, cases=500)
+    outcome = criterion_markov_norm(SEED)
     _report(outcome)
     assert outcome.cases >= 500
 
 
 def test_criterion_8_breakpoints_match_dense_grid():
     """>= 200 pairs against a 10^4-point grid for both scan families."""
-    outcome = criterion_grid_oracle(SEED, pairs=200, grid=10**4)
+    outcome = criterion_grid_oracle(SEED)
     _report(outcome)
     assert outcome.cases >= 200

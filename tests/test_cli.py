@@ -123,6 +123,19 @@ class TestWitnessRoundTrip:
         assert main(["witness", f, g, "-o", str(tmp / "D.mat")]) == 1
         assert "not majorized" in capsys.readouterr().err
 
+    def test_witness_over_the_atom_budget_exits_two_without_writing(
+        self, workdir, capsys
+    ):
+        tmp, write = workdir
+        # g has level sets of masses 1/2003 and 1/1999, f is its average
+        f = write("f.sfn", "total inf\n6001/4002 4002/4003997\n")
+        g = write("g.sfn", "total inf\n2 1/2003\n1 1/1999\n")
+        out = tmp / "D.mat"
+        assert main(["witness", f, g, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "4002 atoms" in err and "budget of 1024" in err
+        assert not out.exists()
+
     def test_emitted_matrix_reparses(self, workdir, capsys):
         tmp, write = workdir
         f, g = majorized(write)

@@ -89,7 +89,7 @@ class TestErrorContract:
             lambda: StepFunction(((1, 1), (2, 1)), 2),
             lambda: StepFunction(((1, 1),), 2),
             lambda: equi_modulus([], 0, indicator(1, 2)),
-            lambda: equi_modulus([indicator(1, 2)], 0, indicator(1, 2), c_grid=[]),
+            lambda: as_fraction("1.5"),
             lambda: fraction_gcd([]),
         ],
     )

@@ -1,6 +1,7 @@
 """Classification, partition operators, lifting, and witness construction."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -38,7 +39,7 @@ from majo.errors import (
     PartitionMisalignedError,
     UnequalMassesUnsupportedError,
 )
-from majo.operators import TTransform, WitnessChain
+from majo.operators import WITNESS_ATOM_BUDGET, TTransform, WitnessChain
 from majo.sampling import (
     random_doubly_stochastic,
     random_fraction,
@@ -477,6 +478,26 @@ class TestDsWitness:
             assert classify_matrix(chain.product) is OperatorClass.DOUBLY_STOCHASTIC
             assert chain.apply_to(g) == f
         assert max(seen_dimensions) >= 12  # the gcd grid really is fine
+
+    @staticmethod
+    def averaged_pair(p, q):
+        """g with level sets of masses 1/p and 1/q, and f its average."""
+        g = canonicalize([(2, F(1, p)), (1, F(1, q))], INF)
+        mass = F(1, p) + F(1, q)
+        return canonicalize([(g.integral() / mass, mass)], INF), g
+
+    def test_refinement_over_the_atom_budget_is_refused_before_it_is_built(self):
+        f, g = self.averaged_pair(2003, 1999)  # a gcd grid of 4002 atoms
+        start = time.monotonic()
+        with pytest.raises(MajoError, match="4002 atoms .* budget of 1024"):
+            ds_witness(f, g)
+        assert time.monotonic() - start < 1
+
+    def test_refinement_inside_the_atom_budget_is_built(self):
+        f, g = self.averaged_pair(211, 199)
+        chain = ds_witness(f, g)
+        assert chain.dimension == 410 <= WITNESS_ATOM_BUDGET
+        assert chain.apply_to(g) == f
 
     def test_randomized_validity(self):
         rng = random.Random(97)

@@ -18,6 +18,7 @@ from majo import (
     canonicalize,
     cross_check,
     ds_witness,
+    equi_modulus,
     kernel_apply,
     lift_apply,
     majorize,
@@ -26,6 +27,7 @@ from majo import (
     phi,
     psi,
     sequence_apply,
+    small_set_modulus,
 )
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
 
@@ -249,3 +251,40 @@ def test_criteria_agree_and_certificates_reverify_at_scale(case, weak, rng):
         for point in rng.sample(verdict.checked, min(3, len(verdict.checked))):
             assert point.left == getattr(f, evaluate)(point.point)
             assert point.right == getattr(g, evaluate)(point.point)
+
+
+@st.composite
+def equi_sources(draw):
+    """(source, delta): a finite source with signed values or an infinite one,
+    with up to 150 level sets over one to three prime denominators, and a
+    small-set budget inside its space."""
+    infinite = draw(st.booleans())
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def rational(lo):
+        return F(rng.randint(lo, 10**4), rng.choice(primes))
+
+    count = draw(st.integers(0, 150))
+    raw = [(rational(1 if infinite else -(10**4)), rational(1)) for _ in range(count)]
+    total = INF if infinite else sum(m for _, m in raw) + rational(0)
+    source = canonicalize(raw, total)
+    share = F(draw(st.integers(0, 64)), 64)
+    delta = share * rational(0) if infinite else share * total
+    return source, delta
+
+
+# the direct minimum costs O(n^2): about 5 s at 10^3 level sets, so that size
+# is one fixed infinite source rather than a drawn one
+BIG_SOURCE = canonicalize([(F(k, 7), F(k % 5 + 1, 3)) for k in range(1, 1001)], INF)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(equi_sources())
+@hypothesis.example((BIG_SOURCE, F(1, 2)))
+def test_equi_bound_is_the_direct_truncation_minimum(case):
+    source, delta = case
+    report = equi_modulus([source], delta, source)
+    grid = {p.value for p in source.pieces} | {F(0)}
+    assert report.bound == min(source.hinge_integral(c) + c * delta for c in grid)
+    assert report.modulus == small_set_modulus(source, delta)

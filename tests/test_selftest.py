@@ -39,8 +39,8 @@ class TestScaledOracles:
 
 class TestDeterminism:
     def test_same_seed_reproduces_the_battery(self):
-        first = criterion_grid_oracle(99, pairs=20, grid=500)
-        second = criterion_grid_oracle(99, pairs=20, grid=500)
+        first = criterion_grid_oracle(99)
+        second = criterion_grid_oracle(99)
         assert first.note == second.note
         assert first.failures == second.failures
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from majo import INF, StepFunction, canonicalize
+from majo.formats import loads_sfn
 from majo.errors import (
     DivergentHingeError,
     MassExceedsTotalError,
@@ -74,6 +75,53 @@ class TestCanonicalize:
     def test_direct_construction_requires_canonical_form(self):
         with pytest.raises(ValueError):
             StepFunction(pieces=((F(1), F(1)), (F(2), F(1))), total_measure=F(2))
+
+
+# invariants canonicalize leaves to StepFunction: (raw pieces, canonical
+# pieces, total, .sfn text, error)
+STEPFUNCTION_INVARIANTS = {
+    "negative-value-on-infinite-space": (
+        [(2, 1), (-1, 1)],
+        ((F(2), F(1)), (F(-1), F(1))),
+        INF,
+        "total inf\n2 1\n-1 1\n",
+        NegativeValueOnInfiniteSpaceError,
+    ),
+    "masses-above-total": (
+        [(1, 2), (1, 1)],
+        ((F(1), F(3)),),
+        2,
+        "total 2\n1 2\n1 1\n",
+        MassExceedsTotalError,
+    ),
+    "negative-total": (
+        [(1, 1)],
+        ((F(1), F(1)),),
+        -1,
+        "total -1\n1 1\n",
+        MassExceedsTotalError,
+    ),
+}
+
+
+@pytest.mark.parametrize("invariant", sorted(STEPFUNCTION_INVARIANTS))
+class TestOneCheckPerInvariant:
+    def test_canonicalize_and_direct_construction_raise_alike(self, invariant):
+        raw, pieces, total, _, error = STEPFUNCTION_INVARIANTS[invariant]
+        with pytest.raises(error) as via_canonicalize:
+            canonicalize(raw, total)
+        with pytest.raises(error) as direct:
+            StepFunction(pieces, total)
+        assert type(via_canonicalize.value) is type(direct.value)
+        assert str(via_canonicalize.value) == str(direct.value)
+
+    def test_sfn_loader_raises_the_same_error(self, invariant):
+        raw, _, total, text, error = STEPFUNCTION_INVARIANTS[invariant]
+        with pytest.raises(error) as via_canonicalize:
+            canonicalize(raw, total)
+        with pytest.raises(error) as loaded:
+            loads_sfn(text)
+        assert str(loaded.value) == str(via_canonicalize.value)
 
 
 class TestIntegral:
