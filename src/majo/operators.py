@@ -12,6 +12,7 @@ chain of two-coordinate mixings on a common equal-mass refinement.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -37,8 +38,8 @@ from .majorize import majorize
 from .stepfn import ZERO, StepFunction, _in_order, canonicalize
 
 ONE = Fraction(1)
-# largest common refinement ds_witness builds: its chain scan is quadratic in
-# the atom count and the dense witness holds the square of it
+# largest common refinement ds_witness builds: the chain scan is linear in the
+# atom count, but the dense product (and the .mat) holds the square of it
 WITNESS_ATOM_BUDGET = 1024
 
 
@@ -561,24 +562,35 @@ def _t_transform_chain(target: Sequence, source: Sequence) -> Tuple[TTransform, 
     steps are produced. The scan rule is deterministic: first surplus
     coordinate j, first deficit coordinate k after it, transfer the smaller
     of the two discrepancies.
+
+    The scan runs in linear time on integers. Both vectors are scaled by the
+    lcm of their denominators, which cancels in every weight. The pointers j
+    and k only move forward: an equalized coordinate stays equal, and a
+    deficit is never overfilled, so no coordinate before either pointer can
+    become the next surplus or deficit.
     """
-    x, y, steps = list(target), list(source), []
-    n = len(x)
+    scale = math.lcm(*(v.denominator for v in (*target, *source)))
+    x = [v.numerator * (scale // v.denominator) for v in target]
+    y = [v.numerator * (scale // v.denominator) for v in source]
+    n, j, k, steps = len(x), 0, 0, []
     for _ in range(n + 1):
-        j = next((i for i in range(n) if y[i] != x[i]), None)
-        if j is None:
+        while j < n and y[j] == x[j]:
+            j += 1
+        if j == n:
             break
         if y[j] < x[j]:
             raise InternalInconsistencyError(
                 "first discrepancy is a deficit; majorization precondition broken"
             )
-        k = next((i for i in range(j + 1, n) if y[i] < x[i]), None)
-        if k is None:
+        k = max(k, j + 1)
+        while k < n and y[k] >= x[k]:
+            k += 1
+        if k == n:
             raise InternalInconsistencyError(
                 "surplus without a later deficit; sums cannot have been equal"
             )
         delta = min(y[j] - x[j], x[k] - y[k])
-        steps.append(TTransform(j, k, 1 - delta / (y[j] - y[k])))
+        steps.append(TTransform(j, k, 1 - Fraction(delta, y[j] - y[k])))
         y[j] -= delta
         y[k] += delta
     else:

@@ -17,7 +17,7 @@ from majo import (
     fraction_gcd,
     l1_distance,
     majorize,
-    psi,
+    sequence_apply,
     small_set_modulus,
 )
 from majo.errors import (
@@ -135,11 +135,8 @@ class TestEquiModulus:
             f = AlignedStep(col_part, values).step_function()
             family = []
             for _ in range(8):
-                rows = cols + rng.randint(0, 2)
-                row_part = Partition.equal_mass(rows, mass, INF)
-                operator = random_sds_matrix(rng, rows, cols)
-                coefficients = apply_matrix(operator, tuple(v * mass for v in values))
-                family.append(psi(row_part, coefficients).step_function())
+                operator = random_sds_matrix(rng, cols + rng.randint(0, 2), cols)
+                family.append(sequence_apply(operator, f, mass)[0])
             for delta in deltas:
                 assert equi_modulus(family, delta, f).within_bound
 

@@ -31,6 +31,7 @@ from majo import (
 )
 from majo.errors import (
     DimensionMismatchError,
+    InternalInconsistencyError,
     MajoError,
     MeasureMismatchError,
     NegativeEntryError,
@@ -39,7 +40,12 @@ from majo.errors import (
     PartitionMisalignedError,
     UnequalMassesUnsupportedError,
 )
-from majo.operators import WITNESS_ATOM_BUDGET, TTransform, WitnessChain
+from majo.operators import (
+    WITNESS_ATOM_BUDGET,
+    TTransform,
+    WitnessChain,
+    _t_transform_chain,
+)
 from majo.sampling import (
     random_doubly_stochastic,
     random_fraction,
@@ -365,6 +371,18 @@ class TestTTransform:
             WitnessChain((TTransform(0, 3, F(1, 2)),), Partition.equal_mass(2, 1, 2))
         with pytest.raises(DimensionMismatchError):
             TTransform(0, 2, F(1, 2)).matrix(2)
+
+
+class TestTTransformChain:
+    """The chain's preconditions; its steps are pinned in test_properties."""
+
+    def test_first_discrepancy_a_deficit_is_refused(self):
+        with pytest.raises(InternalInconsistencyError, match="is a deficit"):
+            _t_transform_chain((F(2), F(0)), (F(1), F(1)))
+
+    def test_surplus_without_a_later_deficit_is_refused(self):
+        with pytest.raises(InternalInconsistencyError, match="without a later"):
+            _t_transform_chain((F(1), F(1), F(0)), (F(1), F(2), F(0)))
 
 
 class TestSequenceApply:

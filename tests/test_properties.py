@@ -30,6 +30,7 @@ from majo import (
     small_set_modulus,
 )
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
+from majo.operators import TTransform, _t_transform_chain
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -107,6 +108,58 @@ def test_witness_steps_and_product_are_one_operator(case):
     h = AlignedStep(partition, h_values[: partition.size]).step_function()
     via_product = psi(partition, apply_matrix(chain.product, phi(partition, h)))
     assert chain.apply_to(h) == via_product.step_function()
+
+
+def quadratic_chain(target, source):
+    """The chain's scan rule as first written: both scans restart at 0."""
+    x, y, steps = list(target), list(source), []
+    n = len(x)
+    for _ in range(n + 1):
+        j = next((i for i in range(n) if y[i] != x[i]), None)
+        if j is None:
+            break
+        assert y[j] > x[j]
+        k = next(i for i in range(j + 1, n) if y[i] < x[i])
+        delta = min(y[j] - x[j], x[k] - y[k])
+        steps.append(TTransform(j, k, 1 - delta / (y[j] - y[k])))
+        y[j] -= delta
+        y[k] += delta
+    return tuple(steps)
+
+
+@st.composite
+def chain_pairs(draw):
+    """(target, source): decreasing vectors of up to 200 coordinates, signed
+    or nonnegative over one to three prime denominators up to 10^4 (few
+    distinct numerators make ties), the target averaging the source over
+    random blocks and then mixing random coordinate pairs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=3))
+    top = draw(st.sampled_from((3, 10**4)))
+    lo = -top if draw(st.booleans()) else 0
+    n = draw(st.integers(1, 200))
+    source = [F(rng.randint(lo, top), rng.choice(primes)) for _ in range(n)]
+    source.sort(reverse=True)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    target = []
+    for a, b in zip([0] + cuts, cuts + [n]):
+        target += [sum(source[a:b]) / (b - a)] * (b - a)
+    for _ in range(rng.randint(0, 10) if n > 1 else 0):
+        i, k = rng.sample(range(n), 2)
+        p = rng.choice(PRIMES)
+        w = F(rng.randint(0, p), p)
+        target[i], target[k] = (
+            w * target[i] + (1 - w) * target[k],
+            (1 - w) * target[i] + w * target[k],
+        )
+    return sorted(target, reverse=True), source
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(chain_pairs())
+def test_chain_takes_the_steps_of_the_quadratic_scan(case):
+    target, source = case
+    assert _t_transform_chain(target, source) == quadratic_chain(target, source)
 
 
 @st.composite
