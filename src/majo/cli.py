@@ -199,24 +199,31 @@ def cmd_witness(args) -> int:
     f = load_sfn(args.f).function
     g = load_sfn(args.g).function
     chain = ds_witness(f, g)
-    dump_mat(args.output, chain.product)
     partition = chain.source_partition
-    atom_mass = partition.atoms[0] if partition.atoms else None
+    atoms = f"{chain.dimension} level-set atom(s)" if chain.dimension else "no atoms"
+    lines = [f"chain of {len(chain.steps)} T-transform(s) on {atoms}"]
+    dimension = atom_mass = None
+    if args.output:
+        grid = chain.grid
+        dump_mat(args.output, chain.product)
+        dimension = grid.size
+        atom_mass = grid.atoms[0] if grid.atoms else None
+        on = f" on atoms of mass {format_rational(atom_mass)}" if atom_mass else ""
+        lines.insert(
+            0,
+            f"wrote {dimension}x{dimension} doubly stochastic witness{on} "
+            f"to {args.output}",
+        )
     report = {
         "command": "witness",
         "inputs": {"f": args.f, "g": args.g},
         "witness_path": args.output,
         "steps": [[s.j, s.k, s.weight] for s in chain.steps],
-        "dimension": chain.dimension,
+        "partition": list(partition.atoms),
+        "dimension": dimension,
         "atom_mass": atom_mass,
         "total": partition.total_measure,
     }
-    atoms = f"atoms of mass {format_rational(atom_mass)}" if atom_mass else "no atoms"
-    lines = [
-        f"wrote {chain.dimension}x{chain.dimension} doubly stochastic witness "
-        f"to {args.output}",
-        f"chain of {len(chain.steps)} T-transform(s) on {atoms}",
-    ]
     _emit(report, args.json, lines)
     return EXIT_HOLDS
 
@@ -465,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="doubly stochastic witness for f < g")
     p.add_argument("f", help=".sfn file")
     p.add_argument("g", help=".sfn file")
-    p.add_argument("-o", "--output", required=True, help="write the witness .mat here")
+    p.add_argument(
+        "-o", "--output", help="write the witness .mat on its equal-mass grid here"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_witness)
 

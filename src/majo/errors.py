@@ -20,6 +20,10 @@ class InvalidRationalError(MajoError, ValueError):
     """Text that is not an integer or ``p/q`` with a nonzero denominator."""
 
 
+class RationalTooLongError(MajoError):
+    """A rational with more digits than Python writes out as an integer."""
+
+
 # ---------------------------------------------------------------------------
 # step functions
 # ---------------------------------------------------------------------------

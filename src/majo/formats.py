@@ -13,25 +13,45 @@ row-major entries separated by arbitrary whitespace.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .errors import InvalidRationalError, ParseError
+from .errors import InvalidRationalError, ParseError, RationalTooLongError
 from .extended import INF, ExtendedRational, Infinity, as_fraction
 from .operators import OperatorMatrix, Partition, Tail
 from .stepfn import StepFunction, canonicalize
 
 
 def format_rational(x) -> str:
-    """Serialize exactly: integers bare, otherwise p/q; never decimals."""
+    """Serialize exactly: integers bare, otherwise p/q; never decimals.
+
+    A numerator or denominator with more digits than Python converts to text
+    (``sys.get_int_max_str_digits``) raises :class:`RationalTooLongError`.
+    """
     if isinstance(x, Infinity):
         return "inf"
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # over the int-to-text digit limit
+        digits = max(_digit_count(x.numerator), _digit_count(x.denominator))
+        raise RationalTooLongError(
+            f"a numerator or denominator of {digits} digits is over Python's "
+            f"limit of {sys.get_int_max_str_digits()} digits for writing an integer"
+        ) from None
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of |n|, counted without converting it to text."""
+    n = abs(n)
+    estimate = int((max(n.bit_length(), 1) - 1) * math.log10(2)) + 1
+    return estimate + (n >= 10**estimate)
 
 
 def _parse_rational(token: str, line: int, column: int) -> Fraction:

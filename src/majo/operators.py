@@ -6,7 +6,9 @@ sums to exactly 1, semi-doubly stochastic additionally bounds every row sum
 by 1, and doubly stochastic pins the row sums to 1. Partition operators move
 between step functions and sequences through the per-atom integral map and
 its right inverse; the doubly stochastic witness for a majorized pair is a
-chain of two-coordinate mixings on a common equal-mass refinement.
+chain of mass-weighted two-atom mixings on the common refinement of the two
+level-set layouts, expanded onto an equal-mass grid only when its dense
+matrix is asked for.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from .majorize import majorize
 from .stepfn import ZERO, StepFunction, _in_order, canonicalize
 
 ONE = Fraction(1)
-# largest common refinement ds_witness builds: the chain scan is linear in the
-# atom count, but the dense product (and the .mat) holds the square of it
+# largest equal-mass grid WitnessChain.product expands a chain onto: the chain
+# itself lives on at most m + n level-set atoms, but the dense product (and
+# the .mat) holds the square of the grid's atom count
 WITNESS_ATOM_BUDGET = 1024
 
 
@@ -485,7 +488,13 @@ def restrict(partition: Partition, operator: OperatorMatrix) -> OperatorMatrix:
 
 @dataclass(frozen=True)
 class TTransform:
-    """Two-coordinate mixing: the 2x2 block [[w, 1-w], [1-w, w]] on (j, k)."""
+    """Two-atom mixing with weight w on atoms (j, k), weighted by their masses.
+
+    On values y, atom j takes w·y_j + (1-w)·y_k and atom k takes
+    β·y_j + (1-β)·y_k, where β = (1-w)·a_j/a_k for atom masses a_j and a_k;
+    the step keeps constants and integrals. On equal masses β = 1-w, and the
+    step is the 2x2 block [[w, 1-w], [1-w, w]].
+    """
 
     j: int
     k: int
@@ -499,14 +508,19 @@ class TTransform:
             raise InvalidTTransformError(f"mixing weight {self.weight} outside [0, 1]")
 
     def matrix(self, n: int) -> OperatorMatrix:
-        """This step on n atoms: the product of its one-step chain."""
+        """This step on n unit atoms: the product of its one-step chain."""
         return WitnessChain((self,), Partition.equal_mass(n, 1, n)).product
 
-    def _mix(self, rows: list) -> None:
-        """Left-multiply by this step in place: rows j and k become their mixes."""
+    def _mix(self, rows: list, masses: Sequence) -> None:
+        """Left-multiply by this step on atoms of ``masses``, in place.
+
+        Rows j and k become w·(row j) + (1-w)·(row k) and
+        β·(row j) + (1-β)·(row k).
+        """
         w, rest, a, b = self.weight, 1 - self.weight, rows[self.j], rows[self.k]
+        beta = rest * masses[self.j] / masses[self.k]
         rows[self.j] = tuple(w * x + rest * y for x, y in zip(a, b))
-        rows[self.k] = tuple(rest * x + w * y for x, y in zip(a, b))
+        rows[self.k] = tuple(beta * x + (1 - beta) * y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -514,18 +528,25 @@ class WitnessChain:
     """Doubly stochastic witness: ordered T-transforms on ``source_partition``.
 
     The chain is the only stored form: :meth:`apply_to` mixes a function's
-    values step by step and :attr:`product` mixes identity rows the same way.
-    The atoms have equal masses, so value and sequence bases agree.
+    values step by step, and :attr:`product` expands the steps onto the
+    equal-mass :attr:`grid` on request.
     """
 
     steps: Tuple[TTransform, ...]
     source_partition: Partition
 
     def __post_init__(self):
+        masses = self.source_partition.atoms
         for step in self.steps:
             if step.k >= self.dimension:
                 raise DimensionMismatchError(
                     f"coordinate {step.k} outside dimension {self.dimension}"
+                )
+            if (1 - step.weight) * masses[step.j] > masses[step.k]:
+                beta = (1 - step.weight) * masses[step.j] / masses[step.k]
+                raise InvalidTTransformError(
+                    f"step on atoms ({step.j}, {step.k}) gives atom {step.k} "
+                    f"the weight {beta} outside [0, 1]"
                 )
 
     @property
@@ -533,45 +554,94 @@ class WitnessChain:
         return self.source_partition.size
 
     @property
-    def product(self) -> OperatorMatrix:
-        """The ordered step matrices' product (last step leftmost), built on access.
+    def grid(self) -> Partition:
+        """The equal-mass partition :attr:`product` acts on.
 
-        The only place identity rows are mixed: :meth:`TTransform.matrix` and
-        random doubly stochastic matrices are products of chains.
+        Its atoms have the gcd mass of the source atoms and cover the same
+        explicit measure, so every source atom is a run of grid atoms. A grid
+        of more than ``WITNESS_ATOM_BUDGET`` atoms is refused before it is
+        built.
         """
+        source = self.source_partition
+        unit = fraction_gcd(source.atoms) if source.atoms else ONE
+        length = int(source.explicit_measure / unit)
+        if length > WITNESS_ATOM_BUDGET:
+            raise MajoError(
+                f"the witness matrix needs {length} atoms of mass {unit}, "
+                f"over the budget of {WITNESS_ATOM_BUDGET}"
+            )
+        return Partition.equal_mass(length, unit, source.total_measure)
+
+    @property
+    def product(self) -> OperatorMatrix:
+        """The chain's matrix on :attr:`grid`, built on access.
+
+        As an operator on functions, a step replaces f on atoms j and k by
+        its mixed averages there and leaves it alone elsewhere. So the steps
+        mix identity rows on the source atoms (last step leftmost) into the
+        value-basis matrix M there, and a grid atom of a mixed source atom n
+        gets row n of M with each entry M[n][c] spread evenly over the grid
+        atoms of source atom c; grid atoms of an atom no step mixes keep
+        their identity rows. Rows sum to 1 because the steps keep constants,
+        and columns because they keep integrals. The only place identity
+        rows are mixed: :meth:`TTransform.matrix` and random doubly
+        stochastic matrices are products of chains on unit atoms.
+        """
+        grid, masses = self.grid, self.source_partition.atoms
         rows = list(OperatorMatrix.identity(self.dimension).entries)
         for step in self.steps:
-            step._mix(rows)
-        return OperatorMatrix(tuple(rows))
+            step._mix(rows, masses)
+        counts = [int(m / grid.atoms[0]) for m in masses]
+        mixed = {step.j for step in self.steps} | {step.k for step in self.steps}
+        identity = OperatorMatrix.identity(grid.size).entries
+        expanded, start = [], 0
+        for n, (row, count) in enumerate(zip(rows, counts)):
+            if n in mixed:  # dividing by 1 would renormalize every long entry
+                spread = tuple(
+                    e if c == 1 else e / c for e, c in zip(row, counts) for _ in range(c)
+                )
+                expanded += [spread] * count
+            else:
+                expanded += identity[start : start + count]
+            start += count
+        return OperatorMatrix(tuple(expanded))
 
     def apply_to(self, g: StepFunction) -> StepFunction:
         """Apply the witness operator to a function on its partition."""
         partition = self.source_partition
         column = [(v,) for v in align(partition, g).values]
         for step in self.steps:
-            step._mix(column)
+            step._mix(column, partition.atoms)
         return AlignedStep(partition, [v for (v,) in column]).step_function()
 
 
-def _t_transform_chain(target: Sequence, source: Sequence) -> Tuple[TTransform, ...]:
-    """Chain of two-coordinate mixings carrying ``source`` onto ``target``.
+def _t_transform_chain(
+    masses: Sequence, target: Sequence, source: Sequence
+) -> Tuple[TTransform, ...]:
+    """Chain of mass-weighted T-transforms carrying ``source`` onto ``target``.
 
-    Both vectors start sorted decreasingly with equal sums and the target
-    majorized by the source; prefix-sum dominance is preserved step by step,
-    and every step equalizes at least one more coordinate, so at most n - 1
-    steps are produced. The scan rule is deterministic: first surplus
-    coordinate j, first deficit coordinate k after it, transfer the smaller
-    of the two discrepancies.
+    Both hold values on atoms of the given masses, with equal integrals; the
+    target is sorted decreasingly and majorized by the source, so the prefix
+    sums of the source's atom integrals dominate the target's. The scan rule
+    is deterministic: first surplus atom j, first deficit atom k after it,
+    move the smaller of the two integral discrepancies from j to k. Prefix
+    dominance is preserved step by step, and every step equalizes at least
+    one more atom, so at most n - 1 steps are produced. The weight w moving
+    δ is 1 - δ·a_k / (Y_j·a_k - Y_k·a_j), for atom integrals Y; both w and
+    the derived β = (1-w)·a_j/a_k lie in [0, 1] because y_k < x_k ≤ x_j < y_j.
+    On equal atoms this is the classical T-transform chain.
 
-    The scan runs in linear time on integers. Both vectors are scaled by the
-    lcm of their denominators, which cancels in every weight. The pointers j
-    and k only move forward: an equalized coordinate stays equal, and a
-    deficit is never overfilled, so no coordinate before either pointer can
-    become the next surplus or deficit.
+    The scan runs in linear time on integers: the masses are scaled by the
+    lcm of their denominators and the values by the lcm of theirs, and both
+    scales cancel in every weight. The pointers j and k only move forward:
+    an equalized atom stays equal, and a deficit is never overfilled, so no
+    atom before either pointer can become the next surplus or deficit.
     """
+    mass_scale = math.lcm(*(a.denominator for a in masses))
     scale = math.lcm(*(v.denominator for v in (*target, *source)))
-    x = [v.numerator * (scale // v.denominator) for v in target]
-    y = [v.numerator * (scale // v.denominator) for v in source]
+    a = [m.numerator * (mass_scale // m.denominator) for m in masses]
+    x = [c * v.numerator * (scale // v.denominator) for c, v in zip(a, target)]
+    y = [c * v.numerator * (scale // v.denominator) for c, v in zip(a, source)]
     n, j, k, steps = len(x), 0, 0, []
     for _ in range(n + 1):
         while j < n and y[j] == x[j]:
@@ -590,7 +660,8 @@ def _t_transform_chain(target: Sequence, source: Sequence) -> Tuple[TTransform, 
                 "surplus without a later deficit; sums cannot have been equal"
             )
         delta = min(y[j] - x[j], x[k] - y[k])
-        steps.append(TTransform(j, k, 1 - Fraction(delta, y[j] - y[k])))
+        spread = y[j] * a[k] - y[k] * a[j]
+        steps.append(TTransform(j, k, 1 - Fraction(delta * a[k], spread)))
         y[j] -= delta
         y[k] += delta
     else:
@@ -610,26 +681,24 @@ def _require_majorized(f: StepFunction, g: StepFunction) -> None:
 
 
 def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
-    """Doubly stochastic matrix carrying g onto f, as a T-transform chain.
+    """Doubly stochastic operator carrying g onto f, as a T-transform chain.
 
-    Requires f majorized by g. Both functions are laid out on the common
-    equal-mass refinement whose atom mass is the gcd of all piece masses
-    (infinite spaces get enough zero-tail atoms to pad both value vectors to
-    one length), and the chain is built coordinate by coordinate. Its product
-    satisfies ``apply_matrix(product, values(g)) == values(f)`` exactly. Two
-    null functions need no atoms, and get the empty witness. A refinement of
-    more than ``WITNESS_ATOM_BUDGET`` atoms is refused before it is built.
+    Requires f majorized by g. The chain lives on the common refinement of
+    the two level-set layouts: at most m + n atoms of unequal mass for m and
+    n level sets (on an infinite space it covers the larger support), and at
+    most one step fewer than atoms. ``apply_to(g) == f`` exactly. Two null
+    functions need no atoms, and get the empty witness. No equal-mass grid is
+    built here: :attr:`WitnessChain.product` expands the chain onto one on
+    request.
     """
     _require_majorized(f, g)
-    masses = [p.mass for p in f.pieces] + [p.mass for p in g.pieces]
-    unit = fraction_gcd(masses) if masses else ONE
-    length = max(int(f.support_measure / unit), int(g.support_measure / unit))
-    if length > WITNESS_ATOM_BUDGET:
-        raise MajoError(
-            f"the witness needs {length} atoms of mass {unit}, "
-            f"over the budget of {WITNESS_ATOM_BUDGET}"
-        )
-    partition = Partition.equal_mass(length, unit, f.total_measure)
-    steps = _t_transform_chain(align(partition, f).values, align(partition, g).values)
-    return WitnessChain(steps=steps, source_partition=partition)
-
+    # one walk gives the atoms and both value vectors, where align would walk twice more
+    f_levels, g_levels = f.values() + (ZERO,), g.values() + (ZERO,)
+    atoms, x, y = [], [], []
+    for i, k, mass in _in_order([p.mass for p in f.pieces], [p.mass for p in g.pieces]):
+        atoms.append(mass)
+        x.append(f_levels[i])
+        y.append(g_levels[k])
+    total = f.total_measure
+    partition = Partition(tuple(atoms), total, Tail(ONE) if total is INF else None)
+    return WitnessChain(_t_transform_chain(atoms, x, y), partition)

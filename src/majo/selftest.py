@@ -254,16 +254,22 @@ def criterion_witness(seed: int) -> SuiteOutcome:
             outcome.fail(f"case #{index}: witness construction failed: {exc}")
             continue
         max_dimension = max(max_dimension, chain.dimension)
+        if chain.dimension > len(f.pieces) + len(g.pieces):
+            outcome.fail(
+                f"case #{index}: {chain.dimension} atoms exceed the "
+                f"{len(f.pieces)} + {len(g.pieces)} level sets"
+            )
         if len(chain.steps) > max(chain.dimension - 1, 0):
             outcome.fail(
                 f"case #{index}: {len(chain.steps)} steps exceeds n-1 "
                 f"on dimension {chain.dimension}"
             )
-        if classify_matrix(chain.product) != OperatorClass.DOUBLY_STOCHASTIC:
+        product, grid = chain.product, chain.grid
+        if classify_matrix(product) != OperatorClass.DOUBLY_STOCHASTIC:
             outcome.fail(f"case #{index}: witness product is not doubly stochastic")
-        v_g = align(chain.source_partition, g).values
-        v_f = align(chain.source_partition, f).values
-        if apply_matrix(chain.product, v_g) != v_f:
+        v_g = align(grid, g).values
+        v_f = align(grid, f).values
+        if apply_matrix(product, v_g) != v_f:
             outcome.fail(f"case #{index}: witness product misses the target vector")
         if l1_distance(chain.apply_to(g), f) != 0:
             outcome.fail(f"case #{index}: lift-apply does not reproduce f exactly")

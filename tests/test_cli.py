@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, reports, round trips."""
 
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -159,6 +160,65 @@ class TestWitnessRoundTrip:
         )
         capsys.readouterr()
         assert loads_sfn(Path(image).read_text()).function == loads_sfn(Path(f).read_text()).function
+
+
+class TestWitnessWithoutMatrix:
+    def test_json_reports_the_level_set_chain_without_a_grid(self, workdir, capsys):
+        tmp, write = workdir
+        # g has level sets of masses 1/10007 and 1/9973 (a gcd grid of 19 980
+        # atoms), f is its average; the chain needs two atoms and one step
+        f = write("f.sfn", "total inf\n29953/19980 19980/99799811\n")
+        g = write("g.sfn", "total inf\n2 1/10007\n1 1/9973\n")
+        assert main(["witness", f, g, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["partition"] == ["1/10007", "1/9973"]
+        assert len(report["steps"]) == 1
+        assert report["witness_path"] is None
+        assert (report["dimension"], report["atom_mass"]) == (None, None)
+        assert sorted(p.name for p in tmp.iterdir()) == ["f.sfn", "g.sfn"]
+        assert main(["witness", f, g, "-o", str(tmp / "D.mat")]) == 2
+        assert "19980 atoms" in capsys.readouterr().err
+
+    def test_text_report_names_the_atoms(self, workdir, capsys):
+        _, write = workdir
+        f, g = majorized(write)
+        assert main(["witness", f, g]) == 0
+        assert capsys.readouterr().out == "chain of 1 T-transform(s) on 2 level-set atom(s)\n"
+
+    def test_partition_indexes_the_steps_and_the_grid_describes_the_matrix(
+        self, workdir, capsys
+    ):
+        tmp, write = workdir
+        f = write("f.sfn", "total 3\n1 3\n")
+        g = write("g.sfn", "total 3\n2 1\n1/2 2\n")
+        out = str(tmp / "D.mat")
+        assert main(["witness", f, g, "-o", out, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["partition"] == ["1", "2"]
+        assert report["steps"] == [[0, 1, "1/3"]]
+        assert (report["dimension"], report["atom_mass"]) == (3, "1")
+        assert loads_mat(Path(out).read_text()).rows == 3
+        image = str(tmp / "image.sfn")
+        assert main(["apply", out, g, "-o", image]) == 0
+        capsys.readouterr()
+        assert loads_sfn(Path(image).read_text()).function == loads_sfn(Path(f).read_text()).function
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python writes integers of any length",
+)
+def test_output_over_the_digit_limit_exits_two_without_writing(workdir, capsys):
+    tmp, write = workdir
+    # one value on masses 1/p and 1/q merges into a mass with a 4401-digit
+    # denominator p*q, though each input number has 2201 digits
+    p, q = 10**2200 + 1, 10**2200 + 3
+    source = write("long.sfn", f"total inf\n1 1/{p}\n1 1/{q}\n")
+    out = tmp / "out.sfn"
+    for extra in ([], ["--json"]):
+        assert main(["rearrange", source, "-o", str(out), *extra]) == 2
+        assert "4401 digits" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNullWitness:

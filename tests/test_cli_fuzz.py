@@ -108,7 +108,7 @@ def argvs(draw, command):
         flags = _flags(draw, json_flag, [criterion], ["--weak"], ["--timings"])
         return [command, sfn(), sfn(), *flags]
     if command == "witness":
-        return [command, sfn(), sfn(), "-o", "w.mat", *_flags(draw, json_flag)]
+        return [command, sfn(), sfn(), *_flags(draw, json_flag, ["-o", "w.mat"])]
     if command == "classify":
         return [command, mat(), *_flags(draw, json_flag)]
     if command == "lift":

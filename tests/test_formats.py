@@ -1,13 +1,15 @@
 """Round trips and error reporting for the .sfn and .mat text formats."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from majo import INF, OperatorMatrix, Partition, Tail, canonicalize
-from majo.errors import InvalidPartitionError, ParseError
+from majo.errors import InvalidPartitionError, ParseError, RationalTooLongError
 from majo.formats import (
+    dump_mat,
     dumps_mat,
     dumps_sfn,
     format_rational,
@@ -26,6 +28,21 @@ class TestRationalFormat:
 
     def test_infinity(self):
         assert format_rational(INF) == "inf"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python writes integers of any length",
+    )
+    def test_over_the_digit_limit_is_a_majo_error_and_writes_nothing(self, tmp_path):
+        long = F(1, 10**4400 + 1)  # a denominator of 4401 digits
+        with pytest.raises(RationalTooLongError, match="4401 digits"):
+            format_rational(long)
+        with pytest.raises(RationalTooLongError, match="5001 digits"):
+            format_rational(F(-(10**5000)))
+        out = tmp_path / "D.mat"
+        with pytest.raises(RationalTooLongError):
+            dump_mat(out, OperatorMatrix(((long, 1 - long), (1 - long, long))))
+        assert not out.exists()
 
 
 class TestSfn:

@@ -32,6 +32,7 @@ from majo import (
 from majo.errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
+    InvalidTTransformError,
     MajoError,
     MeasureMismatchError,
     NegativeEntryError,
@@ -40,6 +41,7 @@ from majo.errors import (
     PartitionMisalignedError,
     UnequalMassesUnsupportedError,
 )
+from majo.kernels import kernel_apply, kernel_classify, matrix_to_kernel
 from majo.operators import (
     WITNESS_ATOM_BUDGET,
     TTransform,
@@ -372,17 +374,27 @@ class TestTTransform:
         with pytest.raises(DimensionMismatchError):
             TTransform(0, 2, F(1, 2)).matrix(2)
 
+    def test_chain_refuses_a_second_weight_outside_the_unit_interval(self):
+        """On atoms of masses 2 and 1, weight 1/4 gives beta = 3/4 * 2/1 > 1."""
+        partition = Partition(atoms=(F(2), F(1)), total_measure=F(3))
+        with pytest.raises(InvalidTTransformError, match="3/2 outside"):
+            WitnessChain((TTransform(0, 1, F(1, 4)),), partition)
+        # beta = 1 exactly: atom 1 takes atom 0's old value
+        chain = WitnessChain((TTransform(0, 1, F(1, 2)),), partition)
+        g = canonicalize([(4, 2), (1, 1)], 3)
+        assert chain.apply_to(g) == canonicalize([(F(5, 2), 2), (4, 1)], 3)
+
 
 class TestTTransformChain:
     """The chain's preconditions; its steps are pinned in test_properties."""
 
     def test_first_discrepancy_a_deficit_is_refused(self):
         with pytest.raises(InternalInconsistencyError, match="is a deficit"):
-            _t_transform_chain((F(2), F(0)), (F(1), F(1)))
+            _t_transform_chain((F(1), F(1)), (F(2), F(0)), (F(1), F(1)))
 
     def test_surplus_without_a_later_deficit_is_refused(self):
         with pytest.raises(InternalInconsistencyError, match="without a later"):
-            _t_transform_chain((F(1), F(1), F(0)), (F(1), F(2), F(0)))
+            _t_transform_chain((F(1),) * 3, (F(1), F(1), F(0)), (F(1), F(2), F(0)))
 
 
 class TestSequenceApply:
@@ -416,7 +428,8 @@ class TestDsWitness:
         f = canonicalize([(2, 1), (1, 2)], INF)
         chain = ds_witness(f, f)
         assert chain.steps == ()
-        assert chain.product == OperatorMatrix.identity(chain.dimension)
+        assert (chain.dimension, chain.grid.size) == (2, 3)
+        assert chain.product == OperatorMatrix.identity(chain.grid.size)
 
     def test_rejects_non_majorized(self):
         f = canonicalize([(3, 1), (F(1, 2), 1)], INF)
@@ -440,7 +453,8 @@ class TestDsWitness:
         f = canonicalize([(1, 4)], INF)
         g = canonicalize([(2, 2)], INF)
         chain = ds_witness(f, g)
-        assert chain.dimension == 2  # gcd mass 2: two atoms cover both supports
+        assert chain.source_partition.atoms == (2, 2)  # covers both supports
+        assert chain.grid.atoms == (2, 2)
         assert chain.apply_to(g) == f
 
     def test_signed_pair_on_finite_space(self):
@@ -461,14 +475,16 @@ class TestDsWitness:
             mixed = apply_matrix(random_doubly_stochastic(rng, n), values)
             f = AlignedStep(partition, mixed).step_function()
             chain = ds_witness(f, g)
-            current = align(chain.source_partition, g).values
+            grid = chain.grid
+            current = align(grid, g).values
             for step in chain.steps:
-                following = apply_matrix(step.matrix(chain.dimension), current)
-                before = AlignedStep(chain.source_partition, current).step_function()
-                after = AlignedStep(chain.source_partition, following).step_function()
+                one_step = WitnessChain((step,), chain.source_partition)
+                following = apply_matrix(one_step.product, current)
+                before = AlignedStep(grid, current).step_function()
+                after = AlignedStep(grid, following).step_function()
                 assert majorize(after, before).holds
                 current = following
-            assert AlignedStep(chain.source_partition, current).step_function() == f
+            assert AlignedStep(grid, current).step_function() == f
 
     def test_large_refinement_dimension_from_mixed_denominators(self):
         """Averaging over a coarse unequal partition forces a fine gcd grid."""
@@ -491,9 +507,12 @@ class TestDsWitness:
             )
             f = partition_average(coarse, g).step_function()
             chain = ds_witness(f, g)
-            seen_dimensions.append(chain.dimension)
+            seen_dimensions.append(chain.grid.size)
+            assert chain.dimension <= len(f.pieces) + len(g.pieces)
             assert len(chain.steps) <= chain.dimension - 1
             assert classify_matrix(chain.product) is OperatorClass.DOUBLY_STOCHASTIC
+            grid_g, grid_f = align(chain.grid, g).values, align(chain.grid, f).values
+            assert apply_matrix(chain.product, grid_g) == grid_f
             assert chain.apply_to(g) == f
         assert max(seen_dimensions) >= 12  # the gcd grid really is fine
 
@@ -505,17 +524,53 @@ class TestDsWitness:
         return canonicalize([(g.integral() / mass, mass)], INF), g
 
     def test_refinement_over_the_atom_budget_is_refused_before_it_is_built(self):
-        f, g = self.averaged_pair(2003, 1999)  # a gcd grid of 4002 atoms
+        """The chain needs no grid; its matrix needs one of 4002 atoms."""
+        f, g = self.averaged_pair(2003, 1999)
+        chain = ds_witness(f, g)
+        assert (chain.dimension, len(chain.steps)) == (2, 1)
+        assert chain.apply_to(g) == f
         start = time.monotonic()
         with pytest.raises(MajoError, match="4002 atoms .* budget of 1024"):
-            ds_witness(f, g)
+            chain.product
+        with pytest.raises(MajoError, match="4002 atoms .* budget of 1024"):
+            chain.grid
         assert time.monotonic() - start < 1
 
     def test_refinement_inside_the_atom_budget_is_built(self):
         f, g = self.averaged_pair(211, 199)
         chain = ds_witness(f, g)
-        assert chain.dimension == 410 <= WITNESS_ATOM_BUDGET
+        assert chain.grid.size == 410 <= WITNESS_ATOM_BUDGET
+        assert chain.grid.atoms[0] == F(1, 211 * 199)
         assert chain.apply_to(g) == f
+
+    def test_coprime_denominators_near_ten_thousand_take_one_step(self):
+        """A gcd grid of 19 980 atoms; on level sets, two atoms and one step."""
+        f, g = self.averaged_pair(10007, 9973)
+        start = time.monotonic()
+        chain = ds_witness(f, g)
+        assert chain.apply_to(g) == f
+        assert time.monotonic() - start < 0.5
+        assert chain.source_partition.atoms == (F(1, 10007), F(1, 9973))
+        assert len(chain.steps) == 1
+
+    def test_level_set_operator_is_a_doubly_stochastic_kernel(self):
+        f, g = self.averaged_pair(10007, 9973)
+        chain = ds_witness(f, g)
+        masses = chain.source_partition.atoms
+        rows = list(OperatorMatrix.identity(chain.dimension).entries)
+        for step in chain.steps:
+            step._mix(rows, masses)
+        # the value-basis matrix M in the integral basis: d = diag(a) M diag(1/a)
+        d = OperatorMatrix(
+            tuple(
+                tuple(a * e / c for e, c in zip(row, masses))
+                for a, row in zip(masses, rows)
+            )
+        )
+        kernel = matrix_to_kernel(chain.source_partition, d)
+        assert kernel_classify(kernel) is OperatorClass.DOUBLY_STOCHASTIC
+        image = kernel_apply(kernel, align(chain.source_partition, g))
+        assert image.step_function() == f
 
     def test_randomized_validity(self):
         rng = random.Random(97)
@@ -531,14 +586,17 @@ class TestDsWitness:
             chain = ds_witness(f, g)
             assert len(chain.steps) <= max(chain.dimension - 1, 0)
             assert classify_matrix(chain.product) is OperatorClass.DOUBLY_STOCHASTIC
-            factors = [step.matrix(chain.dimension) for step in chain.steps]
+            factors = [
+                WitnessChain((step,), chain.source_partition).product
+                for step in chain.steps
+            ]
             for step_matrix in factors:
                 assert classify_matrix(step_matrix) is OperatorClass.DOUBLY_STOCHASTIC
-            ordered = OperatorMatrix.identity(chain.dimension)
+            ordered = OperatorMatrix.identity(chain.grid.size)
             for step_matrix in factors:
                 ordered = step_matrix @ ordered
             assert ordered == chain.product
-            v_f = align(chain.source_partition, f).values
-            v_g = align(chain.source_partition, g).values
+            v_f = align(chain.grid, f).values
+            v_g = align(chain.grid, g).values
             assert apply_matrix(chain.product, v_g) == v_f
             assert l1_distance(chain.apply_to(g), f) == 0

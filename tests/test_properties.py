@@ -10,12 +10,14 @@ from majo import (
     INF,
     AlignedStep,
     Criterion,
+    OperatorClass,
     OperatorMatrix,
     Partition,
     Tail,
     align,
     apply_matrix,
     canonicalize,
+    classify_matrix,
     cross_check,
     ds_witness,
     equi_modulus,
@@ -29,6 +31,7 @@ from majo import (
     sequence_apply,
     small_set_modulus,
 )
+from majo.errors import MajoError
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
 from majo.operators import TTransform, _t_transform_chain
 
@@ -101,13 +104,63 @@ def witnessed(draw):
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(witnessed())
 def test_witness_steps_and_product_are_one_operator(case):
+    """apply_to on the level-set atoms and product on the grid agree on any
+    function constant on those atoms (its values laid out decreasingly)."""
     f, g, h_values = case
     chain = ds_witness(f, g)
-    partition = chain.source_partition
+    partition, grid = chain.source_partition, chain.grid
     assert chain.apply_to(g) == f
-    h = AlignedStep(partition, h_values[: partition.size]).step_function()
-    via_product = psi(partition, apply_matrix(chain.product, phi(partition, h)))
+    h_values = sorted(h_values[: partition.size], reverse=True)
+    h = AlignedStep(partition, h_values).step_function()
+    via_product = psi(grid, apply_matrix(chain.product, phi(grid, h)))
     assert chain.apply_to(h) == via_product.step_function()
+
+
+@st.composite
+def level_set_pairs(draw):
+    """A majorized pair (g averaged over a partition whose cuts fall inside
+    g's level sets, and g). Either up to 200 level sets and cuts with prime
+    denominators up to 10^4, or a few with denominators up to 4, so that the
+    gcd grid sometimes fits the budget. On an infinite space the averaging
+    partition reaches past g's support into the zero tail."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    small = draw(st.booleans())
+    denominators = (1, 2, 3, 4) if small else PRIMES
+    n = rng.randint(1, 6 if small else 200)
+    masses = [F(rng.randint(1, 3), rng.choice(denominators)) for _ in range(n)]
+    infinite = draw(st.booleans())
+    top = 20 if small else 10**4
+    values = [F(rng.randint(0 if infinite else -top, top), rng.choice(denominators))
+              for _ in range(n)]
+    total = INF if infinite else sum(masses)
+    g = canonicalize(list(zip(values, masses)), total)
+    reach = g.support_measure + (F(rng.randint(0, 3), 2) if infinite else 0)
+    if small:  # cuts on the lattice of twelfths keep the grid under 250 atoms
+        cuts = {F(rng.randint(1, 12 * int(reach) + 11), 12) for _ in range(rng.randint(0, 8))}
+    else:
+        cuts = {F(rng.randint(1, p - 1), p) * reach
+                for p in rng.choices(PRIMES, k=rng.randint(0, 100))}
+    points = sorted(c for c in cuts if 0 < c < reach) + [reach]
+    atoms = tuple(b - a for a, b in zip([F(0)] + points, points))
+    tail = Tail(F(1)) if infinite else None
+    coarse = Partition(atoms=atoms, total_measure=total, tail=tail)
+    return partition_average(coarse, g).step_function(), g
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(level_set_pairs())
+def test_level_set_witness_is_exact_and_small(case):
+    f, g = case
+    chain = ds_witness(f, g)
+    assert chain.apply_to(g) == f
+    assert chain.dimension <= len(f.pieces) + len(g.pieces)
+    assert len(chain.steps) <= max(chain.dimension - 1, 0)
+    try:
+        grid = chain.grid
+    except MajoError:
+        return  # no dense matrix over the budget
+    assert classify_matrix(chain.product) is OperatorClass.DOUBLY_STOCHASTIC
+    assert apply_matrix(chain.product, align(grid, g).values) == align(grid, f).values
 
 
 def quadratic_chain(target, source):
@@ -159,7 +212,8 @@ def chain_pairs(draw):
 @hypothesis.given(chain_pairs())
 def test_chain_takes_the_steps_of_the_quadratic_scan(case):
     target, source = case
-    assert _t_transform_chain(target, source) == quadratic_chain(target, source)
+    masses = (F(1),) * len(target)
+    assert _t_transform_chain(masses, target, source) == quadratic_chain(target, source)
 
 
 @st.composite
