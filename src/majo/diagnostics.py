@@ -70,7 +70,8 @@ def equi_modulus(
     delta = as_fraction(delta)
     grid = sorted({p.value for p in source.pieces} | {ZERO})
     modulus = max(small_set_modulus(h, delta) for h in family)
-    bound = min(h + c * delta for c, h in zip(grid, _hinge_sweep(source, grid)))
+    hinges = _hinge_sweep(source.values(), [m for _, m in source.pieces], grid)
+    bound = min(h + c * delta for c, h in zip(grid, hinges))
     return EquiIntegrabilityReport(
         delta=delta, modulus=modulus, bound=bound, family_size=len(family)
     )

@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from math import gcd
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import EmptyFamilyError, ExtendedArithmeticError, InvalidRationalError
 
@@ -123,6 +123,32 @@ def as_extended(x) -> ExtendedRational:
     if isinstance(x, str) and x.strip().lower() in ("inf", "+inf", "infinity"):
         return INF
     return as_fraction(x)
+
+
+def common_scale(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The lcm of the denominators of some rationals, and each rational times it.
+
+    Sums and comparisons of the scaled integers are exact and normalize
+    nothing, where each ``Fraction`` operation reduces by a gcd. No values
+    give the scale 1.
+    """
+    # lcm(*list), not lcm(*generator): a tuple CPython builds from a generator
+    # by resizing parks a block in its tuple free list; the list bounded RSS
+    # on the decide pool about 1 MiB lower after 95 cycles (FOUND line in
+    # CHANGES.md)
+    denominators = [v.denominator for v in values]
+    scale = lcm(*denominators)
+    return scale, [v.numerator * (scale // d) for v, d in zip(values, denominators)]
+
+
+def exact_sum(values: Sequence[Fraction]) -> Fraction:
+    """Sum over the lcm of the denominators, with one normalization.
+
+    Pairwise ``Fraction`` additions reduce every partial sum by a gcd, which
+    dominates on many terms or long ones.
+    """
+    scale, scaled = common_scale(values)
+    return Fraction(sum(scaled), scale)
 
 
 def fraction_gcd(values: Iterable[Fraction]) -> Fraction:

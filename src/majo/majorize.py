@@ -17,10 +17,26 @@ sweep with running sums, rather than evaluating each point from scratch:
 * tail distribution: one downward pass carrying the mass above u and adding
   one layer of the layer-cake sum per grid step.
 
-A sweep costs one sort of the m + n breakpoints plus O(m + n) exact rational
-operations per function. The three sweeps share only their grids, so
-:func:`cross_check` still compares independent computations; the direct
-per-point evaluators on :class:`StepFunction` re-verify any certificate.
+The sweeps run on integers over scales shared by the pair: every mass of f
+and g times the lcm of their mass denominators, every value times the lcm of
+their value denominators. Breakpoints are then integers over one scale and
+criterion values integers over the product of both, so the first violation
+is found by integer comparison. A sweep costs one sort of the m + n
+breakpoints plus O(m + n) integer operations per function. Only the violating
+checkpoint is built as ``Fraction``s at once. The certificate of every
+breakpoint, :attr:`MajorizationVerdict.checked`, is built when first read,
+by the same sweep on the exact values.
+
+That is a trade. A caller that only reads ``holds`` and ``violation`` runs
+only the integer sweep. A caller that reads ``checked`` too, as ``majo check
+--json`` does, runs both sweeps and pays about 13 % more than a single eager
+``Fraction`` sweep: ``cross_check`` plus a read of every certificate takes
+1.62 ms per pair on the seed-1 ``decide`` pool, against 1.43 ms, and 8.65 s
+against 8.2 s on a 2000-piece pair with 4-digit prime denominators.
+
+The three sweeps share no intermediate result, so :func:`cross_check` still
+compares independent computations; the direct per-point evaluators on
+:class:`StepFunction` re-verify any certificate.
 """
 
 from __future__ import annotations
@@ -28,15 +44,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from functools import partial
+from itertools import accumulate, compress, count
+from operator import gt
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import (
     InternalInconsistencyError,
     MeasureMismatchError,
     SignednessViolationError,
 )
-from .extended import INF, ExtendedRational
-from .stepfn import ZERO, StepFunction
+from .extended import INF, common_scale
+from .stepfn import StepFunction
 
 
 class Criterion(enum.Enum):
@@ -66,19 +85,40 @@ class CheckPoint:
         return self.left == self.right
 
 
+class _BuiltOnFirstRead:
+    """A dataclass field that takes a value or a function building it; the
+    function is called on the first read of the field, and its result kept."""
+
+    def __set_name__(self, owner, name: str):
+        self.key = "_" + name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.key)  # the field has no default
+        value = instance.__dict__[self.key]
+        if callable(value):
+            value = instance.__dict__[self.key] = value()
+        return value
+
+    def __set__(self, instance, value):
+        instance.__dict__[self.key] = value
+
+
 @dataclass(frozen=True)
 class MajorizationVerdict:
     """Decision plus certificate.
 
     When ``holds`` is false, ``violation`` is the first failing checkpoint
     and re-verifies by evaluating both sides at that point. When true,
-    ``checked`` covers every slope change of both sides.
+    ``checked`` covers every slope change of both sides. ``checked`` may be
+    given as a function returning the tuple, which is then called on the
+    first read; equality, hashing and the repr read it too.
     """
 
     holds: bool
     criterion: Criterion
     weak: bool
-    checked: Tuple[CheckPoint, ...]
+    checked: Tuple[CheckPoint, ...] = _BuiltOnFirstRead()
     violation: CheckPoint | None = None
 
 
@@ -103,14 +143,86 @@ def _require_nonnegative(f: StepFunction, g: StepFunction) -> None:
         raise SignednessViolationError("this criterion requires nonnegative functions")
 
 
-def _decide(criterion: Criterion, weak: bool, points) -> MajorizationVerdict:
-    checked = tuple(points)
-    violation = next((p for p in checked if not p.satisfied), None)
+# A function as its decreasing piece values and their masses, both in one
+# exact number type: scaled ints to decide, Fractions to certify.
+Levels = Tuple[Sequence, Sequence]
+# (points, left, right, index of the equality clause or None)
+Layout = Tuple[list, list, list, Optional[int]]
+
+
+def _scaled(f: StepFunction, g: StepFunction) -> Tuple[int, int, Levels, Levels]:
+    """The pair on shared integer scales: (mass scale, value scale, f, g), with
+    every mass of f and g times the lcm of their mass denominators and every
+    value times the lcm of their value denominators. On a finite space the
+    masses tile the total, so it is on the mass scale too."""
+    pieces = f.pieces + g.pieces
+    value_scale, values = common_scale([v for v, _ in pieces])
+    mass_scale, masses = common_scale([m for _, m in pieces])
+    n = len(f.pieces)
+    return mass_scale, value_scale, (values[:n], masses[:n]), (values[n:], masses[n:])
+
+
+def _levels(h: StepFunction) -> Levels:
+    return [v for v, _ in h.pieces], [m for _, m in h.pieces]
+
+
+def _decide(
+    criterion: Criterion,
+    weak: bool,
+    layout: Callable[[Levels, Levels, bool, bool], Layout],
+    f: StepFunction,
+    g: StepFunction,
+) -> MajorizationVerdict:
+    """Verdict from a criterion's layout on the pair's scaled integers.
+
+    ``layout`` gives the scan points and both sides at each, in the number
+    type of the levels it is given. On the integers a point is over the mass
+    scale (rearrangement) or the value scale (hinge, tail), and a side over
+    the product of both. The first violation is found there by integer
+    comparison and built at once. The full certificate is the same layout on
+    the exact ``Fraction`` levels, run when ``checked`` is first read: adding
+    small exact terms normalizes far more cheaply than reducing every integer
+    by the whole scale, whose gcds grow with the square of its length. A
+    reader of ``checked`` so runs the layout twice (see the module docstring
+    for what that costs).
+    """
+    mass_scale, value_scale, f_scaled, g_scaled = _scaled(f, g)
+    infinite = f.infinite
+    points, left, right, eq = layout(f_scaled, g_scaled, infinite, weak)
+    first = next(compress(count(), map(gt, left, right)), None)
+    if eq is not None and left[eq] != right[eq] and (first is None or eq < first):
+        first = eq
+    violation = None
+    if first is not None:
+        point = points[first]
+        if point is not INF:
+            rearrangement = criterion is Criterion.REARRANGEMENT
+            point = Fraction(point, mass_scale if rearrangement else value_scale)
+        violation = CheckPoint(
+            point,
+            Fraction(left[first], mass_scale * value_scale),
+            Fraction(right[first], mass_scale * value_scale),
+            Relation.EQ if first == eq else Relation.LE,
+        )
+
+    def certificate() -> Tuple[CheckPoint, ...]:
+        points, left, right, eq = layout(_levels(f), _levels(g), infinite, weak)
+        # Fraction(): an empty sum, and the point 0, are the int 0
+        return tuple(
+            CheckPoint(
+                p if p is INF else Fraction(p),
+                Fraction(a),
+                Fraction(b),
+                Relation.EQ if i == eq else Relation.LE,
+            )
+            for i, (p, a, b) in enumerate(zip(points, left, right))
+        )
+
     return MajorizationVerdict(
-        holds=violation is None,
+        holds=first is None,
         criterion=criterion,
         weak=weak,
-        checked=checked,
+        checked=certificate,
         violation=violation,
     )
 
@@ -120,46 +232,57 @@ def _decide(criterion: Criterion, weak: bool, points) -> MajorizationVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _partial_points(f: StepFunction, g: StepFunction):
-    cuts = {ZERO}
-    cuts.update(f.cumulative_masses())
-    cuts.update(g.cumulative_masses())
-    endpoint: ExtendedRational = f.total_measure
-    points = sorted(cuts) + ([INF] if endpoint is INF else [])
-    if endpoint is not INF and endpoint not in cuts:
-        points.append(endpoint)
-    return map(CheckPoint, points, _partial_sweep(f, points), _partial_sweep(g, points))
+def _partial_layout(f: Levels, g: Levels, infinite: bool, weak: bool) -> Layout:
+    """Partial integrals at 0 and every cumulative mass of f and g, then at INF
+    on an infinite space; unless ``weak``, the endpoint once more for the
+    equal-integrals clause. On a finite space the last cumulative mass is the
+    total; at it, and at INF, both sweeps have reached the full integrals."""
+    (fv, fm), (gv, gm) = f, g
+    points = sorted({0, *accumulate(fm), *accumulate(gm)})
+    left, right = _partial_sweep(fv, fm, points), _partial_sweep(gv, gm, points)
+    if infinite:
+        points.append(INF)
+    if not weak:  # the endpoint again, for the equality clause
+        points.append(points[-1])
+    left += [left[-1]] * (len(points) - len(left))
+    right += [right[-1]] * (len(points) - len(right))
+    return points, left, right, None if weak else len(points) - 1
 
 
-def _partial_sweep(h: StepFunction, points):
-    """Integral of h's rearrangement over [0, s] for each s of an ascending list."""
-    pieces, k = h.pieces, 0
-    base = start = ZERO  # integral over [0, start), start = left end of piece k
-    end = pieces[0].mass if pieces else None
+def _partial_sweep(values: Sequence, masses: Sequence, points) -> list:
+    """Integral of the rearrangement over [0, s] for each s of an ascending list.
+
+    On scaled integers an integral comes out on the product of the value and
+    mass scales.
+    """
+    n, k = len(masses), 0
+    base = start = 0  # integral over [0, start), start = left end of piece k
+    end = masses[0] if n else None
     out = []
     for s in points:
         while end is not None and end <= s:
-            base += pieces[k].value * pieces[k].mass
+            base += values[k] * masses[k]
             start, k = end, k + 1
-            end = start + pieces[k].mass if k < len(pieces) else None
-        out.append(base if end is None or s == start
-                   else base + pieces[k].value * (s - start))
+            end = start + masses[k] if k < n else None
+        integral = base if end is None or s == start else base + values[k] * (s - start)
+        out.append(integral)
     return out
 
 
 def weak_majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
     """Decide f <w g: partial integrals of the rearrangements never cross."""
     _require_same_total(f, g)
-    return _decide(Criterion.REARRANGEMENT, True, _partial_points(f, g))
+    return _decide(Criterion.REARRANGEMENT, True, _partial_layout, f, g)
 
 
 def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
-    """Decide f < g: weak majorization plus exactly equal total integrals."""
+    """Decide f < g: weak majorization plus exactly equal total integrals.
+
+    The first read of the verdict's ``checked`` runs the sweep again on
+    ``Fraction``s, so reading every certificate costs more than deciding.
+    """
     _require_same_total(f, g)
-    points = list(_partial_points(f, g))
-    last = points[-1]  # at the endpoint (or INF): both full integrals
-    points.append(CheckPoint(f.total_measure, last.left, last.right, Relation.EQ))
-    return _decide(Criterion.REARRANGEMENT, False, points)
+    return _decide(Criterion.REARRANGEMENT, False, _partial_layout, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -167,58 +290,54 @@ def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _value_grid(f: StepFunction, g: StepFunction):
-    cuts = {ZERO}
-    cuts.update(v for v in f.values())
-    cuts.update(v for v in g.values())
-    return sorted(cuts)
+def _value_layout(sweep, f: Levels, g: Levels, infinite: bool, weak: bool) -> Layout:
+    """A criterion swept over the value grid of a nonnegative pair: u = 0,
+    first on the grid, carries the equal-integrals clause unless ``weak``."""
+    grid = sorted({0, *f[0], *g[0]})
+    return grid, sweep(*f, grid), sweep(*g, grid), None if weak else 0
 
 
-def _scan_points(f, g, sweep, weak: bool):
-    grid = _value_grid(f, g)
-    for u, left, right in zip(grid, sweep(f, grid), sweep(g, grid)):
-        if u == 0 and not weak:
-            yield CheckPoint(u, left, right, Relation.EQ)
-        else:
-            yield CheckPoint(u, left, right)
-
-
-def _hinge_sweep(h: StepFunction, grid):
-    """Integral of (h - u)+ for each u of any ascending grid.
+def _hinge_sweep(values: Sequence, masses: Sequence, grid) -> list:
+    """Integral of (h - u)+ for each u of any ascending grid, h given by its
+    decreasing values and their masses; on scaled integers the results are on
+    the product scale.
 
     Negative points are valid only on a finite space, where signed sources
     put them on the grid.
     """
-    pieces, k = h.pieces, 0
-    weight = mass = ZERO  # sum of v*m and of m over the pieces with v > u
+    n, k = len(values), 0
+    weight = mass = 0  # sum of v*m and of m over the pieces with v > u
     out = []
     for u in reversed(grid):
-        while k < len(pieces) and pieces[k].value > u:
-            weight += pieces[k].value * pieces[k].mass
-            mass += pieces[k].mass
+        while k < n and values[k] > u:
+            weight += values[k] * masses[k]
+            mass += masses[k]
             k += 1
         out.append(weight - u * mass)
-    return out[::-1]
+    out.reverse()
+    return out
 
 
-def _tail_sweep(h: StepFunction, grid):
-    """Integral of d_h over [u, oo) for each u of an ascending grid holding h's values.
+def _tail_sweep(values: Sequence, masses: Sequence, grid) -> list:
+    """Integral of d_h over [u, oo) for each u of an ascending grid holding h's
+    values; on scaled integers the results are on the product scale.
 
     Between two grid points d_h is constant, equal to the mass strictly above
     the lower point, so each step adds one layer of the layer-cake sum.
     """
-    pieces, k = h.pieces, 0
-    above = tail = ZERO  # mass strictly above u, integral of d_h over [u, oo)
+    n, k = len(values), 0
+    above = tail = 0  # mass strictly above u, integral of d_h over [u, oo)
     previous = grid[-1]
     out = []
     for u in reversed(grid):
-        while k < len(pieces) and pieces[k].value > u:
-            above += pieces[k].mass
+        while k < n and values[k] > u:
+            above += masses[k]
             k += 1
         tail += above * (previous - u)
         out.append(tail)
         previous = u
-    return out[::-1]
+    out.reverse()
+    return out
 
 
 def hinge_criterion(
@@ -232,8 +351,7 @@ def hinge_criterion(
     """
     _require_same_total(f, g)
     _require_nonnegative(f, g)
-    points = _scan_points(f, g, _hinge_sweep, weak)
-    return _decide(Criterion.HINGE, weak, points)
+    return _decide(Criterion.HINGE, weak, partial(_value_layout, _hinge_sweep), f, g)
 
 
 def tail_distribution_criterion(
@@ -247,8 +365,8 @@ def tail_distribution_criterion(
     """
     _require_same_total(f, g)
     _require_nonnegative(f, g)
-    points = _scan_points(f, g, _tail_sweep, weak)
-    return _decide(Criterion.TAIL_DISTRIBUTION, weak, points)
+    layout = partial(_value_layout, _tail_sweep)
+    return _decide(Criterion.TAIL_DISTRIBUTION, weak, layout, f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ matrix is asked for.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -35,7 +34,15 @@ from .errors import (
     PartitionMisalignedError,
     UnequalMassesUnsupportedError,
 )
-from .extended import INF, ExtendedRational, as_extended, as_fraction, fraction_gcd
+from .extended import (
+    INF,
+    ExtendedRational,
+    as_extended,
+    as_fraction,
+    common_scale,
+    exact_sum,
+    fraction_gcd,
+)
 from .majorize import majorize
 from .stepfn import ZERO, StepFunction, _in_order, canonicalize
 
@@ -296,13 +303,16 @@ def classify_matrix(matrix: OperatorMatrix) -> OperatorClass:
 
 
 def apply_matrix(matrix: OperatorMatrix, vector: Sequence) -> Tuple[Fraction, ...]:
-    """Exact matrix-vector product; a matrix without rows takes any vector to ()."""
+    """Exact matrix-vector product; a matrix without rows takes any vector to ().
+
+    Each row is summed over the lcm of its terms' denominators.
+    """
     vector = tuple(as_fraction(v) for v in vector)
     if matrix.entries and len(vector) != matrix.cols:
         raise DimensionMismatchError(
             f"vector of length {len(vector)} for a {matrix.rows}x{matrix.cols} matrix"
         )
-    return tuple(sum(map(mul, row, vector), ZERO) for row in matrix.entries)
+    return tuple(exact_sum(list(map(mul, row, vector))) for row in matrix.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +647,11 @@ def _t_transform_chain(
     an equalized atom stays equal, and a deficit is never overfilled, so no
     atom before either pointer can become the next surplus or deficit.
     """
-    mass_scale = math.lcm(*(a.denominator for a in masses))
-    scale = math.lcm(*(v.denominator for v in (*target, *source)))
-    a = [m.numerator * (mass_scale // m.denominator) for m in masses]
-    x = [c * v.numerator * (scale // v.denominator) for c, v in zip(a, target)]
-    y = [c * v.numerator * (scale // v.denominator) for c, v in zip(a, source)]
-    n, j, k, steps = len(x), 0, 0, []
+    _, a = common_scale(masses)
+    _, values = common_scale((*target, *source))
+    n, j, k, steps = len(a), 0, 0, []
+    x = list(map(mul, a, values[:n]))
+    y = list(map(mul, a, values[n:]))
     for _ in range(n + 1):
         while j < n and y[j] == x[j]:
             j += 1

@@ -22,7 +22,13 @@ from .errors import (
     NonCanonicalError,
     SOutOfRangeError,
 )
-from .extended import INF, ExtendedRational, as_extended, as_fraction
+from .extended import (
+    INF,
+    ExtendedRational,
+    as_extended,
+    as_fraction,
+    exact_sum,
+)
 
 ZERO = Fraction(0)
 
@@ -53,17 +59,12 @@ class StepFunction:
         )
         object.__setattr__(self, "total_measure", as_extended(self.total_measure))
         infinite = self.total_measure is INF
-        if not infinite and self.total_measure < 0:
-            raise MassExceedsTotalError(
-                f"total measure {self.total_measure} must be nonnegative"
-            )
+        _require_nonnegative_total(self.total_measure)
         for piece in self.pieces:
             if piece.mass <= 0:
                 raise NegativeMassError(f"piece {piece} has nonpositive mass")
             if infinite and piece.value < 0:
-                raise NegativeValueOnInfiniteSpaceError(
-                    f"value {piece.value} < 0 on an infinite measure space"
-                )
+                raise _negative_value(piece.value)
             if infinite and piece.value == 0:
                 raise NonCanonicalError(
                     "zero piece must be absorbed into the infinite tail"
@@ -73,17 +74,22 @@ class StepFunction:
             raise NonCanonicalError(
                 "pieces must be sorted by strictly decreasing value"
             )
-        supp = sum((p.mass for p in self.pieces), ZERO)
         if infinite:
             return
-        if supp > self.total_measure:
-            raise MassExceedsTotalError(
-                f"masses sum to {supp} > total measure {self.total_measure}"
-            )
+        supp = sum((p.mass for p in self.pieces), ZERO)
+        _require_within_total(supp, self.total_measure)
         if supp != self.total_measure:
             raise NonCanonicalError(
                 "on a finite space the pieces must tile the total measure"
             )
+
+    @classmethod
+    def _trusted(cls, pieces: Tuple[Piece, ...], total: ExtendedRational):
+        """Build from pieces the caller has already put in canonical form."""
+        function = object.__new__(cls)
+        object.__setattr__(function, "pieces", pieces)
+        object.__setattr__(function, "total_measure", total)
+        return function
 
     # -- derived structure ---------------------------------------------------
 
@@ -191,25 +197,53 @@ def canonicalize(raw_pieces: Iterable, total) -> StepFunction:
     Equal values are merged, pieces are sorted by strictly decreasing value,
     zero pieces are absorbed into the tail on infinite spaces, and on finite
     spaces any unassigned remainder of the space becomes an explicit zero
-    piece (the function is zero where unspecified). Idempotent.
+    piece (the function is zero where unspecified). Idempotent. Each rule
+    of the canonical form is checked once here, raising the error direct
+    construction raises, and the result skips that second pass.
     """
     total = as_extended(total)
     infinite = total is INF
     merged: dict = {}
     for value, mass in raw_pieces:
         value, mass = as_fraction(value), as_fraction(mass)
-        # merging could hide a nonpositive mass from StepFunction's own check
-        if mass <= 0:
+        # merging could hide a nonpositive mass
+        if mass.numerator <= 0:
             raise NegativeMassError(f"mass {mass} must be positive")
-        merged[value] = merged.get(value, ZERO) + mass
+        if value in merged:
+            merged[value] += mass
+        else:
+            merged[value] = mass
     if infinite:
         merged.pop(ZERO, None)
     else:
-        supp = sum(merged.values(), ZERO)
+        _require_nonnegative_total(total)
+        supp = exact_sum(list(merged.values()))
+        _require_within_total(supp, total)
         if supp < total:
             merged[ZERO] = merged.get(ZERO, ZERO) + (total - supp)
-    pieces = tuple(Piece(v, merged[v]) for v in sorted(merged, reverse=True))
-    return StepFunction(pieces=pieces, total_measure=total)
+    values = sorted(merged, reverse=True)
+    if infinite and values and values[-1] < 0:
+        raise _negative_value(next(v for v in values if v < 0))
+    # built from a list, not a generator, as in extended.common_scale
+    return StepFunction._trusted(tuple([Piece(v, merged[v]) for v in values]), total)
+
+
+def _require_nonnegative_total(total: ExtendedRational) -> None:
+    if total is not INF and total < 0:
+        raise MassExceedsTotalError(f"total measure {total} must be nonnegative")
+
+
+def _require_within_total(support: Fraction, total: Fraction) -> None:
+    if support > total:
+        raise MassExceedsTotalError(
+            f"masses sum to {support} > total measure {total}"
+        )
+
+
+def _negative_value(value: Fraction) -> NegativeValueOnInfiniteSpaceError:
+    return NegativeValueOnInfiniteSpaceError(
+        f"value {value} < 0 on an infinite measure space"
+    )
 
 
 def _in_order(

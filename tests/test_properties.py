@@ -21,6 +21,7 @@ from majo import (
     cross_check,
     ds_witness,
     equi_modulus,
+    hinge_criterion,
     kernel_apply,
     lift_apply,
     majorize,
@@ -30,6 +31,8 @@ from majo import (
     psi,
     sequence_apply,
     small_set_modulus,
+    tail_distribution_criterion,
+    weak_majorize,
 )
 from majo.errors import MajoError
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
@@ -358,6 +361,91 @@ def test_criteria_agree_and_certificates_reverify_at_scale(case, weak, rng):
         for point in rng.sample(verdict.checked, min(3, len(verdict.checked))):
             assert point.left == getattr(f, evaluate)(point.point)
             assert point.right == getattr(g, evaluate)(point.point)
+
+
+@st.composite
+def many_piece_pairs(draw):
+    """(f, g): g has up to 200 level sets with values and masses over up to
+    twelve prime denominators up to 10^4, on a finite or an infinite space.
+    f averages g over runs of consecutive level sets ("average"), then
+    perhaps moves one value up or down ("perturbed"), or puts fresh values on
+    g's masses split in two ("fresh"), so that every criterion both holds
+    and fails, weak and strict."""
+    infinite = draw(st.booleans())
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def rational(lo=0):
+        return F(rng.randint(lo, 10**4), rng.choice(primes))
+
+    raw = [(rational(1), rational(1)) for _ in range(draw(st.integers(1, 200)))]
+    total = INF if infinite else sum(m for _, m in raw) + rational()
+    g = canonicalize(raw, total)
+    kind = draw(st.sampled_from(("average", "perturbed", "fresh")))
+    if kind == "fresh":
+        halves = [m / 2 for _, m in g.pieces for _ in range(2)]
+        return canonicalize([(rational(), m) for m in halves], total), g
+    averaged, run = [], []
+    for k, piece in enumerate(g.pieces):
+        run.append(piece)
+        if k == len(g.pieces) - 1 or rng.random() < 0.3:
+            mass = sum(m for _, m in run)
+            averaged.append((sum(v * m for v, m in run) / mass, mass))
+            run = []
+    if kind == "perturbed":
+        k = rng.randrange(len(averaged))
+        value, mass = averaged[k]
+        averaged[k] = (value * rng.choice((F(1, 2), F(3, 2))), mass)
+    return canonicalize(averaged, total), g
+
+
+# an example at 200 level sets takes up to about 2 s, nearly all of it in the
+# direct evaluators
+@hypothesis.settings(max_examples=10, deadline=None)
+@hypothesis.given(many_piece_pairs(), st.randoms(use_true_random=False))
+def test_every_checkpoint_is_the_direct_value_at_scale(case, rng):
+    """Each criterion, weak and strict, on many pieces and long denominators:
+    every checkpoint equals the per-point evaluators of StepFunction, the
+    violation is the first failing checkpoint, and cross_check returns the
+    same verdicts."""
+    f, g = case
+    cache = {}
+
+    def direct(h, name, point):
+        key = (h is f, name, point)
+        if key not in cache:
+            cache[key] = getattr(h, name)(point)
+        return cache[key]
+
+    for weak in (False, True):
+        rearr = weak_majorize(f, g) if weak else majorize(f, g)
+        verdicts = (
+            rearr,
+            hinge_criterion(f, g, weak=weak),
+            tail_distribution_criterion(f, g, weak=weak),
+        )
+        assert len({v.holds for v in verdicts}) == 1
+        assert cross_check(f, g, weak=weak).verdicts == verdicts
+        for verdict in verdicts:
+            # the direct tail evaluator costs O(n^2) per point, so every tail
+            # checkpoint is compared with the hinge evaluator (the same
+            # quantity by the layer-cake formula) and the violation and two
+            # sampled checkpoints with the tail evaluator itself
+            evaluate = DIRECT[verdict.criterion]
+            if verdict.criterion is Criterion.TAIL_DISTRIBUTION:
+                evaluate = DIRECT[Criterion.HINGE]
+                sampled = rng.sample(verdict.checked, min(2, len(verdict.checked)))
+                for point in sampled + [verdict.violation] * (not verdict.holds):
+                    assert point.left == f.tail_distribution_integral(point.point)
+                    assert point.right == g.tail_distribution_integral(point.point)
+            for point in verdict.checked:
+                assert type(point.left) is F and type(point.right) is F
+                assert point.left == direct(f, evaluate, point.point)
+                assert point.right == direct(g, evaluate, point.point)
+            assert verdict.violation == next(
+                (p for p in verdict.checked if not p.satisfied), None
+            )
+            assert verdict.holds == (verdict.violation is None)
 
 
 @st.composite
