@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -21,7 +22,12 @@ from typing import Optional
 
 from . import selftest
 from .diagnostics import equi_modulus
-from .errors import InternalInconsistencyError, MajoError, NotMajorizedError
+from .errors import (
+    InternalInconsistencyError,
+    MajoError,
+    NotMajorizedError,
+    RationalTooLongError,
+)
 from .extended import INF, Infinity, as_fraction, fraction_gcd
 from .formats import (
     dump_mat,
@@ -334,14 +340,25 @@ def _parse_delta_grid(pattern: str):
     pattern = pattern.strip()
     if ".." in pattern:
         lo, hi = pattern.split("..", 1)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
         def power(tok: str) -> int:
             tok = tok.strip()
             if tok.startswith("2^"):
                 try:
-                    return int(tok[2:])
+                    k = int(tok[2:])
                 except ValueError:
                     pass
+                else:
+                    # 2^|k| has floor(|k| log10 2) + 1 digits; refused before
+                    # a grid that grows quadratically in bits is built
+                    if limit and abs(k) * Fraction(math.log10(2)) >= limit:
+                        raise RationalTooLongError(
+                            f"the delta grid bound {tok[:40]!r} needs an integer "
+                            f"of more than {limit} digits, Python's limit for "
+                            "writing one"
+                        )
+                    return k
             raise MajoError(f"delta grid bounds look like 2^-3, got {tok!r}")
 
         a, b = power(lo), power(hi)
@@ -361,14 +378,16 @@ def cmd_equi(args) -> int:
     matrices = sorted(ops_dir.glob("*.mat"))
     if not matrices:
         raise MajoError(f"no .mat files under {ops_dir}")
-    # on an infinite space the coarsest grid that refines every level set
-    unit = fraction_gcd([p.mass for p in f.pieces]) if f.pieces else Fraction(1)
+    infinite = f.total_measure is INF
+    if infinite:
+        # the coarsest grid that refines every level set
+        unit = fraction_gcd([p.mass for p in f.pieces]) if f.pieces else Fraction(1)
     family = []
     names = []
     for path in matrices:
         matrix = load_mat(path)
         try:
-            mass = unit if f.total_measure is INF else _tiling_mass(f, matrix)
+            mass = unit if infinite else _tiling_mass(f, matrix)
             family.append(sequence_apply(matrix, f, mass)[0])
         except MajoError as exc:
             raise MajoError(f"{path.name}: {exc}") from None

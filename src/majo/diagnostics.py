@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DeltaOutOfRangeError, EmptyFamilyError, MeasureMismatchError
+from .errors import DeltaOutOfRangeError, EmptyFamilyError
 from .extended import as_fraction
-from .majorize import _hinge_sweep
+from .majorize import _hinge_sweep, _require_same_total
 from .stepfn import ZERO, StepFunction, _in_order
 
 
@@ -84,10 +84,7 @@ def l1_distance(f: StepFunction, g: StepFunction) -> Fraction:
     piece masses of both induce the common refinement on which the pointwise
     difference is constant per segment (zero past a support).
     """
-    if f.total_measure != g.total_measure:
-        raise MeasureMismatchError(
-            f"total measures differ: {f.total_measure} vs {g.total_measure}"
-        )
+    _require_same_total(f, g)
     a, b = f.values() + (ZERO,), g.values() + (ZERO,)
     segments = _in_order([p.mass for p in f.pieces], [p.mass for p in g.pieces])
     return sum((abs(a[i] - b[j]) * mass for i, j, mass in segments), ZERO)

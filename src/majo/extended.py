@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -153,14 +152,8 @@ def exact_sum(values: Sequence[Fraction]) -> Fraction:
 
 def fraction_gcd(values: Iterable[Fraction]) -> Fraction:
     """Greatest common divisor of a nonempty collection of positive rationals."""
-
-    def pair(a: Fraction, b: Fraction) -> Fraction:
-        return Fraction(
-            gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-            a.denominator * b.denominator,
-        )
-
     values = [as_fraction(v) for v in values]
     if not values:
         raise EmptyFamilyError("gcd of an empty collection")
-    return reduce(pair, values)
+    scale, scaled = common_scale(values)
+    return Fraction(gcd(*scaled), scale)

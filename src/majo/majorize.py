@@ -382,8 +382,6 @@ def cross_check(
     A disagreement is an implementation bug, never a mathematical state, and
     raises :class:`InternalInconsistencyError` carrying all certificates.
     """
-    _require_same_total(f, g)
-    _require_nonnegative(f, g)
     rearr = weak_majorize(f, g) if weak else majorize(f, g)
     verdicts = (
         rearr,

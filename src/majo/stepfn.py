@@ -44,44 +44,27 @@ class Piece(NamedTuple):
 class StepFunction:
     """Canonical exact representation of an integrable step function.
 
-    Construct through :func:`canonicalize`; direct construction asserts the
-    canonical form (sorted, merged, tail-normalized) and raises otherwise.
+    Construct through :func:`canonicalize`. Direct construction is
+    ``canonicalize`` plus a comparison: it raises what ``canonicalize``
+    raises on the same pieces and total, and :class:`NonCanonicalError`
+    unless ``canonicalize`` gives those pieces back unchanged.
     """
 
     pieces: Tuple[Piece, ...]
     total_measure: ExtendedRational
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "pieces",
-            tuple(Piece(as_fraction(v), as_fraction(m)) for v, m in self.pieces),
-        )
-        object.__setattr__(self, "total_measure", as_extended(self.total_measure))
-        infinite = self.total_measure is INF
-        _require_nonnegative_total(self.total_measure)
-        for piece in self.pieces:
-            if piece.mass <= 0:
-                raise NegativeMassError(f"piece {piece} has nonpositive mass")
-            if infinite and piece.value < 0:
-                raise _negative_value(piece.value)
-            if infinite and piece.value == 0:
-                raise NonCanonicalError(
-                    "zero piece must be absorbed into the infinite tail"
-                )
-        values = [p.value for p in self.pieces]
-        if any(a <= b for a, b in zip(values, values[1:])):
+        # built from a list, not a generator, as in extended.common_scale
+        pieces = tuple([Piece(as_fraction(v), as_fraction(m)) for v, m in self.pieces])
+        total = as_extended(self.total_measure)
+        if canonicalize(pieces, total).pieces != pieces:
             raise NonCanonicalError(
-                "pieces must be sorted by strictly decreasing value"
+                "pieces are not in canonical form: merged, sorted by strictly "
+                "decreasing value, with no zero piece on an infinite space and "
+                "tiling a finite one; build through canonicalize"
             )
-        if infinite:
-            return
-        supp = sum((p.mass for p in self.pieces), ZERO)
-        _require_within_total(supp, self.total_measure)
-        if supp != self.total_measure:
-            raise NonCanonicalError(
-                "on a finite space the pieces must tile the total measure"
-            )
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "total_measure", total)
 
     @classmethod
     def _trusted(cls, pieces: Tuple[Piece, ...], total: ExtendedRational):
@@ -197,9 +180,9 @@ def canonicalize(raw_pieces: Iterable, total) -> StepFunction:
     Equal values are merged, pieces are sorted by strictly decreasing value,
     zero pieces are absorbed into the tail on infinite spaces, and on finite
     spaces any unassigned remainder of the space becomes an explicit zero
-    piece (the function is zero where unspecified). Idempotent. Each rule
-    of the canonical form is checked once here, raising the error direct
-    construction raises, and the result skips that second pass.
+    piece (the function is zero where unspecified). Idempotent. Every input
+    rule is checked here and nowhere else: a :class:`StepFunction` built
+    directly runs this function on its pieces.
     """
     total = as_extended(total)
     infinite = total is INF
@@ -216,34 +199,21 @@ def canonicalize(raw_pieces: Iterable, total) -> StepFunction:
     if infinite:
         merged.pop(ZERO, None)
     else:
-        _require_nonnegative_total(total)
+        if total < 0:
+            raise MassExceedsTotalError(f"total measure {total} must be nonnegative")
         supp = exact_sum(list(merged.values()))
-        _require_within_total(supp, total)
+        if supp > total:
+            raise MassExceedsTotalError(f"masses sum to {supp} > total measure {total}")
         if supp < total:
             merged[ZERO] = merged.get(ZERO, ZERO) + (total - supp)
     values = sorted(merged, reverse=True)
     if infinite and values and values[-1] < 0:
-        raise _negative_value(next(v for v in values if v < 0))
+        negative = next(v for v in values if v < 0)
+        raise NegativeValueOnInfiniteSpaceError(
+            f"value {negative} < 0 on an infinite measure space"
+        )
     # built from a list, not a generator, as in extended.common_scale
     return StepFunction._trusted(tuple([Piece(v, merged[v]) for v in values]), total)
-
-
-def _require_nonnegative_total(total: ExtendedRational) -> None:
-    if total is not INF and total < 0:
-        raise MassExceedsTotalError(f"total measure {total} must be nonnegative")
-
-
-def _require_within_total(support: Fraction, total: Fraction) -> None:
-    if support > total:
-        raise MassExceedsTotalError(
-            f"masses sum to {support} > total measure {total}"
-        )
-
-
-def _negative_value(value: Fraction) -> NegativeValueOnInfiniteSpaceError:
-    return NegativeValueOnInfiniteSpaceError(
-        f"value {value} < 0 on an infinite measure space"
-    )
 
 
 def _in_order(

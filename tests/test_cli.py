@@ -342,6 +342,19 @@ class TestOneAction:
         assert main(["equi", f, "--ops", str(tmp / "ops")]) == 2
         assert "t.mat: " in capsys.readouterr().err
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="on unequal atoms apply classifies by sequence-space row sums, "
+        "not by the kernel's marginals (ROADMAP item A); drop this marker "
+        "when that lands",
+    )
+    def test_apply_refuses_a_matrix_whose_kernel_is_only_markov(self, workdir):
+        _, write = workdir
+        d = write("d.mat", "2 2\n1/2 1/2\n1/2 1/2\n")
+        # the image, 3/2 on mass 1 and 3/4 on mass 2, is not majorized by f
+        f = write("f.sfn", "total 3\n1 3\npartition 1 2\n")
+        assert main(["apply", d, f]) == 2
+
 
 class TestRearrange:
     def test_sorted_output_reparses(self, workdir, capsys):
@@ -401,6 +414,29 @@ class TestEqui:
         assert main(["equi", f, "--ops", str(ops), "--delta-grid", "1/4,1/2"]) == 0
         out = capsys.readouterr().out
         assert "1/4" in out and "1/2" in out
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python writes integers of any length",
+    )
+    def test_delta_grid_past_the_digit_limit_exits_two_before_any_work(
+        self, workdir, capsys
+    ):
+        tmp, write = workdir
+        f = write("f.sfn", "total inf\n2 1\n")
+        ops = tmp / "ops"
+        ops.mkdir()
+        (ops / "identity.mat").write_text("1 1\n1\n")
+        # the largest k whose 2^k Python still writes out
+        k = (10 ** sys.get_int_max_str_digits() - 1).bit_length() - 1
+        argv = ["equi", f, "--ops", str(ops), "--delta-grid", f"2^-{k}..2^-{k}"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # refused at parsing: the grid 2^-1..2^-k alone grows as k^2 bits
+        for grid in (f"2^-1..2^-{k + 1}", f"2^{k + 1}..2^0"):
+            argv = ["equi", f, "--ops", str(ops), "--delta-grid", grid]
+            assert main(argv) == 2
+            assert "delta grid bound" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -3,6 +3,7 @@ large coprime denominators."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from majo import (
     OperatorClass,
     OperatorMatrix,
     Partition,
+    StepFunction,
     Tail,
     align,
     apply_matrix,
@@ -21,6 +23,7 @@ from majo import (
     cross_check,
     ds_witness,
     equi_modulus,
+    fraction_gcd,
     hinge_criterion,
     kernel_apply,
     lift_apply,
@@ -34,7 +37,7 @@ from majo import (
     tail_distribution_criterion,
     weak_majorize,
 )
-from majo.errors import MajoError
+from majo.errors import MajoError, NonCanonicalError
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
 from majo.operators import TTransform, _t_transform_chain
 
@@ -283,6 +286,58 @@ def test_sfn_round_trip_and_canonical_form_at_scale(case):
     document = loads_sfn(dumps_sfn(f, partition))
     assert (document.function, document.partition) == (f, partition)
     assert canonicalize(f.pieces, f.total_measure) == f
+
+
+@st.composite
+def raw_pieces(draw):
+    """Raw (value, mass) pairs and a total that may break any input rule:
+    unsorted or repeated values, zero and negative values and masses, and
+    masses short of, equal to or over a finite total, or an infinite one."""
+    pool = [-draw(rationals(positive=True)), F(0)]
+    pool += draw(st.lists(rationals(positive=True), min_size=1, max_size=4))
+    count = draw(st.integers(0, 8))
+    pieces = [
+        (draw(st.sampled_from(pool)), draw(rationals(positive=True)))
+        for _ in range(count)
+    ]
+    if pieces and draw(st.integers(0, 3)) == 0:
+        value, mass = pieces[draw(st.integers(0, count - 1))]
+        pieces.append((value, -mass if draw(st.booleans()) else F(0)))
+    if draw(st.booleans()):
+        pieces.sort(key=lambda piece: piece[0], reverse=True)
+    support = sum(m for _, m in pieces)
+    total = draw(
+        st.sampled_from((INF, support, support + 1, support - 1, F(-1)))
+        | rationals()
+    )
+    return pieces, total
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(raw_pieces())
+def test_direct_construction_is_canonicalize_plus_a_comparison(case):
+    pieces, total = case
+    try:
+        canonical = canonicalize(pieces, total)
+    except MajoError as error:
+        with pytest.raises(MajoError) as direct:
+            StepFunction(pieces, total)
+        assert type(direct.value) is type(error)
+        return
+    if canonical.pieces == tuple(pieces):
+        assert StepFunction(pieces, total) == canonical
+    else:
+        with pytest.raises(NonCanonicalError):
+            StepFunction(pieces, total)
+    assert StepFunction(list(canonical.pieces), canonical.total_measure) == canonical
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.lists(rationals(positive=True), min_size=1, max_size=20))
+def test_fraction_gcd_leaves_coprime_integers(values):
+    quotients = [v / fraction_gcd(values) for v in values]
+    assert all(q.denominator == 1 for q in quotients)
+    assert gcd(*(q.numerator for q in quotients)) == 1
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
