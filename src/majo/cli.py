@@ -137,19 +137,13 @@ def cmd_check(args) -> int:
     f = load_sfn(args.f).function
     g = load_sfn(args.g).function
     start = time.monotonic()
-    signed = not (f.nonnegative and g.nonnegative)
-    criterion = args.criterion
-    if criterion == "all" and signed:
-        # hinge and tail scans need nonnegative inputs; signed functions on a
-        # finite space are decided by the rearrangement criterion directly
-        criterion = "rearr"
-    if criterion == "all":
+    if args.criterion == "all":
         report_obj = cross_check(f, g, weak=args.weak)
         verdicts = list(report_obj.verdicts)
         holds = report_obj.holds
         agreement = True
     else:
-        verdict = _CRITERIA[criterion](f, g, args.weak)
+        verdict = _CRITERIA[args.criterion](f, g, args.weak)
         verdicts = [verdict]
         holds = verdict.holds
         agreement = None
@@ -392,19 +386,25 @@ def cmd_equi(args) -> int:
         except MajoError as exc:
             raise MajoError(f"{path.name}: {exc}") from None
         names.append(path.name)
-    rows = []
-    all_within = True
-    for delta in deltas:
+
+    def row(delta) -> dict:
         report = equi_modulus(family, delta, f)
-        all_within = all_within and report.within_bound
-        rows.append(
-            {
-                "delta": report.delta,
-                "modulus": report.modulus,
-                "bound": report.bound,
-                "within_bound": report.within_bound,
-            }
-        )
+        return {
+            "delta": report.delta,
+            "modulus": report.modulus,
+            "bound": report.bound,
+            "within_bound": report.within_bound,
+        }
+
+    # the row of the longest delta first: an entry with more digits than
+    # Python writes then fails before the shorter rows are computed
+    bits = [max(d.numerator.bit_length(), d.denominator.bit_length()) for d in deltas]
+    longest = bits.index(max(bits))
+    first = row(deltas[longest])
+    for key in ("delta", "modulus", "bound"):
+        format_rational(first[key])
+    rows = [first if i == longest else row(d) for i, d in enumerate(deltas)]
+    all_within = all(r["within_bound"] for r in rows)
     report = {
         "command": "equi",
         "function": args.function,

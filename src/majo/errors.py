@@ -66,10 +66,6 @@ class MeasureMismatchError(MajoError):
     """The two functions do not live on spaces of the same total measure."""
 
 
-class SignednessViolationError(MajoError):
-    """A criterion that requires nonnegative inputs received a signed one."""
-
-
 class EmptyFamilyError(MajoError, ValueError):
     """A function family or gcd input with no members."""
 

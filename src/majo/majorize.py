@@ -49,11 +49,7 @@ from itertools import accumulate, compress, count
 from operator import gt
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import (
-    InternalInconsistencyError,
-    MeasureMismatchError,
-    SignednessViolationError,
-)
+from .errors import InternalInconsistencyError, MeasureMismatchError
 from .extended import INF, common_scale
 from .stepfn import StepFunction
 
@@ -136,11 +132,6 @@ def _require_same_total(f: StepFunction, g: StepFunction) -> None:
         raise MeasureMismatchError(
             f"total measures differ: {f.total_measure} vs {g.total_measure}"
         )
-
-
-def _require_nonnegative(f: StepFunction, g: StepFunction) -> None:
-    if not (f.nonnegative and g.nonnegative):
-        raise SignednessViolationError("this criterion requires nonnegative functions")
 
 
 # A function as its decreasing piece values and their masses, both in one
@@ -291,8 +282,13 @@ def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
 
 
 def _value_layout(sweep, f: Levels, g: Levels, infinite: bool, weak: bool) -> Layout:
-    """A criterion swept over the value grid of a nonnegative pair: u = 0,
-    first on the grid, carries the equal-integrals clause unless ``weak``."""
+    """A criterion swept over the value grid of a pair: its piece values and 0.
+
+    Unless ``weak``, the first grid point carries the equal-integrals clause.
+    On a finite space of total T it lies at or below every value, where the
+    hinge and the tail integral are the integral minus u*T, so equal sides
+    there mean equal integrals; on an infinite space it is u = 0.
+    """
     grid = sorted({0, *f[0], *g[0]})
     return grid, sweep(*f, grid), sweep(*g, grid), None if weak else 0
 
@@ -302,7 +298,7 @@ def _hinge_sweep(values: Sequence, masses: Sequence, grid) -> list:
     decreasing values and their masses; on scaled integers the results are on
     the product scale.
 
-    Negative points are valid only on a finite space, where signed sources
+    Negative points are valid only on a finite space, where signed functions
     put them on the grid.
     """
     n, k = len(values), 0
@@ -346,11 +342,11 @@ def hinge_criterion(
     """Decide majorization through the hinge integrals u -> integral (f-u)+.
 
     The inequality is checked on the union of the piece values of f and g
-    (the hinge difference is piecewise linear in u with breakpoints there);
-    u = 0 carries the equal-integrals clause unless ``weak``.
+    and 0 (the hinge difference is piecewise linear in u with breakpoints
+    there); the smallest of them carries the equal-integrals clause unless
+    ``weak``. Values of both signs are allowed on a finite space.
     """
     _require_same_total(f, g)
-    _require_nonnegative(f, g)
     return _decide(Criterion.HINGE, weak, partial(_value_layout, _hinge_sweep), f, g)
 
 
@@ -364,7 +360,6 @@ def tail_distribution_criterion(
     with :func:`hinge_criterion` everywhere.
     """
     _require_same_total(f, g)
-    _require_nonnegative(f, g)
     layout = partial(_value_layout, _tail_sweep)
     return _decide(Criterion.TAIL_DISTRIBUTION, weak, layout, f, g)
 

@@ -87,12 +87,11 @@ class Partition:
     tail: Optional[Tail] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(as_fraction(a) for a in self.atoms))
+        object.__setattr__(self, "atoms", tuple([as_fraction(a) for a in self.atoms]))
         object.__setattr__(self, "total_measure", as_extended(self.total_measure))
         for atom in self.atoms:
             if atom <= 0:
                 raise NegativeMassError(f"atom mass {atom} must be positive")
-        explicit = sum(self.atoms, ZERO)
         if self.total_measure is INF:
             if self.tail is None or self.tail.count is not None:
                 raise InvalidPartitionError(
@@ -106,6 +105,7 @@ class Partition:
                         "unbounded tail on a finite measure space"
                     )
                 tail_mass = self.tail.mass * self.tail.count
+            explicit = sum(self.atoms, ZERO)
             if explicit + tail_mass != self.total_measure:
                 raise MeasureMismatchError(
                     f"atoms tile {explicit + tail_mass}, total is {self.total_measure}"
@@ -148,7 +148,7 @@ class AlignedStep:
     values: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple([as_fraction(v) for v in self.values]))
         if len(self.values) != self.partition.size:
             raise DimensionMismatchError(
                 f"{len(self.values)} values for {self.partition.size} atoms"

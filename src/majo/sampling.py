@@ -58,15 +58,16 @@ def random_step_function(
 
 
 def random_pair_same_total(
-    rng: random.Random, *, equal_integrals: bool = False
+    rng: random.Random, *, equal_integrals: bool = False, signed: bool = False
 ) -> Tuple[StepFunction, StepFunction]:
-    """Random nonnegative pair on one space, optionally with equal integrals."""
-    infinite = rng.random() < 0.5
-    f = random_step_function(rng, infinite=infinite)
+    """Random pair on one space, optionally with equal integrals: nonnegative,
+    unless ``signed``, which also makes the space finite."""
+    infinite = rng.random() < 0.5 and not signed
+    f = random_step_function(rng, infinite=infinite, signed=signed)
     if infinite:
         g = random_step_function(rng, infinite=True)
     else:
-        g = random_step_function(rng, infinite=False, total=None)
+        g = random_step_function(rng, infinite=False, signed=signed)
         total = max(f.total_measure, g.total_measure)
         f = canonicalize(f.pieces, total)
         g = canonicalize(g.pieces, total)

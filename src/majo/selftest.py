@@ -110,10 +110,10 @@ def criterion_equivalence(seed: int) -> SuiteOutcome:
         style = index % 5
         if style == 0:
             f, g = _constructed_majorized_pair(rng)
-        elif style == 1:
-            f, g = random_pair_same_total(rng, equal_integrals=True)
-        else:
-            f, g = random_pair_same_total(rng)
+        else:  # styles 3 and 4: values of both signs on a finite space
+            f, g = random_pair_same_total(
+                rng, equal_integrals=style in (1, 3), signed=style >= 3
+            )
         try:
             report = cross_check(f, g)
         except Exception as exc:  # disagreement or contract bug

@@ -81,16 +81,12 @@ class StepFunction:
         return self.total_measure is INF
 
     @property
-    def nonnegative(self) -> bool:
-        return all(p.value >= 0 for p in self.pieces)
-
-    @property
     def support_measure(self) -> Fraction:
         """Total mass of the explicitly stored level sets."""
         return sum((p.mass for p in self.pieces), ZERO)
 
     def values(self) -> Tuple[Fraction, ...]:
-        return tuple(p.value for p in self.pieces)
+        return tuple([p.value for p in self.pieces])
 
     def cumulative_masses(self) -> Tuple[Fraction, ...]:
         """Running mass totals: the breakpoints of the rearrangement layout."""

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -96,14 +97,23 @@ class TestCheck:
         assert main(["check", bad, good]) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_signed_pair_falls_back_to_rearrangement(self, workdir, capsys):
+    def test_signed_pair_is_cross_checked(self, workdir, capsys):
         _, write = workdir
         balanced = write("balanced.sfn", "total 2\n0 2\n")
         seesaw = write("seesaw.sfn", "total 2\n1 1\n-1 1\n")
         assert main(["check", balanced, seesaw]) == 0
-        out = capsys.readouterr().out
-        assert "rearrangement: holds" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == [
+            "rearrangement: holds",
+            "hinge: holds",
+            "tail-distribution: holds",
+            "cross-check: all criteria agree",
+        ]
         assert main(["check", seesaw, balanced]) == 1
+        out = capsys.readouterr().out
+        assert "hinge: fails at 0 (1 > 0)" in out
+        assert "tail-distribution: fails at 0 (1 > 0)" in out
+        assert "cross-check: all criteria agree" in out
 
 
 class TestWitnessRoundTrip:
@@ -380,7 +390,7 @@ class TestEqui:
         )
         report = json.loads(capsys.readouterr().out)
         assert report["family_size"] == 3
-        assert len(report["rows"]) == 4
+        assert [row["delta"] for row in report["rows"]] == ["1/2", "1/4", "1/8", "1/16"]
         assert all(row["within_bound"] for row in report["rows"])
 
     def test_family_member_is_the_apply_image(self, workdir, capsys, monkeypatch):
@@ -437,6 +447,27 @@ class TestEqui:
             argv = ["equi", f, "--ops", str(ops), "--delta-grid", grid]
             assert main(argv) == 2
             assert "delta grid bound" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python writes integers of any length",
+    )
+    def test_an_entry_past_the_digit_limit_exits_two_before_the_other_rows(
+        self, workdir, capsys
+    ):
+        tmp, write = workdir
+        f = write("f.sfn", "total inf\n3 1\n1/2 1\n")
+        ops = tmp / "ops"
+        ops.mkdir()
+        (ops / "mix.mat").write_text("2 2\n1/2 1/2\n1/2 1/2\n")
+        # 2^k passes the bound check, but the bound at delta = 2^-k has a
+        # denominator of 2^(k+1); the whole grid takes about 7 s to compute
+        k = (10 ** sys.get_int_max_str_digits() - 1).bit_length() - 1
+        argv = ["equi", f, "--ops", str(ops), "--delta-grid", f"2^-1..2^-{k}"]
+        start = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - start < 2
+        assert "over Python's limit" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -17,10 +17,7 @@ from majo import (
     tail_distribution_criterion,
     weak_majorize,
 )
-from majo.errors import (
-    MeasureMismatchError,
-    SignednessViolationError,
-)
+from majo.errors import MeasureMismatchError
 from majo.operators import (
     AlignedStep,
     Partition,
@@ -171,10 +168,18 @@ class TestHingeCriterion:
         f, _ = incomparable_pair()
         assert hinge_criterion(f, f).holds
 
-    def test_rejects_signed(self):
+    def test_signed_pair_exact_values(self):
         f = canonicalize([(1, 1), (-1, 1)], 2)
-        with pytest.raises(SignednessViolationError):
-            hinge_criterion(f, f)
+        zero = canonicalize([], 2)
+        for criterion in (hinge_criterion, tail_distribution_criterion):
+            # the smallest grid point, u = -1, carries the equal-integrals clause
+            assert [
+                (p.point, p.left, p.right, p.relation)
+                for p in criterion(zero, f).checked
+            ] == [(-1, 2, 2, Relation.EQ), (0, 0, 1, Relation.LE), (1, 0, 0, Relation.LE)]
+            assert [p.right for p in criterion(f, f).checked] == [2, 1, 0]
+            violation = criterion(f, zero).violation
+            assert (violation.point, violation.left, violation.right) == (0, 1, 0)
 
 
 class TestTailDistributionCriterion:
@@ -307,10 +312,9 @@ class TestSweepsMatchDirectEvaluators:
         for a, b in ((f, g), (g, f), (f, f)):
             yield a, b, majorize(a, b)
             yield a, b, weak_majorize(a, b)
-            if kind != "signed":
-                for weak in (False, True):
-                    for verdict in cross_check(a, b, weak=weak).verdicts[1:]:
-                        yield a, b, verdict
+            for weak in (False, True):
+                for verdict in cross_check(a, b, weak=weak).verdicts[1:]:
+                    yield a, b, verdict
 
     def expected_points(self, verdict, f, g):
         if verdict.criterion is Criterion.REARRANGEMENT:
@@ -352,13 +356,13 @@ class TestSweepsMatchDirectEvaluators:
                     elif verdict.criterion is Criterion.REARRANGEMENT:
                         assert verdict.checked[-1].relation is Relation.EQ
                         assert verdict.checked[-1].left == a.integral()
-                    else:
-                        assert strict_points == {F(0)}
+                    else:  # the smallest grid point: 0, or a negative value
+                        assert strict_points == {verdict.checked[0].point}
                     assert verdict.violation == next(
                         (p for p in verdict.checked if not p.satisfied), None
                     )
                     seen.add((kind, verdict.criterion, verdict.holds))
-        # both outcomes occur for every criterion on nonnegative inputs
-        for kind in ("finite", "infinite"):
+        # both outcomes occur for every criterion on every kind of input
+        for kind in ("signed", "finite", "infinite"):
             for criterion in self.EVALUATORS:
                 assert {(kind, criterion, True), (kind, criterion, False)} <= seen

@@ -352,11 +352,13 @@ def test_mat_round_trip_at_scale(rows, cols, data):
 @st.composite
 def criterion_pairs(draw):
     """(f, g, kind): g has up to 10^3 level sets over one to three prime
-    denominators up to 10^4, and f averages g over runs of consecutive level
-    sets (on an infinite space the last run may take a share of the zero tail).
-    ``kind`` keeps f < g ("majorized"), swaps the pair ("reversed"), or moves
-    one value of f ("perturbed")."""
+    denominators up to 10^4, with values of both signs on some finite spaces,
+    and f averages g over runs of consecutive level sets (on an infinite space
+    the last run may take a share of the zero tail). ``kind`` keeps f < g
+    ("majorized"), swaps the pair ("reversed"), or moves one value of f
+    ("perturbed")."""
     infinite = draw(st.booleans())
+    low = 1 if infinite or draw(st.booleans()) else -(10**4)
     primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=3))
     # bulk draws come from a seeded generator: drawn one by one, 10^3 level
     # sets overrun hypothesis's example buffer
@@ -366,7 +368,7 @@ def criterion_pairs(draw):
         return F(rng.randint(lo, 10**4), rng.choice(primes))
 
     count = draw(st.integers(1, 1000) | st.just(1000))
-    raw = [(rational(1), rational(1)) for _ in range(count)]
+    raw = [(rational(low), rational(1)) for _ in range(count)]
     total = INF if infinite else sum(m for _, m in raw) + rational()
     g = canonicalize(raw, total)
     averaged, run = [], []
@@ -421,25 +423,27 @@ def test_criteria_agree_and_certificates_reverify_at_scale(case, weak, rng):
 @st.composite
 def many_piece_pairs(draw):
     """(f, g): g has up to 200 level sets with values and masses over up to
-    twelve prime denominators up to 10^4, on a finite or an infinite space.
-    f averages g over runs of consecutive level sets ("average"), then
-    perhaps moves one value up or down ("perturbed"), or puts fresh values on
-    g's masses split in two ("fresh"), so that every criterion both holds
-    and fails, weak and strict."""
+    twelve prime denominators up to 10^4, on a finite or an infinite space,
+    with values of both signs on some finite ones. f averages g over runs of
+    consecutive level sets ("average"), then perhaps moves one value up or
+    down ("perturbed"), or puts fresh values on g's masses split in two
+    ("fresh"), so that every criterion both holds and fails, weak and
+    strict."""
     infinite = draw(st.booleans())
+    low = 1 if infinite or draw(st.booleans()) else -(10**4)
     primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=12))
     rng = random.Random(draw(st.integers(0, 2**32)))
 
     def rational(lo=0):
         return F(rng.randint(lo, 10**4), rng.choice(primes))
 
-    raw = [(rational(1), rational(1)) for _ in range(draw(st.integers(1, 200)))]
+    raw = [(rational(low), rational(1)) for _ in range(draw(st.integers(1, 200)))]
     total = INF if infinite else sum(m for _, m in raw) + rational()
     g = canonicalize(raw, total)
     kind = draw(st.sampled_from(("average", "perturbed", "fresh")))
     if kind == "fresh":
         halves = [m / 2 for _, m in g.pieces for _ in range(2)]
-        return canonicalize([(rational(), m) for m in halves], total), g
+        return canonicalize([(rational(min(low, 0)), m) for m in halves], total), g
     averaged, run = [], []
     for k, piece in enumerate(g.pieces):
         run.append(piece)

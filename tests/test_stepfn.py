@@ -70,7 +70,6 @@ class TestCanonicalize:
     def test_signed_values_allowed_on_finite_space(self):
         f = canonicalize([(-1, 1), (2, 1)], 2)
         assert f.values() == (F(2), F(-1))
-        assert not f.nonnegative
 
     def test_direct_construction_requires_canonical_form(self):
         with pytest.raises(ValueError):
