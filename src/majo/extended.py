@@ -16,7 +16,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 from .errors import EmptyFamilyError, ExtendedArithmeticError, InvalidRationalError
 
 # an optionally signed integer, or p/q with a nonzero denominator
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 class Infinity:
@@ -106,9 +106,12 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        if _RATIONAL.fullmatch(x.strip()):
+        # one match gives both integers; Fraction(x) would match the text again
+        match = _RATIONAL.fullmatch(x.strip())
+        if match:
+            numerator, denominator = match.groups()
             try:
-                return Fraction(x)
+                return Fraction(int(numerator), int(denominator) if denominator else 1)
             except ValueError:  # more digits than int() converts
                 pass
         raise InvalidRationalError(f"expected an integer or p/q, got {x[:40]!r}")

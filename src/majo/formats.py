@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import InvalidRationalError, ParseError, RationalTooLongError
 from .extended import INF, ExtendedRational, Infinity, as_fraction
@@ -86,14 +86,16 @@ def _read_text(path) -> str:
         raise ParseError(f"{path} is not UTF-8 text", line=line) from None
 
 
-def _effective_lines(text: str) -> List[Tuple[int, List[str]]]:
-    """(line number, tokens) for every line with content, comments stripped."""
-    out = []
+def _effective_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, tokens) for every line with content, comments stripped.
+
+    Lines are split as they are read, so a loader holds the tokens of one
+    line at a time, not of the whole file, while it builds its result.
+    """
     for number, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            out.append((number, body.split()))
-    return out
+            yield number, body.split()
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +113,9 @@ class SfnDocument:
 
 def loads_sfn(text: str) -> SfnDocument:
     lines = _effective_lines(text)
-    if not lines:
+    number, tokens = next(lines, (None, None))
+    if number is None:
         raise ParseError("empty step-function file", line=1)
-    number, tokens = lines[0]
     if tokens[0] != "total" or len(tokens) != 2:
         raise ParseError(
             "first line must be 'total <rational>|inf'",
@@ -130,7 +132,7 @@ def loads_sfn(text: str) -> SfnDocument:
     atoms: Optional[List[Fraction]] = None
     tail: Optional[Tail] = None
     tail_line = None
-    for number, tokens in lines[1:]:
+    for number, tokens in lines:
         if tokens[0] == "partition":
             if atoms is not None:
                 raise ParseError("second partition block", line=number)
@@ -204,9 +206,9 @@ def dump_sfn(path, function: StepFunction, partition: Optional[Partition] = None
 
 def loads_mat(text: str) -> OperatorMatrix:
     lines = _effective_lines(text)
-    if not lines:
+    number, tokens = next(lines, (None, None))
+    if number is None:
         raise ParseError("empty matrix file", line=1)
-    number, tokens = lines[0]
     if len(tokens) != 2:
         raise ParseError(
             "first line must be 'rows cols'", line=number, token=" ".join(tokens)
@@ -217,18 +219,19 @@ def loads_mat(text: str) -> OperatorMatrix:
     if rows == 0 and cols > 0:
         raise ParseError("a matrix without rows has no columns", line=number)
     entries: List[Fraction] = []
-    for number, tokens in lines[1:]:
+    for number, tokens in lines:
         for column, token in enumerate(tokens, start=1):
             entries.append(_parse_rational(token, number, column))
     if len(entries) != rows * cols:
+        # number is the last effective line
         raise ParseError(
-            f"expected {rows * cols} entries, found {len(entries)}",
-            line=lines[-1][0],
+            f"expected {rows * cols} entries, found {len(entries)}", line=number
         )
-    grid = tuple(
-        tuple(entries[r * cols + c] for c in range(cols)) for r in range(rows)
+    # rows sliced from the entry list, and tuples built from lists, not from
+    # generators, as in extended.common_scale
+    return OperatorMatrix(
+        tuple([tuple(entries[r * cols:(r + 1) * cols]) for r in range(rows)])
     )
-    return OperatorMatrix(grid)
 
 
 def dumps_mat(matrix: OperatorMatrix) -> str:

@@ -34,8 +34,10 @@ only the integer sweep. A caller that reads ``checked`` too, as ``majo check
 1.62 ms per pair on the seed-1 ``decide`` pool, against 1.43 ms, and 8.65 s
 against 8.2 s on a 2000-piece pair with 4-digit prime denominators.
 
-The three sweeps share no intermediate result, so :func:`cross_check` still
-compares independent computations; the direct per-point evaluators on
+The three sweeps share each function's integer scales, computed once per
+function and kept on it, as they would share a common denominator; each
+criterion still runs its own sweep on them, so :func:`cross_check` compares
+independent computations. The direct per-point evaluators on
 :class:`StepFunction` re-verify any certificate.
 """
 
@@ -46,11 +48,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress, count
+from math import lcm
 from operator import gt
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, MeasureMismatchError
-from .extended import INF, common_scale
+from .extended import INF
 from .stepfn import StepFunction
 
 
@@ -145,12 +148,29 @@ def _scaled(f: StepFunction, g: StepFunction) -> Tuple[int, int, Levels, Levels]
     """The pair on shared integer scales: (mass scale, value scale, f, g), with
     every mass of f and g times the lcm of their mass denominators and every
     value times the lcm of their value denominators. On a finite space the
-    masses tile the total, so it is on the mass scale too."""
-    pieces = f.pieces + g.pieces
-    value_scale, values = common_scale([v for v, _ in pieces])
-    mass_scale, masses = common_scale([m for _, m in pieces])
-    n = len(f.pieces)
-    return mass_scale, value_scale, (values[:n], masses[:n]), (values[n:], masses[n:])
+    masses tile the total, so it is on the mass scale too.
+
+    Each function's own scales are computed once and kept on it; here they
+    are only lifted to the pair's lcms, multiplying where a scale differs. The
+    criteria of one :func:`cross_check` so share each function's scales, and
+    nothing their sweeps compute."""
+    f_value_scale, f_values, f_mass_scale, f_masses = f._scales
+    g_value_scale, g_values, g_mass_scale, g_masses = g._scales
+    value_scale = lcm(f_value_scale, g_value_scale)
+    mass_scale = lcm(f_mass_scale, g_mass_scale)
+    f_levels = (
+        _lift(f_values, value_scale // f_value_scale),
+        _lift(f_masses, mass_scale // f_mass_scale),
+    )
+    g_levels = (
+        _lift(g_values, value_scale // g_value_scale),
+        _lift(g_masses, mass_scale // g_mass_scale),
+    )
+    return mass_scale, value_scale, f_levels, g_levels
+
+
+def _lift(scaled: Sequence[int], factor: int) -> Sequence[int]:
+    return scaled if factor == 1 else [x * factor for x in scaled]
 
 
 def _levels(h: StepFunction) -> Levels:

@@ -254,7 +254,8 @@ class OperatorMatrix:
     entries: Tuple[Tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(as_fraction(e) for e in row) for row in self.entries)
+        # built from lists, not generators, as in extended.common_scale
+        rows = tuple([tuple([as_fraction(e) for e in row]) for row in self.entries])
         object.__setattr__(self, "entries", rows)
         if len({len(row) for row in rows}) > 1:
             raise DimensionMismatchError("rows have differing lengths")

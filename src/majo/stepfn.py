@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import (
@@ -27,6 +28,7 @@ from .extended import (
     ExtendedRational,
     as_extended,
     as_fraction,
+    common_scale,
     exact_sum,
 )
 
@@ -87,6 +89,16 @@ class StepFunction:
 
     def values(self) -> Tuple[Fraction, ...]:
         return tuple([p.value for p in self.pieces])
+
+    @cached_property
+    def _scales(self) -> Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]:
+        """The function on its own integer scales: the lcm of its value
+        denominators and every value times it, then the same for its masses.
+        Computed on first read and kept outside the dataclass fields, so
+        equality, hashing and the repr do not see it."""
+        value_scale, values = common_scale([v for v, _ in self.pieces])
+        mass_scale, masses = common_scale([m for _, m in self.pieces])
+        return value_scale, tuple(values), mass_scale, tuple(masses)
 
     def cumulative_masses(self) -> Tuple[Fraction, ...]:
         """Running mass totals: the breakpoints of the rearrangement layout."""
@@ -182,34 +194,48 @@ def canonicalize(raw_pieces: Iterable, total) -> StepFunction:
     """
     total = as_extended(total)
     infinite = total is INF
+    # keyed on (numerator, denominator): hashing a Fraction takes a modular
+    # inverse of its denominator, hashing a pair of ints does not
     merged: dict = {}
     for value, mass in raw_pieces:
         value, mass = as_fraction(value), as_fraction(mass)
         # merging could hide a nonpositive mass
         if mass.numerator <= 0:
             raise NegativeMassError(f"mass {mass} must be positive")
-        if value in merged:
-            merged[value] += mass
-        else:
-            merged[value] = mass
+        key = value.numerator, value.denominator
+        level = merged.get(key)
+        merged[key] = Piece(value, mass if level is None else level.mass + mass)
     if infinite:
-        merged.pop(ZERO, None)
+        merged.pop(_ZERO_KEY, None)
     else:
         if total < 0:
             raise MassExceedsTotalError(f"total measure {total} must be nonnegative")
-        supp = exact_sum(list(merged.values()))
+        supp = exact_sum([p.mass for p in merged.values()])
         if supp > total:
             raise MassExceedsTotalError(f"masses sum to {supp} > total measure {total}")
         if supp < total:
-            merged[ZERO] = merged.get(ZERO, ZERO) + (total - supp)
-    values = sorted(merged, reverse=True)
-    if infinite and values and values[-1] < 0:
-        negative = next(v for v in values if v < 0)
+            zero = merged.get(_ZERO_KEY)
+            rest = total - supp
+            merged[_ZERO_KEY] = Piece(ZERO, rest if zero is None else zero.mass + rest)
+    pieces = sorted(merged.values(), key=_descending, reverse=True)
+    if infinite and pieces and pieces[-1].value < 0:
+        negative = next(p.value for p in pieces if p.value < 0)
         raise NegativeValueOnInfiniteSpaceError(
             f"value {negative} < 0 on an infinite measure space"
         )
-    # built from a list, not a generator, as in extended.common_scale
-    return StepFunction._trusted(tuple([Piece(v, merged[v]) for v in values]), total)
+    return StepFunction._trusted(tuple(pieces), total)
+
+
+_ZERO_KEY = (0, 1)
+
+
+def _descending(piece: Piece) -> Tuple[int, Fraction]:
+    """Sort key of a level: floor(value * 2^64), which never decreases as the
+    value grows, then the value itself, compared only between values closer
+    than 2^-64. The key is at most 64 bits longer than the value, where a key
+    over the lcm of all value denominators would grow with their number."""
+    value = piece.value
+    return (value.numerator << 64) // value.denominator, value
 
 
 def _in_order(

@@ -140,8 +140,18 @@ class TestMat:
         assert matrix == OperatorMatrix(((F(1), F(0)), (F(0), F(1))))
 
     def test_wrong_entry_count(self):
-        with pytest.raises(ParseError):
-            loads_mat("2 2\n1 0 0\n")
+        # reported on the last line with content
+        for text, line in (("2 2\n1 0 0\n", 2), ("2 2\n", 1), ("2 2\n1 0\n# end\n\n", 2)):
+            with pytest.raises(ParseError) as err:
+                loads_mat(text)
+            assert err.value.line == line
+
+    def test_empty_files(self):
+        for load in (loads_mat, loads_sfn):
+            for text in ("", "\n# a comment\n"):
+                with pytest.raises(ParseError) as err:
+                    load(text)
+                assert err.value.line == 1
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:

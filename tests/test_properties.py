@@ -2,6 +2,8 @@
 large coprime denominators."""
 
 import random
+import re
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -37,8 +39,17 @@ from majo import (
     tail_distribution_criterion,
     weak_majorize,
 )
-from majo.errors import MajoError, NonCanonicalError
+from majo.errors import (
+    InvalidRationalError,
+    MajoError,
+    MassExceedsTotalError,
+    NegativeMassError,
+    NegativeValueOnInfiniteSpaceError,
+    NonCanonicalError,
+)
+from majo.extended import as_extended, as_fraction, common_scale
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
+from majo.majorize import _scaled
 from majo.operators import TTransform, _t_transform_chain
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -330,6 +341,171 @@ def test_direct_construction_is_canonicalize_plus_a_comparison(case):
         with pytest.raises(NonCanonicalError):
             StepFunction(pieces, total)
     assert StepFunction(list(canonical.pieces), canonical.total_measure) == canonical
+
+
+def two_pass_rational(text):
+    """The text rule read in two passes: the format's pattern on the stripped
+    text, then ``Fraction`` parsing the whole text again."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", text.strip()):
+        raise InvalidRationalError(text)
+    try:
+        return F(text)
+    except ValueError:  # more digits than int() converts
+        raise InvalidRationalError(text) from None
+
+
+@st.composite
+def long_tokens(draw):
+    """Integers and p/q with one part just under, at or just over the number
+    of digits int() converts, some of them leading zeros."""
+    limit = sys.get_int_max_str_digits()
+    digits = draw(st.integers(limit - 1, limit + 1))
+    part = draw(st.sampled_from(("7" * digits, "0" * (digits - 1) + "1")))
+    form = draw(st.sampled_from(("{}", "-{}", "+{}", "{}/3", "3/{}", "-{}/{}")))
+    return form.format(part, part)
+
+
+TOKEN_PIECES = ("0", "1", "7", "9", "000", "+", "-", "/", "_", ".", "e", " ",
+                "\t", "\u00a0", "٣", "³")
+
+
+@st.composite
+def rational_like_tokens(draw):
+    """An optional sign, digit runs, maybe a slash and more digit runs, then
+    up to two pieces of the alphabet above inserted anywhere."""
+    digits = st.lists(st.sampled_from(("0", "1", "7", "9", "000")), max_size=3)
+    token = draw(st.sampled_from(("", "+", "-"))) + "".join(draw(digits))
+    if draw(st.booleans()):
+        token += "/" + "".join(draw(digits))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(token)))
+        token = token[:at] + draw(st.sampled_from(TOKEN_PIECES)) + token[at:]
+    return token
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(rational_like_tokens() | long_tokens())
+def test_rational_reader_matches_the_two_pass_rule(token):
+    try:
+        expected = two_pass_rational(token)
+    except InvalidRationalError:
+        with pytest.raises(InvalidRationalError):
+            as_fraction(token)
+        return
+    value = as_fraction(token)
+    assert type(value) is F
+    assert (value.numerator, value.denominator) == (
+        expected.numerator, expected.denominator)
+
+
+def fraction_keyed_canonicalize(raw, total):
+    """The canonical pieces by the definition: merge equal values in a dict
+    keyed on Fractions, sort its keys with ``sorted(..., reverse=True)``."""
+    total = as_extended(total)
+    merged = {}
+    for value, mass in raw:
+        value, mass = as_fraction(value), as_fraction(mass)
+        if mass <= 0:
+            raise NegativeMassError(mass)
+        merged[value] = merged.get(value, F(0)) + mass
+    if total is INF:
+        merged.pop(F(0), None)
+    else:
+        support = sum(merged.values(), F(0))
+        if total < 0 or support > total:
+            raise MassExceedsTotalError(total)
+        if support < total:
+            merged[F(0)] = merged.get(F(0), F(0)) + total - support
+    if total is INF and any(v < 0 for v in merged):
+        raise NegativeValueOnInfiniteSpaceError(total)
+    return tuple((v, merged[v]) for v in sorted(merged, reverse=True))
+
+
+def spellings(value, k):
+    """Ways to write one rational: Fractions built from two int pairs, and
+    p/q text reduced or scaled by k, padded or not; integers bare too."""
+    n, d = value.numerator, value.denominator
+    out = [value, F(n * k, d * k), f"{n}/{d}", f"{n * k}/{d * k}", f" {n * k}/{d * k}\t"]
+    if d == 1:
+        out += [n, str(n)]
+    return out
+
+
+@st.composite
+def spelled_pieces(draw):
+    """Raw pieces over a few anchor values and their neighbours closer than
+    2^-64, some with 400-digit numerators, of both signs, each value and
+    mass spelled any of several ways; now and then a nonpositive mass."""
+    anchors = draw(st.lists(rationals(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from((1, -1)))
+        anchors.append(F(sign * draw(st.integers(10**399, 10**400 - 1)),
+                         draw(st.sampled_from(PRIMES))))
+    pool = [F(0)]
+    for anchor in anchors:
+        gap = F(1, 2**70 * draw(st.sampled_from(PRIMES)))
+        pool += [anchor, anchor + gap, anchor - gap]
+    pieces = []
+    for _ in range(draw(st.integers(0, 12))):
+        value = draw(st.sampled_from(pool))
+        mass = draw(rationals(positive=True))
+        if draw(st.integers(0, 30)) == 0:
+            mass = -mass if draw(st.booleans()) else F(0)
+        k = draw(st.integers(2, 5))
+        pieces.append((draw(st.sampled_from(spellings(value, k))),
+                       draw(st.sampled_from(spellings(mass, k)))))
+    support = sum((as_fraction(m) for _, m in pieces), F(0))
+    total = draw(st.sampled_from((INF, "inf", support, support + 1, support - 1, F(-1))))
+    return pieces, total
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(spelled_pieces())
+def test_canonicalize_orders_and_merges_as_fraction_keys_do(case):
+    pieces, total = case
+    try:
+        expected = fraction_keyed_canonicalize(pieces, total)
+    except MajoError as error:
+        with pytest.raises(type(error)):
+            canonicalize(pieces, total)
+        return
+    assert canonicalize(pieces, total).pieces == expected
+
+
+@st.composite
+def step_functions(draw):
+    """Up to 30 level sets with values of both signs on a finite space."""
+    infinite = draw(st.booleans())
+    raw = draw(st.lists(st.tuples(rationals(), rationals(positive=True)), max_size=30))
+    if infinite:
+        return canonicalize([(abs(v), m) for v, m in raw], INF)
+    return canonicalize(raw, sum((m for _, m in raw), F(0)) + draw(rationals(positive=True)))
+
+
+def pair_scales(f, g):
+    """The pair's scales computed from scratch over the pieces of both."""
+    pieces = f.pieces + g.pieces
+    value_scale, values = common_scale([v for v, _ in pieces])
+    mass_scale, masses = common_scale([m for _, m in pieces])
+    n = len(f.pieces)
+    return mass_scale, value_scale, (values[:n], masses[:n]), (values[n:], masses[n:])
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(step_functions(), st.lists(step_functions(), min_size=1, max_size=4))
+def test_cached_scales_lift_to_every_pair(f, partners):
+    """One function against several partners, in both argument orders."""
+    for g in partners:
+        for pair in ((f, g), (g, f)):
+            mass_scale, value_scale, left, right = _scaled(*pair)
+            lists = (mass_scale, value_scale,
+                     tuple(map(list, left)), tuple(map(list, right)))
+            assert lists == pair_scales(*pair)
+    fresh = canonicalize(f.pieces, f.total_measure)
+    assert "_scales" in vars(f) and "_scales" not in vars(fresh)
+    assert f == fresh and fresh == f
+    assert hash(f) == hash(fresh)
+    assert repr(f) == repr(fresh)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
