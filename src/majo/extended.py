@@ -138,9 +138,11 @@ def common_scale(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
     # by resizing parks a block in its tuple free list; the list bounded RSS
     # on the decide pool about 1 MiB lower after 95 cycles (FOUND line in
     # CHANGES.md)
-    denominators = [v.denominator for v in values]
-    scale = lcm(*denominators)
-    return scale, [v.numerator * (scale // d) for v, d in zip(values, denominators)]
+    # one as_integer_ratio() call per value, where .numerator and
+    # .denominator are a property call each
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[d for _, d in ratios])
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 def exact_sum(values: Sequence[Fraction]) -> Fraction:

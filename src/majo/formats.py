@@ -1,11 +1,13 @@
-"""Text formats for step functions (.sfn) and operator matrices (.mat).
+r"""Text formats for step functions (.sfn) and operator matrices (.mat).
 
 A step-function file starts with ``total <rational>|inf``, followed by one
 ``<value> <mass>`` line per level set in any order (the loader
 canonicalizes). An optional alignment block gives a partition of the same
 space: ``partition <mass> ...`` (zero or more masses) and, when needed,
-``tail <mass> x <count|inf>``. ``#`` starts a comment anywhere; rationals
-are written ``p/q`` or as plain integers, never as decimals.
+``tail <mass> x <count|inf>``. ``#`` starts a comment that runs to the end
+of its line; rationals are written ``p/q`` or as plain integers, never as
+decimals. In both formats a line ends at ``\n``, ``\r\n`` or ``\r``, and
+nowhere else.
 
 A matrix file is ``rows cols`` on the first effective line followed by
 row-major entries separated by arbitrary whitespace.
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import InvalidRationalError, ParseError, RationalTooLongError
-from .extended import INF, ExtendedRational, Infinity, as_fraction
+from .extended import _RATIONAL, INF, ExtendedRational, Infinity, as_fraction
 from .operators import OperatorMatrix, Partition, Tail
 from .stepfn import StepFunction, canonicalize
 
@@ -82,20 +84,33 @@ def _read_text(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len(_split_lines(data[:exc.start].decode("utf-8")))
         raise ParseError(f"{path} is not UTF-8 text", line=line) from None
 
 
-def _effective_lines(text: str) -> Iterator[Tuple[int, List[str]]]:
+def _split_lines(text: str) -> List[str]:
+    r"""The lines of a text, which end at ``\n``, ``\r\n`` or ``\r`` only
+    (universal newlines).
+
+    The other separators ``str.splitlines`` knows (``\x0b``, ``\x0c``,
+    ``\x1c``-``\x1e``, ``\x85``, U+2028, U+2029) are whitespace inside a
+    line, so a comment holding one of them does not spill onto a content line.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _effective_lines(
+    lines: Iterator[Tuple[int, str]]
+) -> Iterator[Tuple[int, List[str]]]:
     """(line number, tokens) for every line with content, comments stripped.
 
     Lines are split as they are read, so a loader holds the tokens of one
     line at a time, not of the whole file, while it builds its result.
     """
-    for number, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield number, body.split()
+    for number, line in lines:
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield number, tokens
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +126,15 @@ class SfnDocument:
         self.partition = partition
 
 
+# a level-set line in one match: two rationals by the rule of
+# extended.as_fraction, then at most a comment
+_LEVEL_LINE = re.compile(rf"\s*{_RATIONAL.pattern}\s+{_RATIONAL.pattern}\s*(?:#.*)?")
+
+
 def loads_sfn(text: str) -> SfnDocument:
-    lines = _effective_lines(text)
-    number, tokens = next(lines, (None, None))
+    lines = enumerate(_split_lines(text), start=1)
+    # the header line as tokens; the lines after it go on from `lines`
+    number, tokens = next(_effective_lines(lines), (None, None))
     if number is None:
         raise ParseError("empty step-function file", line=1)
     if tokens[0] != "total" or len(tokens) != 2:
@@ -132,7 +153,21 @@ def loads_sfn(text: str) -> SfnDocument:
     atoms: Optional[List[Fraction]] = None
     tail: Optional[Tail] = None
     tail_line = None
-    for number, tokens in lines:
+    for number, line in lines:
+        level = _LEVEL_LINE.fullmatch(line)
+        if level:
+            p, q, r, s = level.groups()
+            try:
+                value = Fraction(int(p), int(q) if q else 1)
+                mass = Fraction(int(r), int(s) if s else 1)
+            except ValueError:  # more digits than int() converts: the tokens say where
+                pass
+            else:
+                pieces.append((value, mass))
+                continue
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
         if tokens[0] == "partition":
             if atoms is not None:
                 raise ParseError("second partition block", line=number)
@@ -205,7 +240,7 @@ def dump_sfn(path, function: StepFunction, partition: Optional[Partition] = None
 
 
 def loads_mat(text: str) -> OperatorMatrix:
-    lines = _effective_lines(text)
+    lines = _effective_lines(enumerate(_split_lines(text), start=1))
     number, tokens = next(lines, (None, None))
     if number is None:
         raise ParseError("empty matrix file", line=1)

@@ -198,44 +198,54 @@ def canonicalize(raw_pieces: Iterable, total) -> StepFunction:
     # inverse of its denominator, hashing a pair of ints does not
     merged: dict = {}
     for value, mass in raw_pieces:
-        value, mass = as_fraction(value), as_fraction(mass)
+        if type(value) is not Fraction:
+            value = as_fraction(value)
+        if type(mass) is not Fraction:
+            mass = as_fraction(mass)
         # merging could hide a nonpositive mass
         if mass.numerator <= 0:
             raise NegativeMassError(f"mass {mass} must be positive")
-        key = value.numerator, value.denominator
+        key = value.as_integer_ratio()
         level = merged.get(key)
-        merged[key] = Piece(value, mass if level is None else level.mass + mass)
+        if level is None:
+            merged[key] = [value, mass]
+        else:
+            level[1] += mass
     if infinite:
         merged.pop(_ZERO_KEY, None)
     else:
         if total < 0:
             raise MassExceedsTotalError(f"total measure {total} must be nonnegative")
-        supp = exact_sum([p.mass for p in merged.values()])
+        supp = exact_sum([mass for _, mass in merged.values()])
         if supp > total:
             raise MassExceedsTotalError(f"masses sum to {supp} > total measure {total}")
         if supp < total:
             zero = merged.get(_ZERO_KEY)
-            rest = total - supp
-            merged[_ZERO_KEY] = Piece(ZERO, rest if zero is None else zero.mass + rest)
-    pieces = sorted(merged.values(), key=_descending, reverse=True)
-    if infinite and pieces and pieces[-1].value < 0:
-        negative = next(p.value for p in pieces if p.value < 0)
+            if zero is None:
+                merged[_ZERO_KEY] = [ZERO, total - supp]
+            else:
+                zero[1] += total - supp
+    # sorted on floor(value * 2^64), which never decreases as the value grows,
+    # then on the value itself, compared only between values closer than
+    # 2^-64; values are distinct, so masses are never compared. The floor is
+    # at most 64 bits longer than the value, where a key over the lcm of all
+    # value denominators would grow with their number. Tuples, not a key
+    # function: the sort makes no Python call unless two floors tie.
+    levels = sorted(
+        [((n << 64) // d, value, mass) for (n, d), (value, mass) in merged.items()],
+        reverse=True,
+    )
+    if infinite and levels and levels[-1][0] < 0:
+        negative = next(value for key, value, _ in levels if key < 0)
         raise NegativeValueOnInfiniteSpaceError(
             f"value {negative} < 0 on an infinite measure space"
         )
-    return StepFunction._trusted(tuple(pieces), total)
+    return StepFunction._trusted(
+        tuple([Piece(value, mass) for _, value, mass in levels]), total
+    )
 
 
 _ZERO_KEY = (0, 1)
-
-
-def _descending(piece: Piece) -> Tuple[int, Fraction]:
-    """Sort key of a level: floor(value * 2^64), which never decreases as the
-    value grows, then the value itself, compared only between values closer
-    than 2^-64. The key is at most 64 bits longer than the value, where a key
-    over the lcm of all value denominators would grow with their number."""
-    value = piece.value
-    return (value.numerator << 64) // value.denominator, value
 
 
 def _in_order(

@@ -13,10 +13,18 @@ from majo.formats import (
     dumps_mat,
     dumps_sfn,
     format_rational,
+    load_mat,
+    load_sfn,
     loads_mat,
     loads_sfn,
 )
 from majo.sampling import random_fraction, random_step_function
+
+
+# the characters str.splitlines() also ends a line at
+OTHER_SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+RATIONAL_ERROR = "expected a rational p/q or integer"
+LINE_ERROR = "expected '<value> <mass>', 'partition ...' or 'tail ...'"
 
 
 class TestRationalFormat:
@@ -117,6 +125,68 @@ class TestSfn:
             loads_sfn("total 2\n1 1 1\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("separator", OTHER_SEPARATORS)
+    def test_comment_with_a_line_separator_stays_a_comment(self, separator):
+        doc = loads_sfn(f"total inf\n2 1 # mass {separator} of the top level\n1 1\n")
+        assert doc.function == canonicalize([(2, 1), (1, 1)], INF)
+        with pytest.raises(ParseError) as err:
+            loads_sfn(f"total inf\n2 1 # mass {separator} of the top level\n1 bad\n")
+        assert (err.value.line, err.value.column, err.value.token) == (3, 2, "bad")
+
+    @pytest.mark.parametrize("separator", OTHER_SEPARATORS)
+    def test_other_separators_are_whitespace_inside_a_line(self, separator):
+        doc = loads_sfn(f"total{separator}inf\n{separator}2{separator}1{separator}\n")
+        assert doc.function == canonicalize([(2, 1)], INF)
+        with pytest.raises(ParseError) as err:
+            loads_sfn(f"total inf\n2 1{separator}1 1\n")
+        assert (err.value.line, err.value.token) == (2, "2 1 1 1")
+
+    def test_lines_end_at_universal_newlines(self):
+        lines = ["total 3", "# c", "2 1", "", "1 1"]
+        for newline in ("\n", "\r\n", "\r"):
+            doc = loads_sfn(newline.join(lines))
+            assert doc.function == canonicalize([(2, 1), (1, 1)], 3)
+            with pytest.raises(ParseError) as err:
+                loads_sfn(newline.join(lines + ["1 x"]))
+            assert (err.value.line, err.value.column) == (6, 2)
+
+    # errors of the token path, which reads every line the level-line match
+    # refuses: message, line, column and token must stay as they are
+    @pytest.mark.parametrize("text, message, line, column, token", [
+        ("total 3\n1/0 1\n", RATIONAL_ERROR, 2, 1, "1/0"),
+        ("total 3\n1 1/0\n", RATIONAL_ERROR, 2, 2, "1/0"),
+        ("total 3\n# c\n\n1.5 1\n", RATIONAL_ERROR, 4, 1, "1.5"),
+        ("total 3\n2 1\n1 1.5  # half\n", RATIONAL_ERROR, 3, 2, "1.5"),
+        ("total 3\n1_0 1\n", RATIONAL_ERROR, 2, 1, "1_0"),
+        ("total 3\n\t\u0663 1\n", RATIONAL_ERROR, 2, 1, "\u0663"),
+        ("total 3\n2 \u0663\n", RATIONAL_ERROR, 2, 2, "\u0663"),
+        ("total 3\n+-1 1\n", RATIONAL_ERROR, 2, 1, "+-1"),
+        ("total 3\n1 +-1\n", RATIONAL_ERROR, 2, 2, "+-1"),
+        ("total 3\n1 1 1\n", LINE_ERROR, 2, 1, "1 1 1"),
+        ("total 3\n1 1 # x\n1 2 3 # y\n", LINE_ERROR, 3, 1, "1 2 3"),
+    ])
+    def test_malformed_level_lines(self, text, message, line, column, token):
+        with pytest.raises(ParseError) as err:
+            loads_sfn(text)
+        assert str(err.value) == (
+            f"{message} (line {line}, column {column}, near {token!r})")
+        assert (err.value.line, err.value.column, err.value.token) == (line, column, token)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python reads integers of any length",
+    )
+    @pytest.mark.parametrize("line, column, token", [
+        ("{} 1", 1, "{}"), ("1 {}", 2, "{}"), ("1/{} 1", 1, "1/{}"),
+    ])
+    def test_level_line_over_the_digit_limit(self, line, column, token):
+        long = "7" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError) as err:
+            loads_sfn("total 3\n" + line.format(long) + "\n")
+        assert str(err.value).startswith(f"{RATIONAL_ERROR} (line 2, column {column}, ")
+        assert (err.value.line, err.value.column) == (2, column)
+        assert err.value.token == token.format(long)
+
 
 class TestMat:
     def test_parse_simple(self):
@@ -153,6 +223,17 @@ class TestMat:
                     load(text)
                 assert err.value.line == 1
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_reports_its_line(self, tmp_path, newline):
+        end = newline.encode()
+        sfn = [b"total 2", b"# \xe2\x80\xa8 c", b"1 \xff2", b""]  # U+2028 in a comment
+        (tmp_path / "f.sfn").write_bytes(end.join(sfn))
+        (tmp_path / "m.mat").write_bytes(end.join([b"1 1", b"# \x0c", b"\xc3", b""]))
+        for load, name in ((load_sfn, "f.sfn"), (load_mat, "m.mat")):
+            with pytest.raises(ParseError) as err:
+                load(tmp_path / name)
+            assert err.value.line == 3
+
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:
             loads_mat("2\n1 0\n")
@@ -160,4 +241,20 @@ class TestMat:
 
     def test_comments_ignored(self):
         matrix = loads_mat("# witness\n2 2  # shape\n1 0\n0 1\n")
+        assert matrix == OperatorMatrix.identity(2)
+
+    @pytest.mark.parametrize("separator", OTHER_SEPARATORS)
+    def test_comment_with_a_line_separator_stays_a_comment(self, separator):
+        text = f"2 2 # shape {separator} 3 3\n1 0 # first row {separator} then\n0 1\n"
+        assert loads_mat(text) == OperatorMatrix.identity(2)
+        with pytest.raises(ParseError) as err:
+            loads_mat(f"2 2\n1 0 # first row {separator} then\n0 x\n")
+        assert (err.value.line, err.value.column, err.value.token) == (3, 2, "x")
+        with pytest.raises(ParseError) as err:
+            loads_mat(f"2 2\n1 0 # {separator} 0\n0\n\n")
+        assert err.value.line == 3  # the last line with content
+
+    @pytest.mark.parametrize("separator", OTHER_SEPARATORS)
+    def test_other_separators_are_whitespace_inside_a_line(self, separator):
+        matrix = loads_mat(f"2{separator}2\n1{separator}0{separator}0 1")
         assert matrix == OperatorMatrix.identity(2)

@@ -423,11 +423,14 @@ def fraction_keyed_canonicalize(raw, total):
 
 def spellings(value, k):
     """Ways to write one rational: Fractions built from two int pairs, and
-    p/q text reduced or scaled by k, padded or not; integers bare too."""
+    p/q text reduced or scaled by k, padded or not; integers bare too, and
+    0 and 1 as bools."""
     n, d = value.numerator, value.denominator
     out = [value, F(n * k, d * k), f"{n}/{d}", f"{n * k}/{d * k}", f" {n * k}/{d * k}\t"]
     if d == 1:
         out += [n, str(n)]
+    if value in (0, 1):
+        out.append(bool(value))
     return out
 
 
@@ -435,12 +438,16 @@ def spellings(value, k):
 def spelled_pieces(draw):
     """Raw pieces over a few anchor values and their neighbours closer than
     2^-64, some with 400-digit numerators, of both signs, each value and
-    mass spelled any of several ways; now and then a nonpositive mass."""
+    mass spelled any of several ways; now and then a nonpositive mass. A
+    midpoint of a 2^-64 grid cell shares floor(v * 2^64) with both its
+    neighbours, so the sort must break ties on the exact value."""
     anchors = draw(st.lists(rationals(), min_size=1, max_size=3))
     if draw(st.booleans()):
         sign = draw(st.sampled_from((1, -1)))
         anchors.append(F(sign * draw(st.integers(10**399, 10**400 - 1)),
                          draw(st.sampled_from(PRIMES))))
+    if draw(st.booleans()):
+        anchors.append(F(2 * draw(st.integers(-(2**70), 2**70)) + 1, 2**65))
     pool = [F(0)]
     for anchor in anchors:
         gap = F(1, 2**70 * draw(st.sampled_from(PRIMES)))
@@ -469,7 +476,105 @@ def test_canonicalize_orders_and_merges_as_fraction_keys_do(case):
         with pytest.raises(type(error)):
             canonicalize(pieces, total)
         return
-    assert canonicalize(pieces, total).pieces == expected
+    f = canonicalize(pieces, total)
+    assert f.pieces == expected
+    assert all(type(v) is F and type(m) is F for v, m in f.pieces)
+    assert canonicalize([(as_fraction(v), as_fraction(m)) for v, m in pieces], total) == f
+
+
+INLINE_SPACES = (" ", "  ", "\t", "\u00a0", "\u2003", "\u3000", "\x0b", "\x0c",
+                 "\x85", "\u2028", "\u2029")
+SPACE = st.sampled_from(INLINE_SPACES)
+PAD = st.sampled_from(("",) + INLINE_SPACES)
+COMMENT = st.sampled_from(("", "#", "# top level", " # 1 2 3", "#\tpartition 1",
+                           " # a \u2028 b", "# c \x85 d", "# # twice"))
+
+
+def spelled_token(draw, value):
+    """A rational as text: scaled by k, with a sign where optional, leading
+    zeros on the numerator or the denominator, integers bare or over 1."""
+    k = draw(st.integers(1, 3))
+    n, d = value.numerator * k, value.denominator * k
+    sign = "-" if n < 0 else draw(st.sampled_from(("", "+")))
+    numerator = draw(st.sampled_from(("", "0", "00"))) + str(abs(n))
+    if d == 1 and draw(st.booleans()):
+        return sign + numerator
+    return f"{sign}{numerator}/{draw(st.sampled_from(('', '0', '00')))}{d}"
+
+
+@st.composite
+def sfn_texts(draw):
+    """A valid .sfn text: spelled tokens, repeated values, any whitespace
+    but a line end between tokens, comments, blank and comment-only lines,
+    a partition block anywhere after the header, and mixed line ends."""
+    infinite = draw(st.booleans())
+    pool = draw(st.lists(rationals(), min_size=1, max_size=4))
+    if infinite:
+        pool = [abs(v) for v in pool]
+    pieces = [(draw(st.sampled_from(pool)), draw(rationals(positive=True)))
+              for _ in range(draw(st.integers(0, 8)))]
+    support = sum((m for _, m in pieces), F(0))
+    total = INF if infinite else support + draw(st.sampled_from((F(0), F(1), F(2, 3))))
+    total_token = (draw(st.sampled_from(("inf", "INF", "Inf"))) if infinite
+                   else spelled_token(draw, total))
+    body = [draw(PAD) + spelled_token(draw, v) + draw(SPACE) + spelled_token(draw, m)
+            + draw(PAD) + draw(COMMENT) for v, m in pieces]
+    if draw(st.booleans()):
+        block = []
+        if infinite:
+            atoms = draw(st.lists(rationals(positive=True), max_size=3))
+            block.append(" ".join(["partition"] + [spelled_token(draw, a) for a in atoms]))
+            if not atoms or draw(st.booleans()):
+                block.append(f"tail {spelled_token(draw, draw(rationals(positive=True)))} x inf")
+        else:
+            k = draw(st.integers(1, 3))
+            atom = spelled_token(draw, total / k)
+            if total > 0 and draw(st.booleans()):
+                block += ["partition", f"tail {atom} x {k}"]
+            else:
+                block.append(" ".join(["partition"] + ([atom] * k if total > 0 else [])))
+        for line in block:
+            line = draw(PAD) + line + draw(PAD) + draw(COMMENT)
+            body.insert(draw(st.integers(0, len(body))), line)
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), draw(PAD) + draw(COMMENT))
+    lines = [draw(PAD) + draw(COMMENT)] * draw(st.integers(0, 1))
+    lines += [f"{draw(PAD)}total{draw(SPACE)}{total_token}{draw(PAD)}{draw(COMMENT)}"] + body
+    ends = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    ends[-1] = draw(st.sampled_from(("", "\n", "\r\n", "\r")))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def token_reader(text):
+    """loads_sfn written token by token: lines end at \\n, \\r\\n or \\r, a
+    comment runs to the end of its line, and every rational is read by
+    as_fraction."""
+    lines = [line.split("#", 1)[0].split() for line in re.split(r"\r\n|\r|\n", text)]
+    header, *body = [tokens for tokens in lines if tokens]
+    assert header[0] == "total"
+    total = as_extended(header[1])
+    pieces, atoms, tail = [], None, None
+    for tokens in body:
+        if tokens[0] == "partition":
+            atoms = [as_fraction(a) for a in tokens[1:]]
+        elif tokens[0] == "tail":
+            tail = Tail(as_fraction(tokens[1]), None if tokens[3] == "inf" else int(tokens[3]))
+        else:
+            value, mass = tokens
+            pieces.append((as_fraction(value), as_fraction(mass)))
+    function = canonicalize(pieces, total)
+    if atoms is None:
+        return function, None
+    if total is INF and tail is None:
+        tail = Tail(atoms[-1])
+    return function, Partition(tuple(atoms), total, tail)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(sfn_texts())
+def test_loader_matches_a_token_by_token_reader(text):
+    document = loads_sfn(text)
+    assert (document.function, document.partition) == token_reader(text)
 
 
 @st.composite
