@@ -1,11 +1,8 @@
 """Quantitative equi-integrability diagnostics for families of step functions.
 
-The worst integral of a nonnegative function over any set of measure at most
-delta is attained on the top slice of its decreasing rearrangement, so the
-small-set modulus is a partial integral in closed form. For every family of
-images of one function under semi-doubly stochastic operators the modulus is
-certified against the truncation bound hinge(f, c) + c * delta, exact at
-every grid point and read off one hinge sweep of f.
+An image of f under a semi-doubly stochastic operator is majorized by f, so
+its small-set modulus, the integral of its rearrangement over [0, delta], is
+at most f's: K(delta, f; L1, L-inf) = min over c of hinge(f, c) + c * delta.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from typing import Sequence
 
 from .errors import DeltaOutOfRangeError, EmptyFamilyError
 from .extended import as_fraction
-from .majorize import _hinge_sweep, _require_same_total
+from .majorize import _require_same_total
 from .stepfn import ZERO, StepFunction, _in_order
 
 
@@ -56,22 +53,23 @@ class EquiIntegrabilityReport:
 def equi_modulus(
     family: Sequence[StepFunction], delta, source: StepFunction
 ) -> EquiIntegrabilityReport:
-    """Small-set modulus of a family with the truncation bound of its source.
+    """Small-set modulus of a family against the modulus of its source.
 
-    ``bound`` is the minimum of hinge(source, c) + c * delta over the piece
-    values of the source and 0 (the bound is piecewise linear in c between
-    them), with every hinge value taken from one sweep of the source. It
-    dominates the modulus whenever every family member is the image of
-    ``source`` under a semi-doubly stochastic operator.
+    ``bound`` is ``small_set_modulus(source, min(delta, total))``; it holds
+    for every image of ``source`` under a semi-doubly stochastic operator.
+    Past a finite source's total, a nonnegative source reads as extended by
+    zero; a signed one cannot, so a member on another total raises
+    :class:`MeasureMismatchError`.
     """
     family = list(family)
     if not family:
         raise EmptyFamilyError("equi-integrability of an empty family")
     delta = as_fraction(delta)
-    grid = sorted({p.value for p in source.pieces} | {ZERO})
+    if source.pieces and source.pieces[-1].value < 0:
+        for h in family:
+            _require_same_total(h, source)
     modulus = max(small_set_modulus(h, delta) for h in family)
-    hinges = _hinge_sweep(source.values(), [m for _, m in source.pieces], grid)
-    bound = min(h + c * delta for c, h in zip(grid, hinges))
+    bound = small_set_modulus(source, min(delta, source.total_measure))
     return EquiIntegrabilityReport(
         delta=delta, modulus=modulus, bound=bound, family_size=len(family)
     )

@@ -369,6 +369,9 @@ def criterion_equi_bound(seed: int) -> SuiteOutcome:
             family.append(sf)
         truncations = sorted({p.value for p in f.pieces} | {ZERO})
         for delta in deltas:
+            # the bound is f's own small-set modulus, equal to the minimum of
+            # the truncation bounds checked one by one below (the K-functional
+            # of (L1, L-inf) at delta)
             report = equi_modulus(family, delta, f)
             if not report.within_bound:
                 outcome.fail(

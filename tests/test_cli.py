@@ -425,6 +425,35 @@ class TestEqui:
         out = capsys.readouterr().out
         assert "1/4" in out and "1/2" in out
 
+    def test_signed_source_refuses_an_image_on_a_larger_space(self, workdir, capsys):
+        tmp, write = workdir
+        f = write("neg.sfn", "total 1\n-1 1\n")
+        ops = tmp / "ops"
+        ops.mkdir()
+        (ops / "r.mat").write_text("2 1\n1\n0\n")
+        assert main(["classify", str(ops / "r.mat")]) == 0
+        assert "semi-doubly" in capsys.readouterr().out
+        assert main(["equi", f, "--ops", str(ops), "--delta-grid", "1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "total measures differ: 2 vs 1" in captured.err
+
+    def test_nonnegative_source_bounds_a_larger_image_by_its_integral(
+        self, workdir, capsys
+    ):
+        tmp, write = workdir
+        f = write("f.sfn", "total 2\n1 1\n")
+        ops = tmp / "ops"
+        ops.mkdir()
+        (ops / "r.mat").write_text("3 2\n1/2 0\n1/2 1/2\n0 1/2\n")
+        argv = ["equi", f, "--ops", str(ops), "--delta-grid", "5/2,3", "--json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows == [
+            {"delta": "5/2", "modulus": "1", "bound": "1", "within_bound": True},
+            {"delta": "3", "modulus": "1", "bound": "1", "within_bound": True},
+        ]
+
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="this Python writes integers of any length",
@@ -461,7 +490,9 @@ class TestEqui:
         ops.mkdir()
         (ops / "mix.mat").write_text("2 2\n1/2 1/2\n1/2 1/2\n")
         # 2^k passes the bound check, but the bound at delta = 2^-k has a
-        # denominator of 2^(k+1); the whole grid takes about 7 s to compute
+        # denominator of 2^(k+1); its row is computed and formatted first,
+        # since writing the ~4000-digit entries of every other row out as
+        # decimal text takes about 4 s (computing all the rows, under 1 s)
         k = (10 ** sys.get_int_max_str_digits() - 1).bit_length() - 1
         argv = ["equi", f, "--ops", str(ops), "--delta-grid", f"2^-1..2^-{k}"]
         start = time.monotonic()

@@ -9,6 +9,7 @@ import pytest
 from majo import (
     INF,
     AlignedStep,
+    OperatorMatrix,
     Partition,
     align,
     apply_matrix,
@@ -111,6 +112,19 @@ class TestEquiModulus:
         report = equi_modulus([f], 2, f)
         assert report.modulus == f.integral()
         assert report.within_bound  # c = 0 gives bound = integral(f)
+
+    def test_signed_source_refuses_a_member_on_another_total(self):
+        # zeros padded onto the larger space sit above the level -1, so the
+        # image is not majorized by its source
+        f = canonicalize([(-1, 1)], 1)
+        operator = OperatorMatrix(((F(1),), (F(0),)))
+        image, _ = sequence_apply(operator, f, 1)
+        assert image.total_measure == 2
+        with pytest.raises(MeasureMismatchError):
+            equi_modulus([image], 1, f)
+        with pytest.raises(MeasureMismatchError):
+            equi_modulus([f, image], 1, f)
+        assert equi_modulus([f], 1, f).bound == -1
 
     def test_empty_family_rejected(self):
         with pytest.raises(EmptyFamilyError):

@@ -822,4 +822,35 @@ def test_equi_bound_is_the_direct_truncation_minimum(case):
     report = equi_modulus([source], delta, source)
     grid = {p.value for p in source.pieces} | {F(0)}
     assert report.bound == min(source.hinge_integral(c) + c * delta for c in grid)
+    assert report.bound == small_set_modulus(source, delta)
     assert report.modulus == small_set_modulus(source, delta)
+
+
+@st.composite
+def rectangular_images(draw):
+    """(source, image, delta): a nonnegative source on n atoms of one mass,
+    its image under a semi-doubly stochastic mixture of injections onto more
+    atoms of that mass, and a budget between the two totals."""
+    n = draw(st.integers(1, 30))
+    rows = n + draw(st.integers(1, 10))
+    unit = draw(rationals(positive=True))
+    source = canonicalize([(abs(draw(rationals())), unit) for _ in range(n)], unit * n)
+    weights = [F(draw(st.integers(1, 10**4))) for _ in range(draw(st.integers(1, 4)))]
+    entries = [[F(0)] * n for _ in range(rows)]
+    for weight in weights:
+        for column, row in enumerate(draw(st.permutations(range(rows)))[:n]):
+            entries[row][column] += weight / sum(weights)
+    image, _ = sequence_apply(OperatorMatrix(entries), source, unit)
+    delta = unit * (n + F(draw(st.integers(0, 64)), 64) * (rows - n))
+    return source, image, delta
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(rectangular_images())
+def test_equi_bound_past_a_nonnegative_source_is_its_integral(case):
+    """Read as extended by zero onto the image's larger space, the source
+    integrates to its integral over any budget past its own total."""
+    source, image, delta = case
+    report = equi_modulus([image], delta, source)
+    assert report.bound == source.integral()
+    assert report.within_bound
