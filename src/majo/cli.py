@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import selftest
-from .diagnostics import equi_modulus
+from .diagnostics import _require_comparable, equi_modulus
 from .errors import (
     InternalInconsistencyError,
     MajoError,
@@ -382,9 +382,11 @@ def cmd_equi(args) -> int:
         matrix = load_mat(path)
         try:
             mass = unit if infinite else _tiling_mass(f, matrix)
-            family.append(sequence_apply(matrix, f, mass)[0])
+            image = sequence_apply(matrix, f, mass)[0]
+            _require_comparable(image, f)
         except MajoError as exc:
             raise MajoError(f"{path.name}: {exc}") from None
+        family.append(image)
         names.append(path.name)
 
     def row(delta) -> dict:

@@ -1,8 +1,10 @@
 """Quantitative equi-integrability diagnostics for families of step functions.
 
 An image of f under a semi-doubly stochastic operator is majorized by f, so
-its small-set modulus, the integral of its rearrangement over [0, delta], is
-at most f's: K(delta, f; L1, L-inf) = min over c of hinge(f, c) + c * delta.
+its small-set modulus, the integral of its decreasing rearrangement over
+[0, delta], is at most f's: K(delta, f; L1, L-inf) = min over c of
+hinge(f, c) + c * delta. For nonnegative f this is the largest integral of f
+over a set of measure at most delta.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .stepfn import ZERO, StepFunction, _in_order
 
 
 def small_set_modulus(h: StepFunction, delta) -> Fraction:
-    """Largest integral of h over a measurable set of measure at most delta.
+    """The integral of the decreasing rearrangement h* over [0, delta].
 
-    Equals the integral of the decreasing rearrangement over [0, delta]; any
-    explicit selection of level-set mass totalling at most delta integrates
-    to no more than this.
+    For nonnegative h this is the largest integral of h over a measurable
+    set of measure at most delta. For signed h it can be smaller: on a
+    negative h* it is negative, while the empty set integrates to 0.
     """
     delta = as_fraction(delta)
     if delta < 0 or delta > h.total_measure:
@@ -65,14 +67,19 @@ def equi_modulus(
     if not family:
         raise EmptyFamilyError("equi-integrability of an empty family")
     delta = as_fraction(delta)
-    if source.pieces and source.pieces[-1].value < 0:
-        for h in family:
-            _require_same_total(h, source)
+    for h in family:
+        _require_comparable(h, source)
     modulus = max(small_set_modulus(h, delta) for h in family)
     bound = small_set_modulus(source, min(delta, source.total_measure))
     return EquiIntegrabilityReport(
         delta=delta, modulus=modulus, bound=bound, family_size=len(family)
     )
+
+
+def _require_comparable(h: StepFunction, source: StepFunction) -> None:
+    """Refuse a family member on another total than a signed source."""
+    if source.pieces and source.pieces[-1].value < 0:
+        _require_same_total(h, source)
 
 
 def l1_distance(f: StepFunction, g: StepFunction) -> Fraction:

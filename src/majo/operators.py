@@ -8,16 +8,19 @@ between step functions and sequences through the per-atom integral map and
 its right inverse; the doubly stochastic witness for a majorized pair is a
 chain of mass-weighted two-atom mixings on the common refinement of the two
 level-set layouts, expanded onto an equal-mass grid only when its dense
-matrix is asked for.
+matrix is asked for. The chain runs on integers; ``Fraction``s are built only
+for the partition's atoms, the step weights, the image and the dense matrix.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -39,11 +42,10 @@ from .extended import (
     ExtendedRational,
     as_extended,
     as_fraction,
-    common_scale,
     exact_sum,
     fraction_gcd,
 )
-from .majorize import majorize
+from .majorize import _scaled, majorize
 from .stepfn import ZERO, StepFunction, _in_order, canonicalize
 
 ONE = Fraction(1)
@@ -515,7 +517,8 @@ class TTransform:
         object.__setattr__(self, "weight", as_fraction(self.weight))
         if not 0 <= self.j < self.k:
             raise InvalidTTransformError("T-transform needs coordinates 0 <= j < k")
-        if not 0 <= self.weight <= 1:
+        n, d = self.weight.as_integer_ratio()
+        if not 0 <= n <= d:
             raise InvalidTTransformError(f"mixing weight {self.weight} outside [0, 1]")
 
     def matrix(self, n: int) -> OperatorMatrix:
@@ -526,12 +529,53 @@ class TTransform:
         """Left-multiply by this step on atoms of ``masses``, in place.
 
         Rows j and k become w·(row j) + (1-w)·(row k) and
-        β·(row j) + (1-β)·(row k).
+        β·(row j) + (1-β)·(row k). Entries are integer pairs (numerator,
+        positive denominator) in lowest terms, and so is each new one.
         """
-        w, rest, a, b = self.weight, 1 - self.weight, rows[self.j], rows[self.k]
-        beta = rest * masses[self.j] / masses[self.k]
-        rows[self.j] = tuple(w * x + rest * y for x, y in zip(a, b))
-        rows[self.k] = tuple(beta * x + (1 - beta) * y for x, y in zip(a, b))
+        wn, wd = self.weight.as_integer_ratio()
+        bn, bd = self._beta(masses)
+        a, b = rows[self.j], rows[self.k]
+        rows[self.j] = tuple([_combine(wn, wd - wn, wd, x, y) for x, y in zip(a, b)])
+        rows[self.k] = tuple([_combine(bn, bd - bn, bd, x, y) for x, y in zip(a, b)])
+
+    def _beta(self, masses: Sequence) -> Tuple[int, int]:
+        """β = (1-w)·a_j/a_k as an integer pair in lowest terms."""
+        wn, wd = self.weight.as_integer_ratio()
+        pj, qj = masses[self.j].as_integer_ratio()
+        pk, qk = masses[self.k].as_integer_ratio()
+        n, d = (wd - wn) * pj * qk, wd * qj * pk
+        common = gcd(n, d)
+        return n // common, d // common
+
+
+def _combine(p: int, q: int, d: int, x, y) -> Tuple[int, int]:
+    """(p·x + q·y) / d in lowest terms, where p/d, q/d, x and y are.
+
+    Two nonzero terms are reduced by one gcd. One term reduces as Fraction
+    multiplies, by two gcds of a short and a long integer, where one gcd of
+    two long integers with a short result would take time quadratic in
+    their length.
+    """
+    (xn, xd), (yn, yd) = x, y
+    if not xn or not yn:
+        n, m, w = (yn, yd, q) if not xn else (xn, xd, p)
+        if not n * w:
+            return 0, 1
+        a, b = gcd(w, m), gcd(n, d)
+        return (w // a) * (n // b), (d // b) * (m // a)
+    num, den = p * xn * yd + q * yn * xd, d * xd * yd
+    common = gcd(num, den)
+    return num // common, den // common
+
+
+@numbers.Rational.register
+class _Ratio(NamedTuple):
+    """A mixed entry, in lowest terms as a ``numbers.Rational`` is by contract:
+    ``Fraction(ratio)`` takes both integers as they are, where ``Fraction(n,
+    d)`` would run a gcd on them again, quadratic in their length."""
+
+    numerator: int
+    denominator: int
 
 
 @dataclass(frozen=True)
@@ -553,11 +597,11 @@ class WitnessChain:
                 raise DimensionMismatchError(
                     f"coordinate {step.k} outside dimension {self.dimension}"
                 )
-            if (1 - step.weight) * masses[step.j] > masses[step.k]:
-                beta = (1 - step.weight) * masses[step.j] / masses[step.k]
+            beta = step._beta(masses)
+            if beta[0] > beta[1]:
                 raise InvalidTTransformError(
                     f"step on atoms ({step.j}, {step.k}) gives atom {step.k} "
-                    f"the weight {beta} outside [0, 1]"
+                    f"the weight {Fraction(*beta)} outside [0, 1]"
                 )
 
     @property
@@ -589,17 +633,17 @@ class WitnessChain:
 
         As an operator on functions, a step replaces f on atoms j and k by
         its mixed averages there and leaves it alone elsewhere. So the steps
-        mix identity rows on the source atoms (last step leftmost) into the
-        value-basis matrix M there, and a grid atom of a mixed source atom n
-        gets row n of M with each entry M[n][c] spread evenly over the grid
-        atoms of source atom c; grid atoms of an atom no step mixes keep
-        their identity rows. Rows sum to 1 because the steps keep constants,
-        and columns because they keep integrals. The only place identity
-        rows are mixed: :meth:`TTransform.matrix` and random doubly
-        stochastic matrices are products of chains on unit atoms.
+        mix identity rows of integer pairs on the source atoms (last step
+        leftmost) into the value-basis matrix M there, and a grid atom of a
+        mixed source atom n gets row n of M with each entry M[n][c] spread
+        evenly over the grid atoms of source atom c; grid atoms of an atom no
+        step mixes keep their identity rows. Rows sum to 1 because the steps
+        keep constants, and columns because they keep integrals. The only
+        place identity rows are mixed: :meth:`TTransform.matrix` and random
+        doubly stochastic matrices are products of chains on unit atoms.
         """
-        grid, masses = self.grid, self.source_partition.atoms
-        rows = list(OperatorMatrix.identity(self.dimension).entries)
+        grid, masses, n = self.grid, self.source_partition.atoms, self.dimension
+        rows = [tuple([(int(i == c), 1) for c in range(n)]) for i in range(n)]
         for step in self.steps:
             step._mix(rows, masses)
         counts = [int(m / grid.atoms[0]) for m in masses]
@@ -607,23 +651,29 @@ class WitnessChain:
         identity = OperatorMatrix.identity(grid.size).entries
         expanded, start = [], 0
         for n, (row, count) in enumerate(zip(rows, counts)):
-            if n in mixed:  # dividing by 1 would renormalize every long entry
-                spread = tuple(
-                    e if c == 1 else e / c for e, c in zip(row, counts) for _ in range(c)
-                )
-                expanded += [spread] * count
+            if n in mixed:
+                spread = []
+                for (e, d), c in zip(row, counts):
+                    common = gcd(e, c)  # e/d is in lowest terms
+                    spread += [Fraction(_Ratio(e // common, d * c // common))] * c
+                expanded += [tuple(spread)] * count
             else:
                 expanded += identity[start : start + count]
             start += count
         return OperatorMatrix(tuple(expanded))
 
     def apply_to(self, g: StepFunction) -> StepFunction:
-        """Apply the witness operator to a function on its partition."""
+        """Apply the witness operator to a function on its partition.
+
+        g's values are mixed as integer pairs by :meth:`TTransform._mix`, the
+        step action :attr:`product` uses too; the image is built from them.
+        """
         partition = self.source_partition
-        column = [(v,) for v in align(partition, g).values]
+        column = [(v.as_integer_ratio(),) for v in align(partition, g).values]
         for step in self.steps:
             step._mix(column, partition.atoms)
-        return AlignedStep(partition, [v for (v,) in column]).step_function()
+        values = [Fraction(*entry) for (entry,) in column]
+        return AlignedStep(partition, values).step_function()
 
 
 def _t_transform_chain(
@@ -642,17 +692,17 @@ def _t_transform_chain(
     the derived β = (1-w)·a_j/a_k lie in [0, 1] because y_k < x_k ≤ x_j < y_j.
     On equal atoms this is the classical T-transform chain.
 
-    The scan runs in linear time on integers: the masses are scaled by the
-    lcm of their denominators and the values by the lcm of theirs, and both
-    scales cancel in every weight. The pointers j and k only move forward:
+    The scan runs in linear time on integers: the masses come on one
+    integer scale and the values on another (:func:`ds_witness` passes the
+    pair's), both scales cancel in every weight, and each weight is one
+    ``Fraction``. The pointers j and k only move forward:
     an equalized atom stays equal, and a deficit is never overfilled, so no
     atom before either pointer can become the next surplus or deficit.
     """
-    _, a = common_scale(masses)
-    _, values = common_scale((*target, *source))
+    a = masses
     n, j, k, steps = len(a), 0, 0, []
-    x = list(map(mul, a, values[:n]))
-    y = list(map(mul, a, values[n:]))
+    x = list(map(mul, a, target))
+    y = list(map(mul, a, source))
     for _ in range(n + 1):
         while j < n and y[j] == x[j]:
             j += 1
@@ -671,7 +721,7 @@ def _t_transform_chain(
             )
         delta = min(y[j] - x[j], x[k] - y[k])
         spread = y[j] * a[k] - y[k] * a[j]
-        steps.append(TTransform(j, k, 1 - Fraction(delta * a[k], spread)))
+        steps.append(TTransform(j, k, Fraction(spread - delta * a[k], spread)))
         y[j] -= delta
         y[k] += delta
     else:
@@ -699,16 +749,20 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     most one step fewer than atoms. ``apply_to(g) == f`` exactly. Two null
     functions need no atoms, and get the empty witness. No equal-mass grid is
     built here: :attr:`WitnessChain.product` expands the chain onto one on
-    request.
+    request. The refinement is walked, and the chain scanned, on the pair's
+    scaled integer masses and values; each atom is built as a ``Fraction`` once.
     """
     _require_majorized(f, g)
-    # one walk gives the atoms and both value vectors, where align would walk twice more
-    f_levels, g_levels = f.values() + (ZERO,), g.values() + (ZERO,)
-    atoms, x, y = [], [], []
-    for i, k, mass in _in_order([p.mass for p in f.pieces], [p.mass for p in g.pieces]):
-        atoms.append(mass)
+    mass_scale, _, (f_values, f_masses), (g_values, g_masses) = _scaled(f, g)
+    # one walk on the scaled masses gives the atoms and both value vectors,
+    # where align would walk twice more
+    f_levels, g_levels = [*f_values, 0], [*g_values, 0]
+    masses, x, y = [], [], []
+    for i, k, mass in _in_order(f_masses, g_masses):
+        masses.append(mass)
         x.append(f_levels[i])
         y.append(g_levels[k])
     total = f.total_measure
-    partition = Partition(tuple(atoms), total, Tail(ONE) if total is INF else None)
-    return WitnessChain(_t_transform_chain(atoms, x, y), partition)
+    atoms = tuple([Fraction(m, mass_scale) for m in masses])
+    partition = Partition(atoms, total, Tail(ONE) if total is INF else None)
+    return WitnessChain(_t_transform_chain(masses, x, y), partition)

@@ -430,13 +430,15 @@ class TestEqui:
         f = write("neg.sfn", "total 1\n-1 1\n")
         ops = tmp / "ops"
         ops.mkdir()
+        (ops / "a.mat").write_text("1 1\n1\n")
         (ops / "r.mat").write_text("2 1\n1\n0\n")
         assert main(["classify", str(ops / "r.mat")]) == 0
         assert "semi-doubly" in capsys.readouterr().out
         assert main(["equi", f, "--ops", str(ops), "--delta-grid", "1,2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "total measures differ: 2 vs 1" in captured.err
+        # of several operators, the error names the one whose image is refused
+        assert captured.err == "error: r.mat: total measures differ: 2 vs 1\n"
 
     def test_nonnegative_source_bounds_a_larger_image_by_its_integral(
         self, workdir, capsys

@@ -557,13 +557,17 @@ class TestDsWitness:
         f, g = self.averaged_pair(10007, 9973)
         chain = ds_witness(f, g)
         masses = chain.source_partition.atoms
-        rows = list(OperatorMatrix.identity(chain.dimension).entries)
+        # _mix works on entries given as integer (numerator, denominator) pairs
+        rows = [
+            tuple(e.as_integer_ratio() for e in row)
+            for row in OperatorMatrix.identity(chain.dimension).entries
+        ]
         for step in chain.steps:
             step._mix(rows, masses)
         # the value-basis matrix M in the integral basis: d = diag(a) M diag(1/a)
         d = OperatorMatrix(
             tuple(
-                tuple(a * e / c for e, c in zip(row, masses))
+                tuple(a * F(*e) / c for e, c in zip(row, masses))
                 for a, row in zip(masses, rows)
             )
         )

@@ -50,7 +50,7 @@ from majo.errors import (
 from majo.extended import as_extended, as_fraction, common_scale
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
 from majo.majorize import _scaled
-from majo.operators import TTransform, _t_transform_chain
+from majo.operators import TTransform, WitnessChain, _t_transform_chain
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -131,6 +131,82 @@ def test_witness_steps_and_product_are_one_operator(case):
     h = AlignedStep(partition, h_values).step_function()
     via_product = psi(grid, apply_matrix(chain.product, phi(grid, h)))
     assert chain.apply_to(h) == via_product.step_function()
+
+
+def reference_mix(chain, rows):
+    """The chain's steps applied to rows of Fractions, as TTransform states
+    them: row j takes w·y_j + (1-w)·y_k and row k takes β·y_j + (1-β)·y_k,
+    with β = (1-w)·a_j/a_k."""
+    rows, masses = list(rows), chain.source_partition.atoms
+    for step in chain.steps:
+        w, a, b = step.weight, rows[step.j], rows[step.k]
+        beta = (1 - w) * masses[step.j] / masses[step.k]
+        rows[step.j] = tuple(w * y_j + (1 - w) * y_k for y_j, y_k in zip(a, b))
+        rows[step.k] = tuple(beta * y_j + (1 - beta) * y_k for y_j, y_k in zip(a, b))
+    return rows
+
+
+@st.composite
+def chains_on_unequal_atoms(draw, small=False):
+    """A valid chain on an unequal partition and decreasing values on its
+    atoms. Masses have prime denominators up to 10^4, or up to 3 when
+    ``small``, so that the gcd grid of the dense product stays small; the
+    weights have prime denominators up to 10^4 either way, and each lies in
+    [max(0, 1 - a_k/a_j), 1], which keeps β in [0, 1]."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(2, 5 if small else 40)
+    denominators = (1, 2, 3) if small else PRIMES
+    atoms = tuple(F(rng.randint(1, 3), rng.choice(denominators)) for _ in range(n))
+    hypothesis.assume(len(set(atoms)) > 1)
+    infinite = draw(st.booleans())
+    partition = Partition(
+        atoms, INF if infinite else sum(atoms), Tail(F(1)) if infinite else None
+    )
+    steps = []
+    for _ in range(rng.randint(1, 3 * n)):
+        j, k = sorted(rng.sample(range(n), 2))
+        low = max(F(0), 1 - atoms[k] / atoms[j])
+        p = rng.choice(PRIMES)
+        steps.append(TTransform(j, k, low + (1 - low) * F(rng.randint(0, p), p)))
+    least = 0 if infinite else -(10**4)
+    values = [F(rng.randint(least, 10**4), rng.choice(PRIMES)) for _ in range(n)]
+    values.sort(reverse=True)
+    return WitnessChain(tuple(steps), partition), values
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(chains_on_unequal_atoms())
+def test_integer_mixing_is_the_fraction_mix(case):
+    """apply_to on any function aligned with the atoms, not only the source
+    the chain was built for, equals the mix written out in Fractions."""
+    chain, values = case
+    partition = chain.source_partition
+    h = AlignedStep(partition, values).step_function()
+    expected = [v for (v,) in reference_mix(chain, [(v,) for v in values])]
+    assert chain.apply_to(h) == AlignedStep(partition, expected).step_function()
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(chains_on_unequal_atoms(small=True))
+def test_product_is_the_fraction_mix_of_identity_rows(case):
+    """The product on the grid is the Fraction mix of identity rows on the
+    atoms, a mixed row spread evenly over the grid atoms of each atom and an
+    unmixed atom keeping the grid's identity rows."""
+    chain, _ = case
+    grid, n = chain.grid, chain.dimension
+    mixed_rows = reference_mix(chain, OperatorMatrix.identity(n).entries)
+    counts = [int(a / grid.atoms[0]) for a in chain.source_partition.atoms]
+    mixed = {step.j for step in chain.steps} | {step.k for step in chain.steps}
+    identity = OperatorMatrix.identity(grid.size).entries
+    expected, start = [], 0
+    for atom, (row, count) in enumerate(zip(mixed_rows, counts)):
+        if atom in mixed:
+            spread = tuple(e / c for e, c in zip(row, counts) for _ in range(c))
+            expected += [spread] * count
+        else:
+            expected += identity[start : start + count]
+        start += count
+    assert chain.product.entries == tuple(expected)
 
 
 @st.composite
