@@ -45,7 +45,6 @@ from .operators import (
     partition_average_matrix,
     phi,
     psi,
-    restrict,
     sequence_apply,
 )
 from .stepfn import Piece, StepFunction, canonicalize, indicator
@@ -96,7 +95,6 @@ __all__ = [
     "partition_average_matrix",
     "phi",
     "psi",
-    "restrict",
     "sequence_apply",
     "small_set_modulus",
     "tail_distribution_criterion",

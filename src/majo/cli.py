@@ -379,8 +379,8 @@ def cmd_equi(args) -> int:
     family = []
     names = []
     for path in matrices:
-        matrix = load_mat(path)
         try:
+            matrix = load_mat(path)
             mass = unit if infinite else _tiling_mass(f, matrix)
             image = sequence_apply(matrix, f, mass)[0]
             _require_comparable(image, f)

@@ -115,10 +115,6 @@ class NotMajorizedError(MajoError):
     """A witness was requested for a pair that is not majorized."""
 
 
-class UnequalMassesUnsupportedError(MajoError):
-    """Sequence-space restriction is only exact on equal-mass partitions."""
-
-
 # ---------------------------------------------------------------------------
 # formats
 # ---------------------------------------------------------------------------

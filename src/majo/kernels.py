@@ -96,18 +96,11 @@ def matrix_to_kernel(partition: Partition, matrix: OperatorMatrix) -> StepKernel
     """Kernel of the operator a sequence matrix induces on the partition.
 
     The matrix must have one row per explicit atom; a narrower matrix gets
-    the leading atoms as its column partition.
+    the leading atoms as its column partition. :class:`StepKernel` refuses
+    any other shape.
     """
     if classify_matrix(matrix) < OperatorClass.MARKOV:
         raise NotStochasticError("kernels are built from Markov matrices only")
-    if matrix.rows != partition.size:
-        raise DimensionMismatchError(
-            f"{matrix.rows} matrix rows for {partition.size} atoms"
-        )
-    if matrix.cols > matrix.rows:
-        raise DimensionMismatchError(
-            "matrix has more columns than the partition has atoms to carry them"
-        )
     if matrix.cols == partition.size:
         col_partition = partition
     else:

@@ -35,7 +35,6 @@ from .errors import (
     NotMajorizedError,
     NotStochasticError,
     PartitionMisalignedError,
-    UnequalMassesUnsupportedError,
 )
 from .extended import (
     INF,
@@ -476,24 +475,6 @@ def sequence_apply(
     return image.step_function(), row_partition
 
 
-def restrict(partition: Partition, operator: OperatorMatrix) -> OperatorMatrix:
-    """Sequence-basis matrix of a value-basis operator on the partition.
-
-    Exact inverse of :func:`lift`. Only equal-mass partitions are accepted:
-    with unequal masses the restricted row sums are bounded by mass ratios
-    that can exceed 1, so the semi-doubly stochastic guarantee would be
-    silently lost; that is surfaced as an error instead. On equal masses the
-    rescaling factor mass(n)/mass(j) is 1, so the validated operator is
-    returned as it is.
-    """
-    if not partition.equal_masses:
-        raise UnequalMassesUnsupportedError(
-            "sequence restriction is only exact on equal-mass partitions"
-        )
-    _require_sds(operator, partition)
-    return operator
-
-
 # ---------------------------------------------------------------------------
 # doubly stochastic witnesses
 # ---------------------------------------------------------------------------
@@ -520,10 +501,6 @@ class TTransform:
         n, d = self.weight.as_integer_ratio()
         if not 0 <= n <= d:
             raise InvalidTTransformError(f"mixing weight {self.weight} outside [0, 1]")
-
-    def matrix(self, n: int) -> OperatorMatrix:
-        """This step on n unit atoms: the product of its one-step chain."""
-        return WitnessChain((self,), Partition.equal_mass(n, 1, n)).product
 
     def _mix(self, rows: list, masses: Sequence) -> None:
         """Left-multiply by this step on atoms of ``masses``, in place.
@@ -639,8 +616,8 @@ class WitnessChain:
         evenly over the grid atoms of source atom c; grid atoms of an atom no
         step mixes keep their identity rows. Rows sum to 1 because the steps
         keep constants, and columns because they keep integrals. The only
-        place identity rows are mixed: :meth:`TTransform.matrix` and random
-        doubly stochastic matrices are products of chains on unit atoms.
+        place identity rows are mixed: one step's matrix, like a random
+        doubly stochastic matrix, is the product of a chain on unit atoms.
         """
         grid, masses, n = self.grid, self.source_partition.atoms, self.dimension
         rows = [tuple([(int(i == c), 1) for c in range(n)]) for i in range(n)]
@@ -648,7 +625,6 @@ class WitnessChain:
             step._mix(rows, masses)
         counts = [int(m / grid.atoms[0]) for m in masses]
         mixed = {step.j for step in self.steps} | {step.k for step in self.steps}
-        identity = OperatorMatrix.identity(grid.size).entries
         expanded, start = [], 0
         for n, (row, count) in enumerate(zip(rows, counts)):
             if n in mixed:
@@ -658,7 +634,10 @@ class WitnessChain:
                     spread += [Fraction(_Ratio(e // common, d * c // common))] * c
                 expanded += [tuple(spread)] * count
             else:
-                expanded += identity[start : start + count]
+                expanded += [
+                    (ZERO,) * i + (ONE,) + (ZERO,) * (grid.size - 1 - i)
+                    for i in range(start, start + count)
+                ]
             start += count
         return OperatorMatrix(tuple(expanded))
 

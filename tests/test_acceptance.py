@@ -91,7 +91,7 @@ def test_criterion_4_witness_exactness():
 
 
 def test_criterion_5_averaging_lifting_kernels():
-    """Averaging is doubly stochastic; restrict(lift) is exact; marginals hold."""
+    """Averaging is doubly stochastic; lift(D) is D on equal masses; marginals hold."""
     outcome = criterion_partition_ops(SEED)
     _report(outcome)
 

@@ -299,6 +299,22 @@ class TestLiftKernelApply:
         assert report["class"] == "doubly-stochastic"
         assert report["column_integrals"] == ["1", "1"]
 
+    @pytest.mark.parametrize(
+        "shape, text",
+        [("3x2", "3 2\n1 0\n0 1/2\n0 1/2\n"), ("2x3", "2 3\n1 0 1/2\n0 1 1/2\n")],
+        ids=["3x2", "2x3"],
+    )
+    def test_kernel_refuses_a_matrix_that_does_not_fit_the_partition(
+        self, workdir, capsys, shape, text
+    ):
+        _, write = workdir
+        part = write("p.sfn", "total 2\npartition 1 1\n")
+        matrix = write("m.mat", text)
+        assert main(["kernel", part, matrix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{shape} sequence matrix for 2 row atoms" in err
+
     def test_apply_with_atom_mass_on_infinite_space(self, workdir, capsys):
         _, write = workdir
         f = write("f.sfn", "total inf\n2 2\n")
@@ -455,6 +471,17 @@ class TestEqui:
             {"delta": "5/2", "modulus": "1", "bound": "1", "within_bound": True},
             {"delta": "3", "modulus": "1", "bound": "1", "within_bound": True},
         ]
+
+    def test_an_operator_that_does_not_parse_is_named(self, workdir, capsys):
+        tmp, write = workdir
+        f = write("f.sfn", "total 2\n1 2\n")
+        ops = tmp / "ops"
+        ops.mkdir()
+        (ops / "a.mat").write_text("1 1\n1\n")
+        (ops / "b.mat").write_text("1 2\n1/2 x\n")
+        assert main(["equi", f, "--ops", str(ops)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: b.mat: ") and "near 'x'" in err
 
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

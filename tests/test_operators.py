@@ -26,7 +26,6 @@ from majo import (
     partition_average_matrix,
     phi,
     psi,
-    restrict,
     sequence_apply,
 )
 from majo.errors import (
@@ -39,7 +38,6 @@ from majo.errors import (
     NotMajorizedError,
     NotStochasticError,
     PartitionMisalignedError,
-    UnequalMassesUnsupportedError,
 )
 from majo.kernels import kernel_apply, kernel_classify, matrix_to_kernel
 from majo.operators import (
@@ -320,35 +318,28 @@ class TestLiftRestrict:
         with pytest.raises(NotStochasticError):
             lift(partition, summing_truncation(4))
 
-    def test_restrict_round_trip(self):
+    def test_lift_is_the_sequence_matrix_on_equal_masses(self):
         rng = random.Random(83)
         for _ in range(60):
             n = rng.randint(2, 5)
             partition = Partition.equal_mass(n, random_fraction(rng, positive=True), INF)
             mixer = random_doubly_stochastic(rng, n)
-            assert restrict(partition, lift(partition, mixer)) == mixer
+            assert lift(partition, mixer) == mixer
 
-    def test_restrict_requires_equal_masses(self):
-        partition = Partition(atoms=(F(1), F(2)), total_measure=F(3))
-        with pytest.raises(UnequalMassesUnsupportedError):
-            restrict(partition, OperatorMatrix.identity(2))
-
-    def test_restrict_classification_stays_sds(self):
+    def test_lift_classification_stays_sds_on_equal_masses(self):
         rng = random.Random(89)
         for _ in range(40):
             n = rng.randint(2, 4)
             partition = Partition.equal_mass(n, F(1, 3), INF)
             mixer = random_doubly_stochastic(rng, n)
-            restricted = restrict(partition, lift(partition, mixer))
-            assert (
-                classify_matrix(restricted) >= OperatorClass.SEMI_DOUBLY_STOCHASTIC
-            )
+            lifted = lift(partition, mixer)
+            assert classify_matrix(lifted) >= OperatorClass.SEMI_DOUBLY_STOCHASTIC
 
 
 class TestTTransform:
     def test_matrix_block(self):
         step = TTransform(0, 2, F(3, 4))
-        matrix = step.matrix(3)
+        matrix = WitnessChain((step,), Partition.equal_mass(3, 1, 3)).product
         assert matrix.entries == (
             (F(3, 4), F(0), F(1, 4)),
             (F(0), F(1), F(0)),
@@ -372,7 +363,7 @@ class TestTTransform:
         with pytest.raises(DimensionMismatchError):
             WitnessChain((TTransform(0, 3, F(1, 2)),), Partition.equal_mass(2, 1, 2))
         with pytest.raises(DimensionMismatchError):
-            TTransform(0, 2, F(1, 2)).matrix(2)
+            WitnessChain((TTransform(0, 2, F(1, 2)),), Partition.equal_mass(2, 1, 2))
 
     def test_chain_refuses_a_second_weight_outside_the_unit_interval(self):
         """On atoms of masses 2 and 1, weight 1/4 gives beta = 3/4 * 2/1 > 1."""
@@ -430,6 +421,21 @@ class TestDsWitness:
         assert chain.steps == ()
         assert (chain.dimension, chain.grid.size) == (2, 3)
         assert chain.product == OperatorMatrix.identity(chain.grid.size)
+
+    def test_unmixed_atom_keeps_identity_rows_on_the_grid(self):
+        """One step on atoms 1/7 and 1/11; the 77 grid atoms of 1/13 stay put."""
+        g = canonicalize([(3, F(1, 7)), (2, F(1, 11)), (1, F(1, 13))], INF)
+        f = canonicalize([(F(47, 18), F(18, 77)), (1, F(1, 13))], INF)
+        chain = ds_witness(f, g)
+        assert len(chain.steps) == 1
+        grid = chain.grid
+        assert (grid.size, grid.atoms[0]) == (311, F(1, 1001))
+        product = chain.product
+        identity = OperatorMatrix.identity(grid.size).entries
+        # the last 77 grid atoms, after 143 of 1/7 and 91 of 1/11
+        assert product.entries[234:] == identity[234:]
+        assert classify_matrix(product) is OperatorClass.DOUBLY_STOCHASTIC
+        assert apply_matrix(product, align(grid, g).values) == align(grid, f).values
 
     def test_rejects_non_majorized(self):
         f = canonicalize([(3, 1), (F(1, 2), 1)], INF)
