@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -191,8 +190,6 @@ def cmd_check(args) -> int:
 
 
 def _point_str(violation) -> str:
-    if violation is None:
-        return "?"
     op = "!=" if violation.relation.value == "==" else ">"
     return (
         f"{format_rational(violation.point)} "
@@ -427,14 +424,11 @@ def cmd_equi(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("MAJO_SEED", "0"))
-    outcomes = selftest.run_all(seed, only=args.only or None)
+    outcomes = selftest.run_all(args.seed, only=args.only or None)
     passed = sum(o.passed for o in outcomes)
     report = {
         "command": "selftest",
-        "seed": seed,
+        "seed": args.seed,
         "passed": passed,
         "failed": len(outcomes) - passed,
         "outcomes": [
@@ -451,7 +445,7 @@ def cmd_selftest(args) -> int:
     lines = [o.line() for o in outcomes]
     for o in outcomes:
         lines.extend(f"    {msg}" for msg in o.failures)
-    lines.append(f"{passed}/{len(outcomes)} criteria passed (seed {seed})")
+    lines.append(f"{passed}/{len(outcomes)} criteria passed (seed {args.seed})")
     _emit(report, args.json, lines)
     return EXIT_HOLDS if passed == len(outcomes) else EXIT_FAILS
 
@@ -545,9 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_equi)
 
     p = sub.add_parser("selftest", help="run the randomized invariant suite")
-    p.add_argument(
-        "--seed", type=int, default=None, help="defaults to MAJO_SEED or 0"
-    )
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--only",
         action="append",

@@ -12,10 +12,6 @@ class MajoError(Exception):
     """Base error for the package."""
 
 
-class ExtendedArithmeticError(MajoError):
-    """An extended-rational operation with no unambiguous value (e.g. inf - inf)."""
-
-
 class InvalidRationalError(MajoError, ValueError):
     """Text that is not an integer or ``p/q`` with a nonzero denominator."""
 
@@ -121,12 +117,16 @@ class NotMajorizedError(MajoError):
 
 
 class ParseError(MajoError):
-    """Malformed input file; records position and the offending token."""
+    """Malformed input file; records position and the offending token.
+
+    The message quotes at most the token's first 40 characters; ``token``
+    keeps all of it.
+    """
 
     def __init__(self, message: str, *, line: int, column: int = 1, token: str = ""):
         detail = f"line {line}, column {column}"
         if token:
-            detail += f", near {token!r}"
+            detail += f", near {token[:40]!r}"
         super().__init__(f"{message} ({detail})")
         self.line = line
         self.column = column

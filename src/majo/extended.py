@@ -1,9 +1,9 @@
 """Exact rationals extended with a single positive infinity.
 
 Measures take values in the nonnegative rationals plus ``INF``; there is no
-negative infinity anywhere in this package. ``INF`` compares and adds the
-obvious way, and operations without an unambiguous value (``INF - INF``,
-negation) raise :class:`~majo.errors.ExtendedArithmeticError`.
+negative infinity anywhere in this package. ``INF`` compares above every
+rational and has no arithmetic: adding, subtracting or negating it raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .errors import EmptyFamilyError, ExtendedArithmeticError, InvalidRationalError
+from .errors import EmptyFamilyError, InvalidRationalError
 
 # an optionally signed integer, or p/q with a nonzero denominator
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
@@ -33,12 +33,6 @@ class Infinity:
         return "inf"
 
     # -- ordering -----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Infinity)
-
-    def __hash__(self) -> int:
-        return hash("majo.extended.Infinity")
 
     def __lt__(self, other) -> bool:
         if isinstance(other, (Infinity, int, Fraction)):
@@ -63,28 +57,6 @@ class Infinity:
         if isinstance(other, (Infinity, int, Fraction)):
             return True
         return NotImplemented
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (Infinity, int, Fraction)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Infinity):
-            raise ExtendedArithmeticError("inf - inf is undefined")
-        if isinstance(other, (int, Fraction)):
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other):
-        raise ExtendedArithmeticError("finite - inf has no extended value here")
-
-    def __neg__(self):
-        raise ExtendedArithmeticError("negative infinity is not representable")
 
 
 INF = Infinity()

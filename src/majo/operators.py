@@ -712,10 +712,9 @@ def _require_majorized(f: StepFunction, g: StepFunction) -> None:
     """Refuse the pair unless f is majorized by g, naming the first violation."""
     verdict = majorize(f, g)
     if not verdict.holds:
-        point = verdict.violation.point if verdict.violation else "?"
         raise NotMajorizedError(
-            f"f is not majorized by g (violation at {point} under the "
-            f"{verdict.criterion.value} criterion)"
+            f"f is not majorized by g (violation at {verdict.violation.point} "
+            f"under the {verdict.criterion.value} criterion)"
         )
 
 

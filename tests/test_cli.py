@@ -10,6 +10,7 @@ import pytest
 
 from majo import canonicalize
 from majo.cli import main
+from majo.errors import ParseError
 from majo.formats import loads_mat, loads_sfn
 
 
@@ -79,6 +80,17 @@ class TestCheck:
             "relation": "<=",
         }
         assert report["timings"] is None
+
+    def test_timings_add_only_the_total(self, workdir, capsys):
+        _, write = workdir
+        f, g = incomparable(write)
+        main(["check", f, g, "--json"])
+        plain = json.loads(capsys.readouterr().out)
+        main(["check", f, g, "--json", "--timings"])
+        timed = json.loads(capsys.readouterr().out)
+        assert plain.pop("timings") is None
+        assert timed.pop("timings")["total_s"] >= 0
+        assert timed == plain
 
     def test_reverse_direction_reported(self, workdir, capsys):
         _, write = workdir
@@ -323,6 +335,15 @@ class TestLiftKernelApply:
         out = capsys.readouterr().out
         assert "total inf" in out and "2 2" in out
 
+    def test_rectangular_apply_on_an_equal_mass_partition(self, workdir, capsys):
+        _, write = workdir
+        shift = write("shift.mat", "3 2\n1 0\n0 1\n0 0\n")
+        f = write("f.sfn", "total 2\n3 1\n1 1\npartition 1 1\n")
+        assert main(["apply", shift, f]) == 0
+        image = loads_sfn(capsys.readouterr().out)
+        assert image.function == canonicalize([(3, 1), (1, 1), (0, 1)], 3)
+        assert image.partition.atoms == (1, 1, 1)
+
     def test_apply_infinite_without_alignment_fails(self, workdir, capsys):
         _, write = workdir
         f = write("f.sfn", "total inf\n2 2\n")
@@ -536,11 +557,10 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "1/1 criteria passed" in out
 
-    def test_seed_env_override(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("MAJO_SEED", "9")
+    def test_seed_defaults_to_zero(self, workdir, capsys):
         assert main(["selftest", "--only", "fixtures", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["seed"] == 9
+        assert report["seed"] == 0
 
 
 class TestExitCodes:
@@ -577,6 +597,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "tail count must be an integer" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lift", "p.sfn", "id3.mat"], "3x3 matrix on 2 atoms"),
+            (["rearrange", "two-partitions.sfn"], "second partition block (line 4, column 1)"),
+            (["rearrange", "two-tails.sfn"], "second tail line (line 5, column 1)"),
+            (["equi", "f.sfn", "--ops", "no-ops"], "no .mat files under no-ops"),
+            (["rearrange", "long-tail.sfn"], "tail count must be a nonnegative integer"),
+        ],
+        ids=["lift-shape", "two-partitions", "two-tails", "no-ops", "long-tail-count"],
+    )
+    def test_malformed_documents_name_the_fault(
+        self, workdir, capsys, monkeypatch, argv, message
+    ):
+        tmp, write = workdir
+        write("p.sfn", "total 2\npartition 1 1\n")
+        write("id3.mat", "3 3\n1 0 0\n0 1 0\n0 0 1\n")
+        write("two-partitions.sfn", "total 2\n1 2\npartition 1 1\npartition 1 1\n")
+        write(
+            "two-tails.sfn",
+            "total inf\n1 2\npartition 1 1\ntail 1 x inf\ntail 1 x inf\n",
+        )
+        write("f.sfn", "total 2\n1 2\n")
+        (tmp / "no-ops").mkdir()
+        nines = "9" * 5000
+        write("long-tail.sfn", f"total inf\n1 1\npartition 1\ntail 1 x {nines}\n")
+        monkeypatch.chdir(tmp)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert message in err
+
+    def test_a_parse_error_quotes_a_short_prefix_of_a_long_token(
+        self, workdir, capsys
+    ):
+        _, write = workdir
+        token = "x" * 100_000
+        f = write("long.sfn", f"total 2\n{token} 2\n")
+        assert main(["rearrange", f]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.encode()) < 200
+        with pytest.raises(ParseError) as info:
+            loads_sfn(Path(f).read_text())
+        assert info.value.token == token
 
     @pytest.mark.parametrize(
         "argv",

@@ -215,7 +215,8 @@ def level_set_pairs(draw):
     g's level sets, and g). Either up to 200 level sets and cuts with prime
     denominators up to 10^4, or a few with denominators up to 4, so that the
     gcd grid sometimes fits the budget. On an infinite space the averaging
-    partition reaches past g's support into the zero tail."""
+    partition reaches past g's support into the zero tail, or is empty when
+    g is zero and the reach draws nothing."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     small = draw(st.booleans())
     denominators = (1, 2, 3, 4) if small else PRIMES
@@ -233,7 +234,7 @@ def level_set_pairs(draw):
     else:
         cuts = {F(rng.randint(1, p - 1), p) * reach
                 for p in rng.choices(PRIMES, k=rng.randint(0, 100))}
-    points = sorted(c for c in cuts if 0 < c < reach) + [reach]
+    points = sorted(c for c in cuts if 0 < c < reach) + ([reach] if reach else [])
     atoms = tuple(b - a for a, b in zip([F(0)] + points, points))
     tail = Tail(F(1)) if infinite else None
     coarse = Partition(atoms=atoms, total_measure=total, tail=tail)
@@ -242,6 +243,7 @@ def level_set_pairs(draw):
 
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(level_set_pairs())
+@hypothesis.example((canonicalize([], INF), canonicalize([], INF)))
 def test_level_set_witness_is_exact_and_small(case):
     f, g = case
     chain = ds_witness(f, g)
