@@ -34,10 +34,11 @@ only the integer sweep. A caller that reads ``checked`` too, as ``majo check
 1.62 ms per pair on the seed-1 ``decide`` pool, against 1.43 ms, and 8.65 s
 against 8.2 s on a 2000-piece pair with 4-digit prime denominators.
 
-The three sweeps share each function's integer scales, computed once per
-function and kept on it, as they would share a common denominator; each
-criterion still runs its own sweep on them, so :func:`cross_check` compares
-independent computations. The direct per-point evaluators on
+The pair is put on its integer scales once per call, in :func:`_scaled`:
+each public criterion scales it for itself, and :func:`cross_check` scales it
+once for all three criteria, as they would share a common denominator. Each
+criterion still runs its own sweep on the scaled pair, so :func:`cross_check`
+compares independent computations. The direct per-point evaluators on
 :class:`StepFunction` re-verify any certificate.
 """
 
@@ -48,12 +49,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress, count
-from math import lcm
 from operator import gt
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, MeasureMismatchError
-from .extended import INF
+from .extended import INF, common_scale
 from .stepfn import StepFunction
 
 
@@ -142,35 +142,25 @@ def _require_same_total(f: StepFunction, g: StepFunction) -> None:
 Levels = Tuple[Sequence, Sequence]
 # (points, left, right, index of the equality clause or None)
 Layout = Tuple[list, list, list, Optional[int]]
+Scaled = Tuple[int, int, Levels, Levels]  # as _scaled returns it
 
 
-def _scaled(f: StepFunction, g: StepFunction) -> Tuple[int, int, Levels, Levels]:
+def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     """The pair on shared integer scales: (mass scale, value scale, f, g), with
     every mass of f and g times the lcm of their mass denominators and every
     value times the lcm of their value denominators. On a finite space the
     masses tile the total, so it is on the mass scale too.
 
-    Each function's own scales are computed once and kept on it; here they
-    are only lifted to the pair's lcms, multiplying where a scale differs. The
-    criteria of one :func:`cross_check` so share each function's scales, and
-    nothing their sweeps compute."""
-    f_value_scale, f_values, f_mass_scale, f_masses = f._scales
-    g_value_scale, g_values, g_mass_scale, g_masses = g._scales
-    value_scale = lcm(f_value_scale, g_value_scale)
-    mass_scale = lcm(f_mass_scale, g_mass_scale)
-    f_levels = (
-        _lift(f_values, value_scale // f_value_scale),
-        _lift(f_masses, mass_scale // f_mass_scale),
-    )
-    g_levels = (
-        _lift(g_values, value_scale // g_value_scale),
-        _lift(g_masses, mass_scale // g_mass_scale),
-    )
-    return mass_scale, value_scale, f_levels, g_levels
-
-
-def _lift(scaled: Sequence[int], factor: int) -> Sequence[int]:
-    return scaled if factor == 1 else [x * factor for x in scaled]
+    The one place a pair is put on integers: unequal totals are refused
+    first, then one :func:`common_scale` runs over the values of both
+    functions and one over their masses. A caller that runs several sweeps
+    on one pair scales it once and passes the result to each."""
+    _require_same_total(f, g)
+    pieces = f.pieces + g.pieces
+    value_scale, values = common_scale([v for v, _ in pieces])
+    mass_scale, masses = common_scale([m for _, m in pieces])
+    n = len(f.pieces)
+    return mass_scale, value_scale, (values[:n], masses[:n]), (values[n:], masses[n:])
 
 
 def _levels(h: StepFunction) -> Levels:
@@ -180,24 +170,27 @@ def _levels(h: StepFunction) -> Levels:
 def _decide(
     criterion: Criterion,
     weak: bool,
-    layout: Callable[[Levels, Levels, bool, bool], Layout],
     f: StepFunction,
     g: StepFunction,
+    scaled: Scaled,
 ) -> MajorizationVerdict:
-    """Verdict from a criterion's layout on the pair's scaled integers.
+    """Verdict from a criterion's layout on ``scaled``, the pair as
+    :func:`_scaled` gives it; a caller scales the pair once for all the
+    criteria it runs.
 
-    ``layout`` gives the scan points and both sides at each, in the number
-    type of the levels it is given. On the integers a point is over the mass
-    scale (rearrangement) or the value scale (hinge, tail), and a side over
-    the product of both. The first violation is found there by integer
-    comparison and built at once. The full certificate is the same layout on
-    the exact ``Fraction`` levels, run when ``checked`` is first read: adding
-    small exact terms normalizes far more cheaply than reducing every integer
-    by the whole scale, whose gcds grow with the square of its length. A
-    reader of ``checked`` so runs the layout twice (see the module docstring
-    for what that costs).
+    The criterion's layout (:data:`_LAYOUTS`) gives the scan points and both
+    sides at each, in the number type of the levels it is given. On the
+    integers a point is over the mass scale (rearrangement) or the value
+    scale (hinge, tail), and a side over the product of both. The first
+    violation is found there by integer comparison and built at once. The
+    full certificate is the same layout on the exact ``Fraction`` levels, run
+    when ``checked`` is first read: adding small exact terms normalizes far
+    more cheaply than reducing every integer by the whole scale, whose gcds
+    grow with the square of its length. A reader of ``checked`` so runs the
+    layout twice (see the module docstring for what that costs).
     """
-    mass_scale, value_scale, f_scaled, g_scaled = _scaled(f, g)
+    mass_scale, value_scale, f_scaled, g_scaled = scaled
+    layout = _LAYOUTS[criterion]
     infinite = f.infinite
     points, left, right, eq = layout(f_scaled, g_scaled, infinite, weak)
     first = next(compress(count(), map(gt, left, right)), None)
@@ -282,8 +275,7 @@ def _partial_sweep(values: Sequence, masses: Sequence, points) -> list:
 
 def weak_majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
     """Decide f <w g: partial integrals of the rearrangements never cross."""
-    _require_same_total(f, g)
-    return _decide(Criterion.REARRANGEMENT, True, _partial_layout, f, g)
+    return _decide(Criterion.REARRANGEMENT, True, f, g, _scaled(f, g))
 
 
 def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
@@ -292,8 +284,7 @@ def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
     The first read of the verdict's ``checked`` runs the sweep again on
     ``Fraction``s, so reading every certificate costs more than deciding.
     """
-    _require_same_total(f, g)
-    return _decide(Criterion.REARRANGEMENT, False, _partial_layout, f, g)
+    return _decide(Criterion.REARRANGEMENT, False, f, g, _scaled(f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +357,7 @@ def hinge_criterion(
     there); the smallest of them carries the equal-integrals clause unless
     ``weak``. Values of both signs are allowed on a finite space.
     """
-    _require_same_total(f, g)
-    return _decide(Criterion.HINGE, weak, partial(_value_layout, _hinge_sweep), f, g)
+    return _decide(Criterion.HINGE, weak, f, g, _scaled(f, g))
 
 
 def tail_distribution_criterion(
@@ -379,9 +369,15 @@ def tail_distribution_criterion(
     over its constancy intervals, an independent computation that must agree
     with :func:`hinge_criterion` everywhere.
     """
-    _require_same_total(f, g)
-    layout = partial(_value_layout, _tail_sweep)
-    return _decide(Criterion.TAIL_DISTRIBUTION, weak, layout, f, g)
+    return _decide(Criterion.TAIL_DISTRIBUTION, weak, f, g, _scaled(f, g))
+
+
+# Each criterion's layout, in the order cross_check reports them.
+_LAYOUTS: Dict[Criterion, Callable[[Levels, Levels, bool, bool], Layout]] = {
+    Criterion.REARRANGEMENT: _partial_layout,
+    Criterion.HINGE: partial(_value_layout, _hinge_sweep),
+    Criterion.TAIL_DISTRIBUTION: partial(_value_layout, _tail_sweep),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +392,10 @@ def cross_check(
 
     A disagreement is an implementation bug, never a mathematical state, and
     raises :class:`InternalInconsistencyError` carrying all certificates.
+    The pair is scaled once; each criterion runs its own sweep on it.
     """
-    rearr = weak_majorize(f, g) if weak else majorize(f, g)
-    verdicts = (
-        rearr,
-        hinge_criterion(f, g, weak=weak),
-        tail_distribution_criterion(f, g, weak=weak),
-    )
+    scaled = _scaled(f, g)
+    verdicts = tuple([_decide(c, weak, f, g, scaled) for c in _LAYOUTS])
     answers = {v.holds for v in verdicts}
     if len(answers) != 1:
         raise InternalInconsistencyError(

@@ -44,7 +44,7 @@ from .extended import (
     exact_sum,
     fraction_gcd,
 )
-from .majorize import _scaled, majorize
+from .majorize import Criterion, _decide, _scaled
 from .stepfn import ZERO, StepFunction, _in_order, canonicalize
 
 ONE = Fraction(1)
@@ -708,16 +708,6 @@ def _t_transform_chain(
     return tuple(steps)
 
 
-def _require_majorized(f: StepFunction, g: StepFunction) -> None:
-    """Refuse the pair unless f is majorized by g, naming the first violation."""
-    verdict = majorize(f, g)
-    if not verdict.holds:
-        raise NotMajorizedError(
-            f"f is not majorized by g (violation at {verdict.violation.point} "
-            f"under the {verdict.criterion.value} criterion)"
-        )
-
-
 def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     """Doubly stochastic operator carrying g onto f, as a T-transform chain.
 
@@ -727,11 +717,19 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     most one step fewer than atoms. ``apply_to(g) == f`` exactly. Two null
     functions need no atoms, and get the empty witness. No equal-mass grid is
     built here: :attr:`WitnessChain.product` expands the chain onto one on
-    request. The refinement is walked, and the chain scanned, on the pair's
-    scaled integer masses and values; each atom is built as a ``Fraction`` once.
+    request. The pair is scaled once: the majorization check, the refinement
+    walk and the chain scan all run on its integer masses and values, and each
+    atom is built as a ``Fraction`` once. A pair that is not majorized is
+    refused with the first violation.
     """
-    _require_majorized(f, g)
-    mass_scale, _, (f_values, f_masses), (g_values, g_masses) = _scaled(f, g)
+    scaled = _scaled(f, g)
+    verdict = _decide(Criterion.REARRANGEMENT, False, f, g, scaled)
+    if not verdict.holds:
+        raise NotMajorizedError(
+            f"f is not majorized by g (violation at {verdict.violation.point} "
+            f"under the {verdict.criterion.value} criterion)"
+        )
+    mass_scale, _, (f_values, f_masses), (g_values, g_masses) = scaled
     # one walk on the scaled masses gives the atoms and both value vectors,
     # where align would walk twice more
     f_levels, g_levels = [*f_values, 0], [*g_values, 0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import (
@@ -28,7 +27,6 @@ from .extended import (
     ExtendedRational,
     as_extended,
     as_fraction,
-    common_scale,
     exact_sum,
 )
 
@@ -89,16 +87,6 @@ class StepFunction:
 
     def values(self) -> Tuple[Fraction, ...]:
         return tuple([p.value for p in self.pieces])
-
-    @cached_property
-    def _scales(self) -> Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]:
-        """The function on its own integer scales: the lcm of its value
-        denominators and every value times it, then the same for its masses.
-        Computed on first read and kept outside the dataclass fields, so
-        equality, hashing and the repr do not see it."""
-        value_scale, values = common_scale([v for v, _ in self.pieces])
-        mass_scale, masses = common_scale([m for _, m in self.pieces])
-        return value_scale, tuple(values), mass_scale, tuple(masses)
 
     def cumulative_masses(self) -> Tuple[Fraction, ...]:
         """Running mass totals: the breakpoints of the rearrangement layout."""

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, reports, round trips."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import majo
 from majo import canonicalize
 from majo.cli import main
 from majo.errors import ParseError
@@ -701,6 +704,27 @@ class TestExitCodes:
         monkeypatch.chdir(tmp)
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    def test_python_dash_m_majo_keeps_the_exit_codes(self, workdir):
+        """``python -m majo`` is the CLI: 0 holds, 1 fails, 2 bad input."""
+        _, write = workdir
+        f, g = majorized(write)
+        bad = write("bad.sfn", "total 2\nbad\n")
+        src = str(Path(majo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "majo", "check", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        holds, fails, malformed = run(f, g), run(g, f), run(bad, g)
+        assert holds.returncode == 0 and "f is majorized by g" in holds.stdout
+        assert fails.returncode == 1 and "not majorized" in fails.stdout
+        assert malformed.returncode == 2 and malformed.stdout == ""
+        assert malformed.stderr.startswith("error: ")
+        assert "Traceback" not in malformed.stderr
 
     def test_internal_inconsistency_exits_three(self, workdir, capsys, monkeypatch):
         from majo.errors import InternalInconsistencyError

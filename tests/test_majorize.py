@@ -1,5 +1,6 @@
 """Criteria, certificates, cross-checks, and the preorder laws."""
 
+import importlib
 import math
 import random
 from fractions import Fraction as F
@@ -12,12 +13,13 @@ from majo import (
     Relation,
     canonicalize,
     cross_check,
+    ds_witness,
     hinge_criterion,
     majorize,
     tail_distribution_criterion,
     weak_majorize,
 )
-from majo.errors import MeasureMismatchError
+from majo.errors import MeasureMismatchError, NotMajorizedError
 from majo.operators import (
     AlignedStep,
     Partition,
@@ -32,6 +34,10 @@ from majo.sampling import (
     random_unequal_partition,
     random_vector,
 )
+
+# the modules, not the functions of the same names that majo exports
+MAJORIZE = importlib.import_module("majo.majorize")
+OPERATORS = importlib.import_module("majo.operators")
 
 
 def incomparable_pair():
@@ -231,6 +237,57 @@ class TestCrossCheck:
         for _ in range(80):
             f, g = majorized_pair(rng)
             assert cross_check(f, g).holds
+
+
+class TestOneScalingPerCall:
+    """A pair is put on integers once per cross_check and per ds_witness."""
+
+    @pytest.fixture
+    def scalings(self, monkeypatch):
+        calls, scaled = [], MAJORIZE._scaled
+
+        def counting(f, g):
+            calls.append((f, g))
+            return scaled(f, g)
+
+        monkeypatch.setattr(MAJORIZE, "_scaled", counting)
+        monkeypatch.setattr(OPERATORS, "_scaled", counting)
+        return calls
+
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_cross_check_scales_once(self, scalings, weak):
+        f, g = majorized_pair(random.Random(5))
+        report = cross_check(f, g, weak=weak)
+        assert len(scalings) == 1
+        rearr = weak_majorize(f, g) if weak else majorize(f, g)
+        hinge = hinge_criterion(f, g, weak=weak)
+        tail = tail_distribution_criterion(f, g, weak=weak)
+        assert report.verdicts == (rearr, hinge, tail)
+
+    def test_ds_witness_scales_once(self, scalings):
+        f, g = majorized_pair(random.Random(7))
+        assert ds_witness(f, g).apply_to(g) == f
+        assert len(scalings) == 1
+
+    def test_unequal_totals_are_refused_before_scaling(self, monkeypatch):
+        scaled = []
+        monkeypatch.setattr(MAJORIZE, "common_scale", scaled.append)
+        f, g = canonicalize([(1, 2)], 2), canonicalize([(2, 1)], 3)
+        message = "^total measures differ: 2 vs 3$"
+        for decide in (cross_check, majorize, weak_majorize, hinge_criterion,
+                       tail_distribution_criterion, ds_witness):
+            with pytest.raises(MeasureMismatchError, match=message):
+                decide(f, g)
+        assert scaled == []
+
+    def test_a_pair_not_majorized_gets_no_witness(self, scalings):
+        f, g = incomparable_pair()
+        with pytest.raises(NotMajorizedError) as info:
+            ds_witness(f, g)
+        assert str(info.value) == (
+            "f is not majorized by g (violation at 1 under the rearrangement criterion)"
+        )
+        assert len(scalings) == 1
 
 
 class TestDilationMonotonicity:

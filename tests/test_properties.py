@@ -5,7 +5,7 @@ import random
 import re
 import sys
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -43,11 +43,12 @@ from majo.errors import (
     InvalidRationalError,
     MajoError,
     MassExceedsTotalError,
+    MeasureMismatchError,
     NegativeMassError,
     NegativeValueOnInfiniteSpaceError,
     NonCanonicalError,
 )
-from majo.extended import as_extended, as_fraction, common_scale
+from majo.extended import as_extended, as_fraction
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
 from majo.majorize import _scaled
 from majo.operators import TTransform, WitnessChain, _t_transform_chain
@@ -665,27 +666,32 @@ def step_functions(draw):
     return canonicalize(raw, sum((m for _, m in raw), F(0)) + draw(rationals(positive=True)))
 
 
-def pair_scales(f, g):
-    """The pair's scales computed from scratch over the pieces of both."""
-    pieces = f.pieces + g.pieces
-    value_scale, values = common_scale([v for v, _ in pieces])
-    mass_scale, masses = common_scale([m for _, m in pieces])
-    n = len(f.pieces)
-    return mass_scale, value_scale, (values[:n], masses[:n]), (values[n:], masses[n:])
-
-
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(step_functions(), st.lists(step_functions(), min_size=1, max_size=4))
-def test_cached_scales_lift_to_every_pair(f, partners):
-    """One function against several partners, in both argument orders."""
+def test_pair_scales_are_exact_and_least(f, partners):
+    """One function against several partners, in both argument orders: every
+    scaled value and mass is the original over its scale, each scale is the
+    lcm of the pair's denominators, and the first function's levels come
+    first. Unequal totals are refused; two finite functions are then compared
+    again on the larger total."""
     for g in partners:
-        for pair in ((f, g), (g, f)):
-            mass_scale, value_scale, left, right = _scaled(*pair)
-            lists = (mass_scale, value_scale,
-                     tuple(map(list, left)), tuple(map(list, right)))
-            assert lists == pair_scales(*pair)
+        for a, b in ((f, g), (g, f)):
+            if a.total_measure != b.total_measure:
+                with pytest.raises(MeasureMismatchError):
+                    _scaled(a, b)
+                if a.infinite or b.infinite:
+                    continue
+                total = max(a.total_measure, b.total_measure)
+                a, b = canonicalize(a.pieces, total), canonicalize(b.pieces, total)
+            mass_scale, value_scale, left, right = _scaled(a, b)
+            pieces = a.pieces + b.pieces
+            assert value_scale == lcm(*[v.denominator for v, _ in pieces])
+            assert mass_scale == lcm(*[m.denominator for _, m in pieces])
+            values, masses = [*left[0], *right[0]], [*left[1], *right[1]]
+            assert [F(n, value_scale) for n in values] == [v for v, _ in pieces]
+            assert [F(n, mass_scale) for n in masses] == [m for _, m in pieces]
+            assert len(left[0]) == len(left[1]) == len(a.pieces)
     fresh = canonicalize(f.pieces, f.total_measure)
-    assert "_scales" in vars(f) and "_scales" not in vars(fresh)
     assert f == fresh and fresh == f
     assert hash(f) == hash(fresh)
     assert repr(f) == repr(fresh)
