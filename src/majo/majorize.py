@@ -7,39 +7,30 @@ difference is piecewise linear and attains its extrema at breakpoints. Every
 verdict therefore carries either the full list of checked breakpoints or a
 single violating point that re-verifies by direct evaluation.
 
-Each criterion evaluates a function at all of its breakpoints in one ordered
-sweep with running sums, rather than evaluating each point from scratch:
+Each criterion is one ordered sweep over the breakpoints of f and g with
+running sums, comparing the two sides at each point as it reaches it:
 
-* rearrangement: one forward pass over the sorted cumulative masses of f and
-  g, carrying the integral up to the current piece;
-* hinge: one downward pass over the value grid, carrying W = sum v*m and
-  M = sum m over the pieces above u, so the hinge integral is W - u*M;
+* rearrangement: a two-pointer merge of the ascending cumulative masses of f
+  and g, carrying each integral up to the left end of its current piece;
+* hinge: one upward pass over the sorted value grid, from W = sum v*m and
+  M = sum m over every piece, dropping each piece as u reaches its value, so
+  the hinge integral is W - u*M;
 * tail distribution: one downward pass carrying the mass above u and adding
   one layer of the layer-cake sum per grid step.
 
-The sweeps run on integers over scales shared by the pair: every mass of f
-and g times the lcm of their mass denominators, every value times the lcm of
-their value denominators. Breakpoints are then integers over one scale and
-criterion values integers over the product of both, so the first violation
-is found by integer comparison. A sweep costs one sort of the m + n
-breakpoints plus O(m + n) integer operations per function. Only the violating
-checkpoint is built as ``Fraction``s at once. The certificate of every
-breakpoint, :attr:`MajorizationVerdict.checked`, is built when first read,
-by the same sweep on the exact values.
-
-That is a trade. A caller that only reads ``holds`` and ``violation`` runs
-only the integer sweep. A caller that reads ``checked`` too, as ``majo check
---json`` does, runs both sweeps and pays about 13 % more than a single eager
-``Fraction`` sweep: ``cross_check`` plus a read of every certificate takes
-1.62 ms per pair on the seed-1 ``decide`` pool, against 1.43 ms, and 8.65 s
-against 8.2 s on a 2000-piece pair with 4-digit prime denominators.
-
-The pair is put on its integer scales once per call, in :func:`_scaled`:
-each public criterion scales it for itself, and :func:`cross_check` scales it
-once for all three criteria, as they would share a common denominator. Each
-criterion still runs its own sweep on the scaled pair, so :func:`cross_check`
-compares independent computations. The direct per-point evaluators on
-:class:`StepFunction` re-verify any certificate.
+To decide, a sweep stops at the first violation; the tail sums build from the
+top, so its pass keeps the lowest violation it meets. To certify, the same
+sweep runs to the end and appends every breakpoint to a list. A sweep costs
+O(m + n) integer operations for m and n level sets, after a sort of the
+value grid. The decision runs on integers: :func:`_scaled` puts the pair on
+shared scales once per call, and only the violation is built as
+``Fraction``s. The certificate, :attr:`MajorizationVerdict.checked`, is the
+full sweep on the exact values, run when first read, so a caller that reads
+it (``majo check --json``) pays for that sweep on top of the decision.
+:func:`cross_check` scales the pair once for all three criteria, and each
+still runs its own sweep on it, so it compares independent computations. The
+direct per-point evaluators on :class:`StepFunction` re-verify any
+certificate.
 """
 
 from __future__ import annotations
@@ -47,10 +38,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, compress, count
-from operator import gt
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from operator import mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, MeasureMismatchError
 from .extended import INF, common_scale
@@ -140,9 +129,9 @@ def _require_same_total(f: StepFunction, g: StepFunction) -> None:
 # A function as its decreasing piece values and their masses, both in one
 # exact number type: scaled ints to decide, Fractions to certify.
 Levels = Tuple[Sequence, Sequence]
-# (points, left, right, index of the equality clause or None)
-Layout = Tuple[list, list, list, Optional[int]]
+Point = Tuple[object, object, object, Relation]  # point, left, right, relation
 Scaled = Tuple[int, int, Levels, Levels]  # as _scaled returns it
+LE, EQ = Relation.LE, Relation.EQ
 
 
 def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
@@ -154,7 +143,8 @@ def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     The one place a pair is put on integers: unequal totals are refused
     first, then one :func:`common_scale` runs over the values of both
     functions and one over their masses. A caller that runs several sweeps
-    on one pair scales it once and passes the result to each."""
+    on one pair scales it once and passes the result to each; swapping its
+    two halves gives the pair (g, f)."""
     _require_same_total(f, g)
     pieces = f.pieces + g.pieces
     value_scale, values = common_scale([v for v, _ in pieces])
@@ -168,67 +158,43 @@ def _levels(h: StepFunction) -> Levels:
 
 
 def _decide(
-    criterion: Criterion,
-    weak: bool,
-    f: StepFunction,
-    g: StepFunction,
-    scaled: Scaled,
+    criterion: Criterion, weak: bool, f: StepFunction, g: StepFunction, scaled: Scaled
 ) -> MajorizationVerdict:
-    """Verdict from a criterion's layout on ``scaled``, the pair as
+    """Verdict from a criterion's sweep on ``scaled``, the pair as
     :func:`_scaled` gives it; a caller scales the pair once for all the
     criteria it runs.
 
-    The criterion's layout (:data:`_LAYOUTS`) gives the scan points and both
-    sides at each, in the number type of the levels it is given. On the
-    integers a point is over the mass scale (rearrangement) or the value
-    scale (hinge, tail), and a side over the product of both. The first
-    violation is found there by integer comparison and built at once. The
-    full certificate is the same layout on the exact ``Fraction`` levels, run
-    when ``checked`` is first read: adding small exact terms normalizes far
-    more cheaply than reducing every integer by the whole scale, whose gcds
-    grow with the square of its length. A reader of ``checked`` so runs the
-    layout twice (see the module docstring for what that costs).
+    The sweep (:data:`_SWEEPS`) returns the first violation, or None; given
+    a list, it appends every checkpoint to it instead, in ascending order,
+    and returns None. On the integers a point is over the mass scale
+    (rearrangement) or the value scale (hinge, tail), and a side over the
+    product of both. The certificate sweeps the exact ``Fraction`` levels:
+    adding small exact terms normalizes far more cheaply than reducing every
+    integer by the whole scale, whose gcds grow with the square of its length.
     """
     mass_scale, value_scale, f_scaled, g_scaled = scaled
-    layout = _LAYOUTS[criterion]
-    infinite = f.infinite
-    points, left, right, eq = layout(f_scaled, g_scaled, infinite, weak)
-    first = next(compress(count(), map(gt, left, right)), None)
-    if eq is not None and left[eq] != right[eq] and (first is None or eq < first):
-        first = eq
+    sweep = _SWEEPS[criterion]
+    first = sweep(f_scaled, g_scaled, f.infinite, weak)
     violation = None
     if first is not None:
-        point = points[first]
+        point, left, right, relation = first
         if point is not INF:
             rearrangement = criterion is Criterion.REARRANGEMENT
             point = Fraction(point, mass_scale if rearrangement else value_scale)
-        violation = CheckPoint(
-            point,
-            Fraction(left[first], mass_scale * value_scale),
-            Fraction(right[first], mass_scale * value_scale),
-            Relation.EQ if first == eq else Relation.LE,
-        )
+        product = mass_scale * value_scale
+        left, right = Fraction(left, product), Fraction(right, product)
+        violation = CheckPoint(point, left, right, relation)
 
     def certificate() -> Tuple[CheckPoint, ...]:
-        points, left, right, eq = layout(_levels(f), _levels(g), infinite, weak)
+        checked: List[Point] = []
+        sweep(_levels(f), _levels(g), f.infinite, weak, checked)
         # Fraction(): an empty sum, and the point 0, are the int 0
-        return tuple(
-            CheckPoint(
-                p if p is INF else Fraction(p),
-                Fraction(a),
-                Fraction(b),
-                Relation.EQ if i == eq else Relation.LE,
-            )
-            for i, (p, a, b) in enumerate(zip(points, left, right))
-        )
+        return tuple([
+            CheckPoint(p if p is INF else Fraction(p), Fraction(a), Fraction(b), r)
+            for p, a, b, r in checked
+        ])
 
-    return MajorizationVerdict(
-        holds=first is None,
-        criterion=criterion,
-        weak=weak,
-        checked=certificate,
-        violation=violation,
-    )
+    return MajorizationVerdict(first is None, criterion, weak, certificate, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -236,41 +202,54 @@ def _decide(
 # ---------------------------------------------------------------------------
 
 
-def _partial_layout(f: Levels, g: Levels, infinite: bool, weak: bool) -> Layout:
+def _partial_sweep(
+    f: Levels, g: Levels, infinite: bool, weak: bool, checked: Optional[list] = None
+) -> Optional[Point]:
     """Partial integrals at 0 and every cumulative mass of f and g, then at INF
     on an infinite space; unless ``weak``, the endpoint once more for the
     equal-integrals clause. On a finite space the last cumulative mass is the
-    total; at it, and at INF, both sweeps have reached the full integrals."""
+    total; at it, and at INF, both sides have reached the full integrals. A
+    point inside a piece costs one product. On scaled integers an integral
+    comes out on the product of the value and mass scales."""
     (fv, fm), (gv, gm) = f, g
-    points = sorted({0, *accumulate(fm), *accumulate(gm)})
-    left, right = _partial_sweep(fv, fm, points), _partial_sweep(gv, gm, points)
-    if infinite:
-        points.append(INF)
-    if not weak:  # the endpoint again, for the equality clause
-        points.append(points[-1])
-    left += [left[-1]] * (len(points) - len(left))
-    right += [right[-1]] * (len(points) - len(right))
-    return points, left, right, None if weak else len(points) - 1
-
-
-def _partial_sweep(values: Sequence, masses: Sequence, points) -> list:
-    """Integral of the rearrangement over [0, s] for each s of an ascending list.
-
-    On scaled integers an integral comes out on the product of the value and
-    mass scales.
-    """
-    n, k = len(masses), 0
-    base = start = 0  # integral over [0, start), start = left end of piece k
-    end = masses[0] if n else None
-    out = []
-    for s in points:
-        while end is not None and end <= s:
-            base += values[k] * masses[k]
-            start, k = end, k + 1
-            end = start + masses[k] if k < n else None
-        integral = base if end is None or s == start else base + values[k] * (s - start)
-        out.append(integral)
-    return out
+    n, m = len(fm), len(gm)
+    i = j = 0
+    a = b = fs = gs = 0  # integrals of f* over [0, fs) and of g* over [0, gs)
+    fe = fm[0] if n else None  # right ends of pieces i and j, None past the last
+    ge = gm[0] if m else None
+    s = left = right = 0
+    while True:
+        if checked is not None:
+            checked.append((s, left, right, LE))
+        elif left > right:
+            return s, left, right, LE
+        if fe is None and ge is None:
+            break
+        s = fe if ge is None or (fe is not None and fe <= ge) else ge
+        if fe == s:
+            a += fv[i] * fm[i]
+            fs, i = fe, i + 1
+            fe = fs + fm[i] if i < n else None
+            left = a
+        else:
+            left = a if fe is None else a + fv[i] * (s - fs)
+        if ge == s:
+            b += gv[j] * gm[j]
+            gs, j = ge, j + 1
+            ge = gs + gm[j] if j < m else None
+            right = b
+        else:
+            right = b if ge is None else b + gv[j] * (s - gs)
+    # INF repeats the sides at the last cumulative mass, compared above
+    end = INF if infinite else s
+    if checked is not None:
+        if infinite:
+            checked.append((INF, a, b, LE))
+        if not weak:
+            checked.append((end, a, b, EQ))
+    elif not weak and a != b:
+        return end, a, b, EQ
+    return None
 
 
 def weak_majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
@@ -281,7 +260,7 @@ def weak_majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
 def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
     """Decide f < g: weak majorization plus exactly equal total integrals.
 
-    The first read of the verdict's ``checked`` runs the sweep again on
+    The first read of the verdict's ``checked`` runs the whole sweep on
     ``Fraction``s, so reading every certificate costs more than deciding.
     """
     return _decide(Criterion.REARRANGEMENT, False, f, g, _scaled(f, g))
@@ -290,61 +269,78 @@ def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
 # ---------------------------------------------------------------------------
 # hinge and tail-distribution criteria
 # ---------------------------------------------------------------------------
+# Both sweep the value grid: the piece values of f and g, and 0. Unless weak,
+# its lowest point carries the equal-integrals clause: on a finite space of
+# total T, where signed values may put it below 0, both sides there are the
+# integral minus u*T; on an infinite space it is u = 0.
 
 
-def _value_layout(sweep, f: Levels, g: Levels, infinite: bool, weak: bool) -> Layout:
-    """A criterion swept over the value grid of a pair: its piece values and 0.
-
-    Unless ``weak``, the first grid point carries the equal-integrals clause.
-    On a finite space of total T it lies at or below every value, where the
-    hinge and the tail integral are the integral minus u*T, so equal sides
-    there mean equal integrals; on an infinite space it is u = 0.
-    """
-    grid = sorted({0, *f[0], *g[0]})
-    return grid, sweep(*f, grid), sweep(*g, grid), None if weak else 0
-
-
-def _hinge_sweep(values: Sequence, masses: Sequence, grid) -> list:
-    """Integral of (h - u)+ for each u of any ascending grid, h given by its
-    decreasing values and their masses; on scaled integers the results are on
-    the product scale.
-
-    Negative points are valid only on a finite space, where signed functions
-    put them on the grid.
-    """
-    n, k = len(values), 0
-    weight = mass = 0  # sum of v*m and of m over the pieces with v > u
-    out = []
-    for u in reversed(grid):
-        while k < n and values[k] > u:
-            weight += values[k] * masses[k]
-            mass += masses[k]
-            k += 1
-        out.append(weight - u * mass)
-    out.reverse()
-    return out
+def _hinge_sweep(
+    f: Levels, g: Levels, infinite: bool, weak: bool, checked: Optional[list] = None
+) -> Optional[Point]:
+    """Integral of (h - u)+ for h = f and g at each u of the value grid, upward:
+    W - u*M, with W = sum v*m and M = sum m over the pieces above u. A piece
+    leaves W with its product, computed once, as u reaches its value. On
+    scaled integers the results are on the product scale."""
+    (fv, fm), (gv, gm) = f, g
+    fp, gp = list(map(mul, fv, fm)), list(map(mul, gv, gm))
+    fw, gw, fmass, gmass = sum(fp), sum(gp), sum(fm), sum(gm)
+    i, j = len(fv) - 1, len(gv) - 1  # the lowest pieces above u
+    relation = LE if weak else EQ
+    for u in sorted({0, *fv, *gv}):
+        while i >= 0 and fv[i] <= u:
+            fw -= fp[i]
+            fmass -= fm[i]
+            i -= 1
+        while j >= 0 and gv[j] <= u:
+            gw -= gp[j]
+            gmass -= gm[j]
+            j -= 1
+        left, right = fw - u * fmass, gw - u * gmass
+        if checked is not None:
+            checked.append((u, left, right, relation))
+        elif left > right or (relation is EQ and left != right):
+            return u, left, right, relation
+        relation = LE
+    return None
 
 
-def _tail_sweep(values: Sequence, masses: Sequence, grid) -> list:
-    """Integral of d_h over [u, oo) for each u of an ascending grid holding h's
-    values; on scaled integers the results are on the product scale.
+def _tail_sweep(
+    f: Levels, g: Levels, infinite: bool, weak: bool, checked: Optional[list] = None
+) -> Optional[Point]:
+    """Integral of d_h over [u, oo) for h = f and g at each u of the value grid.
 
     Between two grid points d_h is constant, equal to the mass strictly above
-    the lower point, so each step adds one layer of the layer-cake sum.
+    the lower point, so a downward pass adds one layer of the layer-cake sum
+    per grid step. On scaled integers the results are on the product scale.
     """
-    n, k = len(values), 0
-    above = tail = 0  # mass strictly above u, integral of d_h over [u, oo)
-    previous = grid[-1]
-    out = []
+    (fv, fm), (gv, gm) = f, g
+    n, m = len(fv), len(gv)
+    i = j = 0
+    fa = ga = ft = gt = 0  # masses strictly above u, integrals of d over [u, oo)
+    grid = sorted({0, *fv, *gv})
+    previous, first = grid[-1], None
     for u in reversed(grid):
-        while k < n and values[k] > u:
-            above += masses[k]
-            k += 1
-        tail += above * (previous - u)
-        out.append(tail)
-        previous = u
-    out.reverse()
-    return out
+        while i < n and fv[i] > u:
+            fa += fm[i]
+            i += 1
+        while j < m and gv[j] > u:
+            ga += gm[j]
+            j += 1
+        step, previous = previous - u, u
+        ft += fa * step
+        gt += ga * step
+        if checked is not None:
+            checked.append((u, ft, gt, LE))
+        elif ft > gt:
+            first = u, ft, gt, LE
+    # u is the lowest point, reached last: the equality clause unless weak
+    if checked is not None:
+        checked[-1] = (u, ft, gt, LE if weak else EQ)
+        checked.reverse()
+    elif not weak and ft != gt:
+        first = u, ft, gt, EQ
+    return first
 
 
 def hinge_criterion(
@@ -372,11 +368,11 @@ def tail_distribution_criterion(
     return _decide(Criterion.TAIL_DISTRIBUTION, weak, f, g, _scaled(f, g))
 
 
-# Each criterion's layout, in the order cross_check reports them.
-_LAYOUTS: Dict[Criterion, Callable[[Levels, Levels, bool, bool], Layout]] = {
-    Criterion.REARRANGEMENT: _partial_layout,
-    Criterion.HINGE: partial(_value_layout, _hinge_sweep),
-    Criterion.TAIL_DISTRIBUTION: partial(_value_layout, _tail_sweep),
+# Each criterion's sweep, in the order cross_check reports them.
+_SWEEPS: Dict[Criterion, Callable[..., Optional[Point]]] = {
+    Criterion.REARRANGEMENT: _partial_sweep,
+    Criterion.HINGE: _hinge_sweep,
+    Criterion.TAIL_DISTRIBUTION: _tail_sweep,
 }
 
 
@@ -394,10 +390,14 @@ def cross_check(
     raises :class:`InternalInconsistencyError` carrying all certificates.
     The pair is scaled once; each criterion runs its own sweep on it.
     """
-    scaled = _scaled(f, g)
-    verdicts = tuple([_decide(c, weak, f, g, scaled) for c in _LAYOUTS])
-    answers = {v.holds for v in verdicts}
-    if len(answers) != 1:
+    return _cross_check(weak, f, g, _scaled(f, g))
+
+
+def _cross_check(
+    weak: bool, f: StepFunction, g: StepFunction, scaled: Scaled
+) -> CrossCheckReport:
+    verdicts = tuple([_decide(c, weak, f, g, scaled) for c in _SWEEPS])
+    if len({v.holds for v in verdicts}) != 1:
         raise InternalInconsistencyError(
             "equivalent majorization criteria disagree: "
             + ", ".join(f"{v.criterion.value}={v.holds}" for v in verdicts),

@@ -729,10 +729,10 @@ class TestExitCodes:
     def test_internal_inconsistency_exits_three(self, workdir, capsys, monkeypatch):
         from majo.errors import InternalInconsistencyError
 
-        def explode(f, g, weak=False):
+        def explode(weak, f, g, scaled):
             raise InternalInconsistencyError("criteria disagree")
 
-        monkeypatch.setattr("majo.cli.cross_check", explode)
+        monkeypatch.setattr("majo.cli._cross_check", explode)
         _, write = workdir
         f, g = majorized(write)
         assert main(["check", f, g]) == 3

@@ -38,6 +38,7 @@ from majo.sampling import (
 # the modules, not the functions of the same names that majo exports
 MAJORIZE = importlib.import_module("majo.majorize")
 OPERATORS = importlib.import_module("majo.operators")
+CLI = importlib.import_module("majo.cli")
 
 
 def incomparable_pair():
@@ -240,7 +241,8 @@ class TestCrossCheck:
 
 
 class TestOneScalingPerCall:
-    """A pair is put on integers once per cross_check and per ds_witness."""
+    """A pair is put on integers once per cross_check, per ds_witness and per
+    majo check."""
 
     @pytest.fixture
     def scalings(self, monkeypatch):
@@ -252,6 +254,7 @@ class TestOneScalingPerCall:
 
         monkeypatch.setattr(MAJORIZE, "_scaled", counting)
         monkeypatch.setattr(OPERATORS, "_scaled", counting)
+        monkeypatch.setattr(CLI, "_scaled", counting)
         return calls
 
     @pytest.mark.parametrize("weak", [False, True])
@@ -263,6 +266,23 @@ class TestOneScalingPerCall:
         hinge = hinge_criterion(f, g, weak=weak)
         tail = tail_distribution_criterion(f, g, weak=weak)
         assert report.verdicts == (rearr, hinge, tail)
+
+    @pytest.mark.parametrize("criterion", ["all", "rearr", "hinge", "tail"])
+    @pytest.mark.parametrize("weak", [[], ["--weak"]])
+    def test_check_scales_a_failing_pair_once(
+        self, scalings, tmp_path, capsys, criterion, weak
+    ):
+        """The reverse verdict takes the forward scaling with its halves
+        swapped: the peak is not majorized by the flat function, the reverse
+        holds, and the pair (f, g) in its place would fail."""
+        peak, flat = tmp_path / "peak.sfn", tmp_path / "flat.sfn"
+        peak.write_text("total 2\n2 1\n0 1\n")
+        flat.write_text("total 2\n1 2\n")
+        argv = ["check", str(peak), str(flat), "--criterion", criterion, *weak]
+        assert CLI.main(argv) == 1
+        assert len(scalings) == 1
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary == "not majorized (the reverse direction holds)"
 
     def test_ds_witness_scales_once(self, scalings):
         f, g = majorized_pair(random.Random(7))

@@ -12,10 +12,12 @@ import pytest
 from majo import (
     INF,
     AlignedStep,
+    CheckPoint,
     Criterion,
     OperatorClass,
     OperatorMatrix,
     Partition,
+    Relation,
     StepFunction,
     Tail,
     align,
@@ -786,9 +788,9 @@ def test_criteria_agree_and_certificates_reverify_at_scale(case, weak, rng):
 
 
 @st.composite
-def many_piece_pairs(draw):
+def many_piece_pairs(draw, pool=PRIMES):
     """(f, g): g has up to 200 level sets with values and masses over up to
-    twelve prime denominators up to 10^4, on a finite or an infinite space,
+    twelve prime denominators from ``pool``, on a finite or an infinite space,
     with values of both signs on some finite ones. f averages g over runs of
     consecutive level sets ("average"), then perhaps moves one value up or
     down ("perturbed"), or puts fresh values on g's masses split in two
@@ -796,7 +798,7 @@ def many_piece_pairs(draw):
     strict."""
     infinite = draw(st.booleans())
     low = 1 if infinite or draw(st.booleans()) else -(10**4)
-    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=12))
+    primes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     rng = random.Random(draw(st.integers(0, 2**32)))
 
     def rational(lo=0):
@@ -870,6 +872,109 @@ def test_every_checkpoint_is_the_direct_value_at_scale(case, rng):
                 (p for p in verdict.checked if not p.satisfied), None
             )
             assert verdict.holds == (verdict.violation is None)
+
+
+# prime denominators of four and five digits
+LONG_PRIMES = [p for p in range(1000, 10**5) if all(p % q for q in range(2, 317))]
+
+
+@st.composite
+def tie_pairs(draw):
+    """(f, g) of up to 8 level sets each, drawn from a few values, some 2^-64
+    apart, and a few masses, so that levels, cumulative masses and the two
+    sides of a criterion often coincide exactly; on a finite or an infinite
+    space, with values of both signs on some finite ones."""
+    infinite = draw(st.booleans())
+    values = draw(st.lists(rationals(), min_size=1, max_size=4))
+    values += [v + F(k, 2**64) for v in values for k in draw(st.sets(st.sampled_from((-1, 1))))]
+    signed = not infinite and draw(st.booleans())
+    levels = st.tuples(
+        st.sampled_from(values if signed else [abs(v) for v in values]),
+        st.sampled_from((F(1), F(1, 2), F(1, 3), F(2, 3))),
+    )
+    f_raw, g_raw = draw(st.lists(levels, max_size=8)), draw(st.lists(levels, max_size=8))
+    if infinite:
+        return canonicalize(f_raw, INF), canonicalize(g_raw, INF)
+    total = max(sum(m for _, m in f_raw), sum(m for _, m in g_raw)) + draw(
+        st.sampled_from((0, F(1, 3), 1))
+    )
+    return canonicalize(f_raw, total), canonicalize(g_raw, total)
+
+
+# the pairs of many_piece_pairs at prime denominators of four and five digits,
+# in either order
+LONG_PRIMES = [p for p in range(1000, 10**5) if all(p % q for q in range(2, 317))]
+long_pairs = st.tuples(many_piece_pairs(LONG_PRIMES), st.booleans()).map(
+    lambda case: case[0][::-1] if case[1] else case[0]
+)
+
+
+def reference_checkpoints(criterion, f, g, weak, memo):
+    """Every scan point of a criterion, in order, with both sides evaluated by
+    StepFunction's per-point evaluators: the partial integrals at 0 and every
+    cumulative mass, at INF on an infinite space and, unless weak, at the end
+    again for the equality clause; the hinge and tail integrals at 0 and every
+    value, the lowest carrying the equality clause unless weak. The tail
+    evaluator costs O(n^2) per point, so past 40 level sets the tail sides
+    are the hinge evaluator's, the same quantity by the layer-cake formula,
+    and the tail evaluator checks the violation only (by the caller). Each
+    side is kept in ``memo``, keyed on the side, the evaluator and the point,
+    for the other mode."""
+    le, eq = Relation.LE, Relation.EQ
+    if criterion is Criterion.REARRANGEMENT:
+        points = sorted({F(0), *f.cumulative_masses(), *g.cumulative_masses()})
+        points += [INF] * f.infinite
+        relations = [le] * len(points) + [eq] * (not weak)
+        points += points[-1:] * (not weak)
+        evaluate = "partial_integral"
+    else:
+        points = sorted({F(0), *f.values(), *g.values()})
+        relations = [le if weak else eq] + [le] * (len(points) - 1)
+        evaluate = DIRECT[criterion]
+        if len(f.pieces) + len(g.pieces) > 40:
+            evaluate = "hinge_integral"
+    for key in [(h, evaluate, p) for p in points for h in "fg"]:
+        if key not in memo:
+            memo[key] = getattr(f if key[0] == "f" else g, evaluate)(key[2])
+    return tuple(
+        CheckPoint(p, memo["f", evaluate, p], memo["g", evaluate, p], r)
+        for p, r in zip(points, relations)
+    )
+
+
+INF_PAIR = (canonicalize([(2, 1)], INF), canonicalize([(1, 1)], INF))
+LAST_POINT = (canonicalize([(2, 1), (F(1, 2), 1)], 2), canonicalize([(2, 1)], 2))
+SIGNED = (canonicalize([(1, 1), (-2, 1)], 2), canonicalize([(2, 1), (-2, 1)], 2))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(tie_pairs() | long_pairs)
+@hypothesis.example(INF_PAIR)  # every criterion fails at its first scan point
+@hypothesis.example(INF_PAIR[::-1])  # weakly majorized: strict fails at the clause only
+@hypothesis.example(LAST_POINT)  # the partial integrals cross at the last mass only
+@hypothesis.example(SIGNED[::-1])
+@hypothesis.example(SIGNED)  # signed: weakly majorized, with unequal integrals
+def test_each_criterion_stops_at_its_first_violation(case):
+    """Each criterion, weak and strict, stops its sweep at the first failing
+    point of the reference: the verdict, the violation and every checkpoint
+    equal those of the per-point evaluators."""
+    f, g = case
+    memo = {}
+    for weak in (False, True):
+        verdicts = (
+            weak_majorize(f, g) if weak else majorize(f, g),
+            hinge_criterion(f, g, weak=weak),
+            tail_distribution_criterion(f, g, weak=weak),
+        )
+        for verdict in verdicts:
+            reference = reference_checkpoints(verdict.criterion, f, g, weak, memo)
+            first = next((p for p in reference if not p.satisfied), None)
+            assert verdict.violation == first
+            assert verdict.holds == (first is None)
+            assert verdict.checked == reference
+            if first is not None and verdict.criterion is Criterion.TAIL_DISTRIBUTION:
+                assert first.left == f.tail_distribution_integral(first.point)
+                assert first.right == g.tail_distribution_integral(first.point)
 
 
 @st.composite
