@@ -54,6 +54,16 @@ ONE = Fraction(1)
 WITNESS_ATOM_BUDGET = 1024
 
 
+@numbers.Rational.register
+class _Ratio(NamedTuple):
+    """An integer pair in lowest terms, as a ``numbers.Rational`` is by contract:
+    ``Fraction(ratio)`` takes both integers as they are, where ``Fraction(n,
+    d)`` would run a gcd on them again, quadratic in their length."""
+
+    numerator: int
+    denominator: int
+
+
 # ---------------------------------------------------------------------------
 # partitions and aligned step functions
 # ---------------------------------------------------------------------------
@@ -73,7 +83,7 @@ class Tail:
 
     def __post_init__(self):
         object.__setattr__(self, "mass", as_fraction(self.mass))
-        if self.mass <= 0:
+        if self.mass.numerator <= 0:
             raise NegativeMassError(f"tail atom mass {self.mass} must be positive")
         if self.count is not None and self.count < 1:
             raise InvalidPartitionError("finite tail count must be >= 1")
@@ -91,7 +101,7 @@ class Partition:
         object.__setattr__(self, "atoms", tuple([as_fraction(a) for a in self.atoms]))
         object.__setattr__(self, "total_measure", as_extended(self.total_measure))
         for atom in self.atoms:
-            if atom <= 0:
+            if atom.numerator <= 0:
                 raise NegativeMassError(f"atom mass {atom} must be positive")
         if self.total_measure is INF:
             if self.tail is None or self.tail.count is not None:
@@ -106,7 +116,7 @@ class Partition:
                         "unbounded tail on a finite measure space"
                     )
                 tail_mass = self.tail.mass * self.tail.count
-            explicit = sum(self.atoms, ZERO)
+            explicit = exact_sum(self.atoms)
             if explicit + tail_mass != self.total_measure:
                 raise MeasureMismatchError(
                     f"atoms tile {explicit + tail_mass}, total is {self.total_measure}"
@@ -154,7 +164,7 @@ class AlignedStep:
             raise DimensionMismatchError(
                 f"{len(self.values)} values for {self.partition.size} atoms"
             )
-        if self.partition.total_measure is INF and any(v < 0 for v in self.values):
+        if self.partition.total_measure is INF and any(v.numerator < 0 for v in self.values):
             raise NegativeValueOnInfiniteSpaceError(
                 "negative values are not representable on an infinite measure space"
             )
@@ -172,20 +182,38 @@ class AlignedStep:
 def _layout(partition: Partition, f: StepFunction):
     """Segments ``(atom, level set, mass)`` of f's rearrangement laid over the atoms.
 
-    The level-set index equals ``len(f.pieces)`` past the support. Segments
-    past the explicit atoms lie in the tail, where every function of the
-    partition is zero: a zero level set there is dropped, and a nonzero one
-    is an error.
+    Masses are integer pairs in lowest terms, compared by cross-multiplying
+    and reduced by a gcd only where a segment ends inside one: no shared
+    scale, which would grow with every distinct denominator. The level-set
+    index equals ``len(f.pieces)`` past the support. Segments past the
+    explicit atoms lie in the tail, where every function of the partition is
+    zero: a zero level set there is dropped, and a nonzero one is an error.
     """
     if partition.total_measure != f.total_measure:
         raise MeasureMismatchError(
             f"partition tiles {partition.total_measure}, function lives on "
             f"{f.total_measure}"
         )
-    for n, k, mass in _in_order(partition.atoms, [p.mass for p in f.pieces]):
-        if n < partition.size:
-            yield n, k, mass
-        elif f.pieces[k].value != 0:
+    # past the support f is zero on a level set of mass 1/0, above every atom
+    masses, k = [piece.mass.as_integer_ratio() for piece in f.pieces] + [(1, 0)], 0
+    for n, atom in enumerate(partition.atoms):
+        an, ad = atom.as_integer_ratio()
+        while True:
+            ln, ld = masses[k]
+            over = ln * ad - an * ld  # level set left past the atom, times ad·ld
+            if over > 0:  # the atom ends inside the level set
+                yield n, k, (an, ad)
+                common = gcd(over, ad * ld)
+                masses[k] = over // common, ad * ld // common
+                break
+            yield n, k, masses[k]
+            k += 1
+            if not over:
+                break
+            common = gcd(over, ad * ld)  # the level set ends inside the atom
+            an, ad = -over // common, ad * ld // common
+    for piece in f.pieces[k:]:
+        if piece.value != 0:
             raise PartitionMisalignedError(
                 "support extends past the explicit atoms into the tail"
             )
@@ -200,10 +228,10 @@ def align(partition: Partition, f: StepFunction) -> AlignedStep:
     levels = f.values() + (ZERO,)
     values = []
     for n, k, mass in _layout(partition, f):
-        if mass != partition.atoms[n]:
+        if mass != partition.atoms[n].as_integer_ratio():
             raise PartitionMisalignedError(
                 f"atom of mass {partition.atoms[n]} straddles a level boundary "
-                f"(only {mass} left at value {levels[k]})"
+                f"(only {Fraction(_Ratio(*mass))} left at value {levels[k]})"
             )
         values.append(levels[k])
     return AlignedStep(partition=partition, values=tuple(values))
@@ -262,7 +290,7 @@ class OperatorMatrix:
             raise DimensionMismatchError("rows have differing lengths")
         for row in rows:
             for entry in row:
-                if entry < 0:
+                if entry.numerator < 0:
                     raise NegativeEntryError(f"negative entry {entry}")
 
     @property
@@ -389,7 +417,7 @@ def partition_average(partition: Partition, f: StepFunction) -> AlignedStep:
     levels = f.values() + (ZERO,)
     sums = [ZERO] * partition.size
     for n, k, mass in _layout(partition, f):
-        sums[n] += levels[k] * mass
+        sums[n] += levels[k] * Fraction(_Ratio(*mass))
     return AlignedStep(partition, tuple(s / m for s, m in zip(sums, partition.atoms)))
 
 
@@ -545,16 +573,6 @@ def _combine(p: int, q: int, d: int, x, y) -> Tuple[int, int]:
     return num // common, den // common
 
 
-@numbers.Rational.register
-class _Ratio(NamedTuple):
-    """A mixed entry, in lowest terms as a ``numbers.Rational`` is by contract:
-    ``Fraction(ratio)`` takes both integers as they are, where ``Fraction(n,
-    d)`` would run a gcd on them again, quadratic in their length."""
-
-    numerator: int
-    denominator: int
-
-
 @dataclass(frozen=True)
 class WitnessChain:
     """Doubly stochastic witness: ordered T-transforms on ``source_partition``.
@@ -645,14 +663,16 @@ class WitnessChain:
         """Apply the witness operator to a function on its partition.
 
         g's values are mixed as integer pairs by :meth:`TTransform._mix`, the
-        step action :attr:`product` uses too; the image is built from them.
+        step action :attr:`product` uses too; each distinct image value is
+        built as a ``Fraction`` once, and the atoms go to ``canonicalize``.
         """
         partition = self.source_partition
         column = [(v.as_integer_ratio(),) for v in align(partition, g).values]
         for step in self.steps:
             step._mix(column, partition.atoms)
-        values = [Fraction(*entry) for (entry,) in column]
-        return AlignedStep(partition, values).step_function()
+        image = {entry: Fraction(_Ratio(*entry)) for entry in {e for (e,) in column}}
+        pieces = [(image[entry], atom) for (entry,), atom in zip(column, partition.atoms)]
+        return canonicalize(pieces, partition.total_measure)
 
 
 def _t_transform_chain(

@@ -49,11 +49,13 @@ from majo.errors import (
     NegativeMassError,
     NegativeValueOnInfiniteSpaceError,
     NonCanonicalError,
+    PartitionMisalignedError,
 )
 from majo.extended import as_extended, as_fraction
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
 from majo.majorize import _scaled
 from majo.operators import TTransform, WitnessChain, _t_transform_chain
+from majo.stepfn import _in_order
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -350,6 +352,132 @@ def test_averaging_is_the_conditional_expectation_of_the_layout(case):
     assert average.integral() == f.integral()
     assert majorize(average.step_function(), f).holds
     assert partition_average(partition, average.step_function()) == average
+
+
+def fraction_layout(partition, f):
+    """The layout rule on Fractions, the reference for the integer walk: f's
+    level masses and the atoms laid side by side by ``_in_order``."""
+    if partition.total_measure != f.total_measure:
+        raise MeasureMismatchError(
+            f"partition tiles {partition.total_measure}, function lives on "
+            f"{f.total_measure}"
+        )
+    for n, k, mass in _in_order(partition.atoms, [p.mass for p in f.pieces]):
+        if n < partition.size:
+            yield n, k, mass
+        elif f.pieces[k].value != 0:
+            raise PartitionMisalignedError(
+                "support extends past the explicit atoms into the tail"
+            )
+
+
+def fraction_align(partition, f):
+    levels = f.values() + (F(0),)
+    values = []
+    for n, k, mass in fraction_layout(partition, f):
+        if mass != partition.atoms[n]:
+            raise PartitionMisalignedError(
+                f"atom of mass {partition.atoms[n]} straddles a level boundary "
+                f"(only {mass} left at value {levels[k]})"
+            )
+        values.append(levels[k])
+    return AlignedStep(partition=partition, values=tuple(values))
+
+
+def fraction_average(partition, f):
+    levels = f.values() + (F(0),)
+    sums = [F(0)] * partition.size
+    for n, k, mass in fraction_layout(partition, f):
+        sums[n] += levels[k] * mass
+    return AlignedStep(partition, tuple(s / m for s, m in zip(sums, partition.atoms)))
+
+
+@st.composite
+def layout_cases(draw):
+    """A function and an unequal partition cut from its level sets. Masses
+    and cuts have prime denominators up to 10^4. Some adjacent atoms are
+    merged, so that an atom straddles a level boundary; the explicit atoms
+    stop before, at or past the end of the support, and a finite or
+    unbounded tail covers the rest of the space, or all of it when the
+    partition has no atoms. A finite space may carry a zero level set."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    infinite = draw(st.booleans())
+    n = rng.randint(0, 12)
+    masses = [F(rng.randint(1, 5), rng.choice(PRIMES)) for _ in range(n)]
+    values = [F(rng.randint(0 if infinite else -20, 20), rng.choice(PRIMES))
+              for _ in range(n)]
+    zero = F(rng.randint(0, 3), rng.choice(PRIMES))
+    f = canonicalize(list(zip(values, masses)), INF if infinite else sum(masses) + zero)
+    atoms = []
+    for piece in f.pieces:
+        cuts = sorted({F(rng.randint(1, p - 1), p) * piece.mass
+                       for p in rng.choices(PRIMES, k=rng.randint(0, 2))})
+        atoms += [b - a for a, b in zip([F(0)] + cuts, cuts + [piece.mass])]
+    if infinite:
+        atoms += [F(rng.randint(1, 5), rng.choice(PRIMES)) for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 2)):
+        if len(atoms) > 1:
+            i = rng.randrange(len(atoms) - 1)
+            atoms[i : i + 2] = [atoms[i] + atoms[i + 1]]
+    atoms = tuple(atoms[: rng.choice((len(atoms), rng.randint(0, len(atoms))))])
+    if infinite:
+        return f, Partition(atoms, INF, Tail(F(1, rng.choice(PRIMES))))
+    rest = f.total_measure - sum(atoms)
+    count = rng.randint(1, 3)
+    return f, Partition(atoms, f.total_measure, Tail(rest / count, count) if rest else None)
+
+
+def layout_outcome(action, partition, f):
+    try:
+        return action(partition, f)
+    except MajoError as exc:
+        return type(exc), str(exc)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(layout_cases())
+@hypothesis.example((canonicalize([], INF), Partition((), INF, Tail(F(1)))))
+@hypothesis.example((canonicalize([], 0), Partition((), 0)))
+def test_integer_layout_walk_is_the_fraction_walk(case):
+    """align and partition_average give the Fraction walk's values, or raise
+    its exception with its message."""
+    f, partition = case
+    assert layout_outcome(align, partition, f) == layout_outcome(fraction_align, partition, f)
+    assert (layout_outcome(partition_average, partition, f)
+            == layout_outcome(fraction_average, partition, f))
+
+
+@st.composite
+def prime_mass_pairs(draw):
+    """A majorized pair (g averaged over blocks of its level sets, and g),
+    whose masses carry at least three distinct prime denominators up to
+    10^4. On an infinite space the last block may take in a share of the
+    zero tail."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    infinite = draw(st.booleans())
+    primes = rng.sample(PRIMES, rng.randint(3, 6))
+    n = rng.randint(3, 40)
+    masses = [F(rng.randint(1, 5), primes[i % len(primes)]) for i in range(n)]
+    values = [F(rng.randint(0 if infinite else -(10**4), 10**4), rng.choice(PRIMES))
+              for _ in range(n)]
+    total = INF if infinite else sum(masses)
+    g = canonicalize(list(zip(values, masses)), total)
+    cuts = sorted(rng.sample(range(1, len(g.pieces)), rng.randint(0, len(g.pieces) - 1)))
+    blocks = [g.pieces[a:b] for a, b in zip([0] + cuts, cuts + [len(g.pieces)])]
+    spread = [[sum(v * m for v, m in block), sum(m for _, m in block)] for block in blocks]
+    if infinite and rng.random() < 0.5:
+        spread[-1][1] += F(rng.randint(1, 5), rng.choice(primes))
+    f = canonicalize([(integral / mass, mass) for integral, mass in spread], total)
+    denominators = {p.mass.denominator for p in f.pieces + g.pieces}
+    hypothesis.assume(len(denominators) >= 3)
+    return f, g
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(prime_mass_pairs())
+def test_witness_image_is_f_over_three_mass_denominators(case):
+    f, g = case
+    assert ds_witness(f, g).apply_to(g) == f
 
 
 @st.composite
