@@ -108,13 +108,14 @@ def _verdict_dict(verdict: MajorizationVerdict) -> dict:
 def cmd_rearrange(args) -> int:
     doc = load_sfn(args.function)
     rearranged = doc.function.rearrangement()
+    # only the JSON report reads the level sets as Fractions
     report = {
         "command": "rearrange",
         "input": args.function,
         "pieces": [[p.value, p.mass] for p in rearranged.pieces],
         "total": rearranged.total_measure,
         "output": args.output,
-    }
+    } if args.json else None
     return _emit_text(args, report, dumps_sfn(rearranged))
 
 

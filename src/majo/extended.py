@@ -106,13 +106,18 @@ def common_scale(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
     nothing, where each ``Fraction`` operation reduces by a gcd. No values
     give the scale 1.
     """
+    # one as_integer_ratio() call per value, where .numerator and
+    # .denominator are a property call each
+    return _scale_ratios([v.as_integer_ratio() for v in values])
+
+
+def _scale_ratios(ratios: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
+    """:func:`common_scale` on rationals given as (numerator, positive
+    denominator) pairs."""
     # lcm(*list), not lcm(*generator): a tuple CPython builds from a generator
     # by resizing parks a block in its tuple free list; the list bounded RSS
     # on the decide pool about 1 MiB lower after 95 cycles (FOUND line in
     # CHANGES.md)
-    # one as_integer_ratio() call per value, where .numerator and
-    # .denominator are a property call each
-    ratios = [v.as_integer_ratio() for v in values]
     scale = lcm(*[d for _, d in ratios])
     return scale, [n * (scale // d) for n, d in ratios]
 

@@ -11,6 +11,10 @@ nowhere else.
 
 A matrix file is ``rows cols`` on the first effective line followed by
 row-major entries separated by arbitrary whitespace.
+
+A level-set line is read as four integers, each rational reduced by one gcd,
+and the pairs go to the integer core of ``canonicalize`` with no
+``Fraction`` built; the writer formats a function from the same pairs.
 """
 
 from __future__ import annotations
@@ -19,13 +23,16 @@ import math
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import InvalidRationalError, ParseError, RationalTooLongError
 from .extended import _RATIONAL, INF, ExtendedRational, Infinity, as_fraction
 from .operators import OperatorMatrix, Partition, Tail
-from .stepfn import StepFunction, canonicalize
+# canonicalize is not called here, but majo.formats.canonicalize stays a name
+# for it: bench/tracing.py and its tests find it in this module
+from .stepfn import StepFunction, _canonical, canonicalize  # noqa: F401
 
 
 def format_rational(x) -> str:
@@ -36,13 +43,17 @@ def format_rational(x) -> str:
     """
     if isinstance(x, Infinity):
         return "inf"
-    x = Fraction(x)
+    return _format_ratio(*Fraction(x).as_integer_ratio())
+
+
+def _format_ratio(numerator: int, denominator: int) -> str:
+    """:func:`format_rational` on a ratio in lowest terms."""
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        if denominator == 1:
+            return str(numerator)
+        return f"{numerator}/{denominator}"
     except ValueError:  # over the int-to-text digit limit
-        digits = max(_digit_count(x.numerator), _digit_count(x.denominator))
+        digits = max(_digit_count(numerator), _digit_count(denominator))
         raise RationalTooLongError(
             f"a numerator or denominator of {digits} digits is over Python's "
             f"limit of {sys.get_int_max_str_digits()} digits for writing an integer"
@@ -158,12 +169,13 @@ def loads_sfn(text: str) -> SfnDocument:
         if level:
             p, q, r, s = level.groups()
             try:
-                value = Fraction(int(p), int(q) if q else 1)
-                mass = Fraction(int(r), int(s) if s else 1)
+                vn, vd, mn, md = int(p), int(q) if q else 1, int(r), int(s) if s else 1
             except ValueError:  # more digits than int() converts: the tokens say where
                 pass
             else:
-                pieces.append((value, mass))
+                # in lowest terms, as the integer core takes them
+                c, e = gcd(vn, vd), gcd(mn, md)
+                pieces.append(((vn // c, vd // c), (mn // e, md // e)))
                 continue
         tokens = line.split("#", 1)[0].split()
         if not tokens:
@@ -194,7 +206,7 @@ def loads_sfn(text: str) -> SfnDocument:
         elif len(tokens) == 2:
             value = _parse_rational(tokens[0], number, 1)
             mass = _parse_rational(tokens[1], number, 2)
-            pieces.append((value, mass))
+            pieces.append((value.as_integer_ratio(), mass.as_integer_ratio()))
         else:
             raise ParseError(
                 "expected '<value> <mass>', 'partition ...' or 'tail ...'",
@@ -203,7 +215,7 @@ def loads_sfn(text: str) -> SfnDocument:
             )
     if tail is not None and atoms is None:
         raise ParseError("tail line without a partition line", line=tail_line)
-    function = canonicalize(pieces, total)
+    function = _canonical(pieces, total)
     partition = None
     if atoms is not None:
         if total is INF and tail is None and atoms:
@@ -216,8 +228,8 @@ def dumps_sfn(
     function: StepFunction, partition: Optional[Partition] = None
 ) -> str:
     lines = [f"total {format_rational(function.total_measure)}"]
-    for piece in function.pieces:
-        lines.append(f"{format_rational(piece.value)} {format_rational(piece.mass)}")
+    for value, mass in function._levels:
+        lines.append(f"{_format_ratio(*value)} {_format_ratio(*mass)}")
     if partition is not None:
         lines.append("partition " + " ".join(format_rational(a) for a in partition.atoms))
         if partition.tail is not None:
@@ -263,7 +275,7 @@ def loads_mat(text: str) -> OperatorMatrix:
             f"expected {rows * cols} entries, found {len(entries)}", line=number
         )
     # rows sliced from the entry list, and tuples built from lists, not from
-    # generators, as in extended.common_scale
+    # generators, as in extended._scale_ratios
     return OperatorMatrix(
         tuple([tuple(entries[r * cols:(r + 1) * cols]) for r in range(rows)])
     )

@@ -22,11 +22,13 @@ To decide, a sweep stops at the first violation; the tail sums build from the
 top, so its pass keeps the lowest violation it meets. To certify, the same
 sweep runs to the end and appends every breakpoint to a list. A sweep costs
 O(m + n) integer operations for m and n level sets, after a sort of the
-value grid. The decision runs on integers: :func:`_scaled` puts the pair on
-shared scales once per call, and only the violation is built as
-``Fraction``s. The certificate, :attr:`MajorizationVerdict.checked`, is the
-full sweep on the exact values, run when first read, so a caller that reads
-it (``majo check --json``) pays for that sweep on top of the decision.
+value grid. The decision runs on integers: :func:`_scaled` puts the integer
+pairs each :class:`StepFunction` stores on shared scales once per call, and
+only the violation is built as ``Fraction``s, so deciding never builds the
+functions' ``pieces``. The certificate, :attr:`MajorizationVerdict.checked`,
+is the full sweep on the exact values, run when first read, so a caller that
+reads it (``majo check --json``) pays for that sweep, and for both functions'
+``pieces``, on top of the decision.
 :func:`cross_check` scales the pair once for all three criteria, and each
 still runs its own sweep on it, so it compares independent computations. The
 direct per-point evaluators on :class:`StepFunction` re-verify any
@@ -42,8 +44,8 @@ from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, MeasureMismatchError
-from .extended import INF, common_scale
-from .stepfn import StepFunction
+from .extended import INF, _scale_ratios
+from .stepfn import StepFunction, _BuiltOnFirstRead
 
 
 class Criterion(enum.Enum):
@@ -71,25 +73,6 @@ class CheckPoint:
         if self.relation is Relation.LE:
             return self.left <= self.right
         return self.left == self.right
-
-
-class _BuiltOnFirstRead:
-    """A dataclass field that takes a value or a function building it; the
-    function is called on the first read of the field, and its result kept."""
-
-    def __set_name__(self, owner, name: str):
-        self.key = "_" + name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            raise AttributeError(self.key)  # the field has no default
-        value = instance.__dict__[self.key]
-        if callable(value):
-            value = instance.__dict__[self.key] = value()
-        return value
-
-    def __set__(self, instance, value):
-        instance.__dict__[self.key] = value
 
 
 @dataclass(frozen=True)
@@ -141,15 +124,16 @@ def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     masses tile the total, so it is on the mass scale too.
 
     The one place a pair is put on integers: unequal totals are refused
-    first, then one :func:`common_scale` runs over the values of both
-    functions and one over their masses. A caller that runs several sweeps
-    on one pair scales it once and passes the result to each; swapping its
-    two halves gives the pair (g, f)."""
+    first, then the stored pairs of both functions (``StepFunction._levels``)
+    go on one scale for the values and one for the masses, with no
+    ``Fraction`` read. A caller that runs several sweeps on one pair scales
+    it once and passes the result to each; swapping its two halves gives the
+    pair (g, f)."""
     _require_same_total(f, g)
-    pieces = f.pieces + g.pieces
-    value_scale, values = common_scale([v for v, _ in pieces])
-    mass_scale, masses = common_scale([m for _, m in pieces])
-    n = len(f.pieces)
+    levels = f._levels + g._levels
+    value_scale, values = _scale_ratios([v for v, _ in levels])
+    mass_scale, masses = _scale_ratios([m for _, m in levels])
+    n = len(f._levels)
     return mass_scale, value_scale, (values[:n], masses[:n]), (values[n:], masses[n:])
 
 

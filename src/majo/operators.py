@@ -8,19 +8,19 @@ between step functions and sequences through the per-atom integral map and
 its right inverse; the doubly stochastic witness for a majorized pair is a
 chain of mass-weighted two-atom mixings on the common refinement of the two
 level-set layouts, expanded onto an equal-mass grid only when its dense
-matrix is asked for. The chain runs on integers; ``Fraction``s are built only
-for the partition's atoms, the step weights, the image and the dense matrix.
+matrix is asked for. The chain and its image run on integers; ``Fraction``s
+are built only for the partition's atoms, the step weights and the dense
+matrix.
 """
 
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -45,23 +45,21 @@ from .extended import (
     fraction_gcd,
 )
 from .majorize import Criterion, _decide, _scaled
-from .stepfn import ZERO, StepFunction, _in_order, canonicalize
+from .stepfn import (
+    ZERO,
+    StepFunction,
+    _canonical,
+    _in_order,
+    _Ratio,
+    _text,
+    canonicalize,
+)
 
 ONE = Fraction(1)
 # largest equal-mass grid WitnessChain.product expands a chain onto: the chain
 # itself lives on at most m + n level-set atoms, but the dense product (and
 # the .mat) holds the square of the grid's atom count
 WITNESS_ATOM_BUDGET = 1024
-
-
-@numbers.Rational.register
-class _Ratio(NamedTuple):
-    """An integer pair in lowest terms, as a ``numbers.Rational`` is by contract:
-    ``Fraction(ratio)`` takes both integers as they are, where ``Fraction(n,
-    d)`` would run a gcd on them again, quadratic in their length."""
-
-    numerator: int
-    denominator: int
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +180,13 @@ class AlignedStep:
 def _layout(partition: Partition, f: StepFunction):
     """Segments ``(atom, level set, mass)`` of f's rearrangement laid over the atoms.
 
-    Masses are integer pairs in lowest terms, compared by cross-multiplying
-    and reduced by a gcd only where a segment ends inside one: no shared
-    scale, which would grow with every distinct denominator. The level-set
-    index equals ``len(f.pieces)`` past the support. Segments past the
-    explicit atoms lie in the tail, where every function of the partition is
-    zero: a zero level set there is dropped, and a nonzero one is an error.
+    Masses are integer pairs in lowest terms, f's as it stores them, compared
+    by cross-multiplying and reduced by a gcd only where a segment ends
+    inside one: no shared scale, which would grow with every distinct
+    denominator. The level-set index equals ``len(f.pieces)`` past the
+    support. Segments past the explicit atoms lie in the tail, where every
+    function of the partition is zero: a zero level set there is dropped, and
+    a nonzero one is an error.
     """
     if partition.total_measure != f.total_measure:
         raise MeasureMismatchError(
@@ -195,7 +194,7 @@ def _layout(partition: Partition, f: StepFunction):
             f"{f.total_measure}"
         )
     # past the support f is zero on a level set of mass 1/0, above every atom
-    masses, k = [piece.mass.as_integer_ratio() for piece in f.pieces] + [(1, 0)], 0
+    masses, k = [mass for _, mass in f._levels] + [(1, 0)], 0
     for n, atom in enumerate(partition.atoms):
         an, ad = atom.as_integer_ratio()
         while True:
@@ -212,11 +211,26 @@ def _layout(partition: Partition, f: StepFunction):
                 break
             common = gcd(over, ad * ld)  # the level set ends inside the atom
             an, ad = -over // common, ad * ld // common
-    for piece in f.pieces[k:]:
-        if piece.value != 0:
+    for (numerator, _), _ in f._levels[k:]:
+        if numerator:
             raise PartitionMisalignedError(
                 "support extends past the explicit atoms into the tail"
             )
+
+
+def _aligned_levels(partition: Partition, f: StepFunction) -> List[int]:
+    """The index of the level set of f on each atom, ``len(f.pieces)`` for
+    zero past the support; an atom that straddles two level sets is an error."""
+    levels = []
+    for n, k, mass in _layout(partition, f):
+        if mass != partition.atoms[n].as_integer_ratio():
+            value = _text(f._levels[k][0]) if k < len(f._levels) else "0"
+            raise PartitionMisalignedError(
+                f"atom of mass {partition.atoms[n]} straddles a level boundary "
+                f"(only {_text(mass)} left at value {value})"
+            )
+        levels.append(k)
+    return levels
 
 
 def align(partition: Partition, f: StepFunction) -> AlignedStep:
@@ -226,15 +240,8 @@ def align(partition: Partition, f: StepFunction) -> AlignedStep:
     canonical layout and the explicit atoms cover the support.
     """
     levels = f.values() + (ZERO,)
-    values = []
-    for n, k, mass in _layout(partition, f):
-        if mass != partition.atoms[n].as_integer_ratio():
-            raise PartitionMisalignedError(
-                f"atom of mass {partition.atoms[n]} straddles a level boundary "
-                f"(only {Fraction(_Ratio(*mass))} left at value {levels[k]})"
-            )
-        values.append(levels[k])
-    return AlignedStep(partition=partition, values=tuple(values))
+    values = tuple([levels[k] for k in _aligned_levels(partition, f)])
+    return AlignedStep(partition=partition, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +290,7 @@ class OperatorMatrix:
     entries: Tuple[Tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        # built from lists, not generators, as in extended.common_scale
+        # built from lists, not generators, as in extended._scale_ratios
         rows = tuple([tuple([as_fraction(e) for e in row]) for row in self.entries])
         object.__setattr__(self, "entries", rows)
         if len({len(row) for row in rows}) > 1:
@@ -662,17 +669,21 @@ class WitnessChain:
     def apply_to(self, g: StepFunction) -> StepFunction:
         """Apply the witness operator to a function on its partition.
 
-        g's values are mixed as integer pairs by :meth:`TTransform._mix`, the
-        step action :attr:`product` uses too; each distinct image value is
-        built as a ``Fraction`` once, and the atoms go to ``canonicalize``.
+        g's stored value pairs are laid over the atoms and mixed by
+        :meth:`TTransform._mix`, the step action :attr:`product` uses too; the
+        mixed pairs and the atoms' pairs go to the integer core of
+        ``canonicalize``, so the image builds no ``Fraction``.
         """
         partition = self.source_partition
-        column = [(v.as_integer_ratio(),) for v in align(partition, g).values]
+        values = [value for value, _ in g._levels] + [(0, 1)]
+        column = [(values[k],) for k in _aligned_levels(partition, g)]
         for step in self.steps:
             step._mix(column, partition.atoms)
-        image = {entry: Fraction(_Ratio(*entry)) for entry in {e for (e,) in column}}
-        pieces = [(image[entry], atom) for (entry,), atom in zip(column, partition.atoms)]
-        return canonicalize(pieces, partition.total_measure)
+        atoms = [atom.as_integer_ratio() for atom in partition.atoms]
+        return _canonical(
+            [(entry, atom) for (entry,), atom in zip(column, atoms)],
+            partition.total_measure,
+        )
 
 
 def _t_transform_chain(

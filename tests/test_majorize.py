@@ -291,7 +291,7 @@ class TestOneScalingPerCall:
 
     def test_unequal_totals_are_refused_before_scaling(self, monkeypatch):
         scaled = []
-        monkeypatch.setattr(MAJORIZE, "common_scale", scaled.append)
+        monkeypatch.setattr(MAJORIZE, "_scale_ratios", scaled.append)
         f, g = canonicalize([(1, 2)], 2), canonicalize([(2, 1)], 3)
         message = "^total measures differ: 2 vs 3$"
         for decide in (cross_check, majorize, weak_majorize, hinge_criterion,

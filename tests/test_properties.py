@@ -786,6 +786,89 @@ def test_loader_matches_a_token_by_token_reader(text):
     assert (document.function, document.partition) == token_reader(text)
 
 
+def route_rational(draw, primes):
+    """A rational whose denominator is 1, a small prime or a prime of four or
+    five digits."""
+    denominator = draw(st.sampled_from((1, 2, 3) + tuple(primes)))
+    return F(draw(st.integers(-(10**5), 10**5)), denominator)
+
+
+def unreduced_token(draw, value):
+    """``value`` as a .sfn token that is seldom in lowest terms: scaled by k,
+    leading zeros, an optional '+', and zero sometimes as -0/q."""
+    if value == 0 and draw(st.booleans()):
+        return f"-0/{draw(st.integers(1, 9))}"
+    k = draw(st.sampled_from((1, 2, 3, 7)))
+    n, d = value.numerator * k, value.denominator * k
+    sign = "-" if n < 0 else draw(st.sampled_from(("", "+")))
+    numerator = draw(st.sampled_from(("", "0"))) + str(abs(n))
+    if d == 1 and draw(st.booleans()):
+        return sign + numerator
+    return f"{sign}{numerator}/{draw(st.sampled_from(('', '0')))}{d}"
+
+
+def coerced_input(draw, value):
+    """``value`` as canonicalize takes it: a Fraction, an int or a p/q string."""
+    forms = [value, f"{value.numerator * 2}/{value.denominator * 2}"]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def routed_functions(draw):
+    """Raw level sets over a few values, each repeated on several lines, with
+    zero level sets, signed values on finite spaces, masses and values over
+    prime denominators of up to five digits, and a total the masses reach
+    or fall short of."""
+    primes = draw(st.lists(st.sampled_from(LONG_PRIMES), min_size=1, max_size=3))
+    infinite = draw(st.booleans())
+    values = [route_rational(draw, primes) for _ in range(draw(st.integers(1, 4)))] + [F(0)]
+    if infinite or not draw(st.booleans()):
+        values = [abs(v) for v in values]
+    raw = []
+    for _ in range(draw(st.integers(0, 10))):
+        mass = abs(route_rational(draw, primes)) or F(1)
+        raw.append((draw(st.sampled_from(values)), mass))
+    support = sum((m for _, m in raw), F(0))
+    total = INF if infinite else support + draw(st.sampled_from((F(0), F(1, 3), F(5))))
+    return raw, total
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(routed_functions(), st.data())
+def test_every_route_stores_the_same_reduced_pairs(case, data):
+    """The loader (from unreduced tokens), canonicalize (from Fractions, ints
+    and p/q strings), direct construction and a witness image all give one
+    function: equal, with equal hashes and reprs, and stored pairs that are
+    the ratios of its pieces."""
+    raw, total = case
+    draw = data.draw
+    lines = [f"{unreduced_token(draw, v)} {unreduced_token(draw, m)}" for v, m in raw]
+    header = "total " + ("inf" if total is INF else unreduced_token(draw, total))
+    loaded = loads_sfn("\n".join([header, *lines]) + "\n").function
+    coerced = canonicalize(
+        [(coerced_input(draw, v), coerced_input(draw, m)) for v, m in raw], total
+    )
+    direct = StepFunction(list(coerced.pieces), total)
+    # g splits every level set of f into two halves at v + v/2 and v - v/2, so
+    # f is its conditional expectation and the witness carries g onto f
+    g = canonicalize(
+        [(v + sign * abs(v) / 2, m / 2) for v, m in coerced.pieces for sign in (1, -1)],
+        total,
+    )
+    image = ds_witness(coerced, g).apply_to(g)
+    routes = (loaded, coerced, direct, image)
+    for function in routes:
+        assert function == loaded
+        assert hash(function) == hash(loaded)
+        assert repr(function) == repr(loaded)
+        assert function._levels == tuple(
+            (v.as_integer_ratio(), m.as_integer_ratio()) for v, m in function.pieces
+        )
+    assert all(gcd(*ratio) == 1 for level in loaded._levels for ratio in level)
+
+
 @st.composite
 def step_functions(draw):
     """Up to 30 level sets with values of both signs on a finite space."""

@@ -5,7 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from majo import INF, StepFunction, canonicalize
+from majo import (
+    INF,
+    StepFunction,
+    canonicalize,
+    cross_check,
+    ds_witness,
+    hinge_criterion,
+    majorize,
+)
+from majo import stepfn
+from majo.cli import main
 from majo.formats import loads_sfn
 from majo.errors import (
     DivergentHingeError,
@@ -121,6 +131,104 @@ class TestOneCheckPerInvariant:
         with pytest.raises(error) as loaded:
             loads_sfn(text)
         assert str(loaded.value) == str(via_canonicalize.value)
+
+
+# text errors the integer path checks: (.sfn text, error, message). The
+# level-set lines are also handed to canonicalize as p/q strings.
+TEXT_ERRORS = {
+    "first-nonpositive-mass-in-file-order": (
+        "total 10\n1 2\n2 -4/2\n3 0/5\n",
+        NegativeMassError,
+        "mass -2 must be positive",
+    ),
+    "zero-mass-before-negative-mass": (
+        "total inf\n5 1\n1 -0/3\n2 -1\n",
+        NegativeMassError,
+        "mass 0 must be positive",
+    ),
+    "masses-over-the-total": (
+        "total 3\n1 4/2\n2 6/6\n1/2 1/3\n",
+        MassExceedsTotalError,
+        "masses sum to 10/3 > total measure 3",
+    ),
+    "negative-total": (
+        "total -1/2\n1 1\n",
+        MassExceedsTotalError,
+        "total measure -1/2 must be nonnegative",
+    ),
+    "negative-value-on-an-infinite-space": (
+        "total inf\n-6/4 1\n2 1\n-1/3 2\n-1/3 1\n",
+        NegativeValueOnInfiniteSpaceError,
+        "value -1/3 < 0 on an infinite measure space",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_ERRORS))
+def test_text_errors_match_canonicalize_and_exit_2(case, tmp_path, capsys):
+    """The loader hands its integers to canonicalize's integer core: the same
+    error, with the same message, as canonicalize on the same pieces, and
+    ``majo check`` exits 2 with it."""
+    text, error, message = TEXT_ERRORS[case]
+    header, *lines = text.splitlines()
+    pieces = [line.split() for line in lines]
+    total = header.split()[1]
+    with pytest.raises(error) as loaded:
+        loads_sfn(text)
+    with pytest.raises(error) as via_canonicalize:
+        canonicalize(pieces, total)
+    assert str(loaded.value) == str(via_canonicalize.value) == message
+    path = tmp_path / "f.sfn"
+    path.write_text(text)
+    assert main(["check", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestPiecesBuiltOnFirstRead:
+    """A function read from text keeps its level sets as integer pairs: the
+    decisions and the witness never build its ``pieces``."""
+
+    F_TEXT = "total inf\n7/4 2\n"  # g averaged over its two level sets
+    G_TEXT = "total inf\n6/2 1\n1/2 1\n"
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The level sets each ``pieces`` view is built from, in order."""
+        calls, build = [], stepfn._pieces
+
+        def counting(levels):
+            calls.append(levels)
+            return build(levels)
+
+        monkeypatch.setattr(stepfn, "_pieces", counting)
+        return calls
+
+    def test_decisions_and_the_witness_build_no_pieces(self, builds):
+        f, g = loads_sfn(self.F_TEXT).function, loads_sfn(self.G_TEXT).function
+        assert cross_check(f, g).holds
+        rearrangement, hinge = majorize(g, f), hinge_criterion(g, f)
+        assert ds_witness(f, g).apply_to(g) == f
+        assert not rearrangement.holds and not hinge.holds
+        assert builds == []
+        point = rearrangement.violation
+        assert (g.partial_integral(point.point), f.partial_integral(point.point)) == (
+            point.left, point.right)
+        point = hinge.violation
+        assert (g.hinge_integral(point.point), f.hinge_integral(point.point)) == (
+            point.left, point.right)
+        assert point.left > point.right
+
+    def test_a_second_read_returns_the_same_object(self, builds):
+        f, g = loads_sfn(self.F_TEXT).function, loads_sfn(self.G_TEXT).function
+        verdict = majorize(f, g)
+        checked = verdict.checked  # the certificate sweeps both functions' pieces
+        assert verdict.checked is checked
+        assert builds == [f._levels, g._levels]
+        pieces = f.pieces
+        assert f.pieces is pieces and pieces == ((F(7, 4), F(2)),)
+        h = loads_sfn(self.F_TEXT).function
+        assert h.pieces is h.pieces
+        assert builds == [f._levels, g._levels, h._levels]
 
 
 class TestIntegral:
