@@ -57,11 +57,12 @@ def equi_modulus(
 ) -> EquiIntegrabilityReport:
     """Small-set modulus of a family against the modulus of its source.
 
-    ``bound`` is ``small_set_modulus(source, min(delta, total))``; it holds
-    for every image of ``source`` under a semi-doubly stochastic operator.
-    Past a finite source's total, a nonnegative source reads as extended by
-    zero; a signed one cannot, so a member on another total raises
-    :class:`MeasureMismatchError`.
+    Each function is read at ``min(delta, total)`` for its own total: past a
+    finite total, its modulus is its integral. ``bound`` is the source's; it
+    holds for every image of ``source`` under a semi-doubly stochastic
+    operator. Past a finite source's total, a nonnegative source reads as
+    extended by zero; a signed one cannot, so a member on another total
+    raises :class:`MeasureMismatchError`. A negative delta is out of range.
     """
     family = list(family)
     if not family:
@@ -69,7 +70,7 @@ def equi_modulus(
     delta = as_fraction(delta)
     for h in family:
         _require_comparable(h, source)
-    modulus = max(small_set_modulus(h, delta) for h in family)
+    modulus = max(small_set_modulus(h, min(delta, h.total_measure)) for h in family)
     bound = small_set_modulus(source, min(delta, source.total_measure))
     return EquiIntegrabilityReport(
         delta=delta, modulus=modulus, bound=bound, family_size=len(family)

@@ -231,7 +231,7 @@ def dumps_sfn(
     for value, mass in function._levels:
         lines.append(f"{_format_ratio(*value)} {_format_ratio(*mass)}")
     if partition is not None:
-        lines.append("partition " + " ".join(format_rational(a) for a in partition.atoms))
+        lines.append(" ".join(["partition", *map(format_rational, partition.atoms)]))
         if partition.tail is not None:
             count = "inf" if partition.tail.count is None else str(partition.tail.count)
             lines.append(f"tail {format_rational(partition.tail.mass)} x {count}")

@@ -10,8 +10,9 @@ single violating point that re-verifies by direct evaluation.
 Each criterion is one ordered sweep over the breakpoints of f and g with
 running sums, comparing the two sides at each point as it reaches it:
 
-* rearrangement: a two-pointer merge of the ascending cumulative masses of f
-  and g, carrying each integral up to the left end of its current piece;
+* rearrangement: a fold over the common refinement of the mass layouts of f
+  and g (``stepfn._in_order``), adding one product to each integral per
+  segment;
 * hinge: one upward pass over the sorted value grid, from W = sum v*m and
   M = sum m over every piece, dropping each piece as u reaches its value, so
   the hinge integral is W - u*M;
@@ -45,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, MeasureMismatchError
 from .extended import INF, _scale_ratios
-from .stepfn import StepFunction, _BuiltOnFirstRead
+from .stepfn import StepFunction, _BuiltOnFirstRead, _in_order
 
 
 class Criterion(enum.Enum):
@@ -192,47 +193,34 @@ def _partial_sweep(
     """Partial integrals at 0 and every cumulative mass of f and g, then at INF
     on an infinite space; unless ``weak``, the endpoint once more for the
     equal-integrals clause. On a finite space the last cumulative mass is the
-    total; at it, and at INF, both sides have reached the full integrals. A
-    point inside a piece costs one product. On scaled integers an integral
+    total; at it, and at INF, both sides have reached the full integrals.
+
+    A fold over :func:`_in_order`, the walk of the common refinement of both
+    mass layouts: each segment adds one product to each integral, and the
+    right end of each is a cumulative mass. On scaled integers an integral
     comes out on the product of the value and mass scales."""
     (fv, fm), (gv, gm) = f, g
-    n, m = len(fm), len(gm)
-    i = j = 0
-    a = b = fs = gs = 0  # integrals of f* over [0, fs) and of g* over [0, gs)
-    fe = fm[0] if n else None  # right ends of pieces i and j, None past the last
-    ge = gm[0] if m else None
+    fv, gv = [*fv, 0], [*gv, 0]  # past each support the integrand is 0
     s = left = right = 0
-    while True:
+    if checked is not None:
+        checked.append((s, left, right, LE))
+    for i, j, mass in _in_order(fm, gm):
+        s += mass
+        left += fv[i] * mass
+        right += gv[j] * mass
         if checked is not None:
             checked.append((s, left, right, LE))
         elif left > right:
             return s, left, right, LE
-        if fe is None and ge is None:
-            break
-        s = fe if ge is None or (fe is not None and fe <= ge) else ge
-        if fe == s:
-            a += fv[i] * fm[i]
-            fs, i = fe, i + 1
-            fe = fs + fm[i] if i < n else None
-            left = a
-        else:
-            left = a if fe is None else a + fv[i] * (s - fs)
-        if ge == s:
-            b += gv[j] * gm[j]
-            gs, j = ge, j + 1
-            ge = gs + gm[j] if j < m else None
-            right = b
-        else:
-            right = b if ge is None else b + gv[j] * (s - gs)
     # INF repeats the sides at the last cumulative mass, compared above
     end = INF if infinite else s
     if checked is not None:
         if infinite:
-            checked.append((INF, a, b, LE))
+            checked.append((INF, left, right, LE))
         if not weak:
-            checked.append((end, a, b, EQ))
-    elif not weak and a != b:
-        return end, a, b, EQ
+            checked.append((end, left, right, EQ))
+    elif not weak and left != right:
+        return end, left, right, EQ
     return None
 
 

@@ -336,33 +336,35 @@ def _text(pair: Pair) -> str:
 _ZERO_KEY = (0, 1)
 
 
-def _in_order(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> Iterator[Tuple[int, int, Fraction]]:
+def _in_order(a: Sequence, b: Sequence) -> Iterator[Tuple[int, int, object]]:
     """Lay two sequences of positive masses left to right from 0 and walk both.
 
     Yields ``(i, j, mass)`` for each segment of the common refinement, in
     order: the segment lies in the i-th mass of ``a`` and the j-th mass of
     ``b``. Past the end of the shorter sequence its index equals its length,
-    so the segments cover both sequences whole.
+    so the segments cover both sequences whole. Masses and segments are ints
+    or ``Fraction``s. The walk on numbers, for the rearrangement criterion,
+    ``ds_witness``, ``l1_distance`` and ``partition_average_matrix``; its form
+    on integer pairs in lowest terms is ``operators._layout``.
     """
+    n, m = len(a), len(b)
     i = j = 0
-    left_a = a[0] if a else ZERO
-    left_b = b[0] if b else ZERO
-    while i < len(a) or j < len(b):
-        take = left_a if j == len(b) or (i < len(a) and left_a < left_b) else left_b
+    left_a = a[0] if n else 0  # what is left of the current masses; 0 past the last
+    left_b = b[0] if m else 0
+    while i < n or j < m:
+        take = left_a if j == m or (i < n and left_a < left_b) else left_b
         yield i, j, take
-        # a segment that ends a mass advances without a Fraction subtraction
-        if i < len(a):
+        # a segment that ends a mass advances without a subtraction
+        if i < n:
             if left_a == take:
                 i += 1
-                left_a = a[i] if i < len(a) else ZERO
+                left_a = a[i] if i < n else 0
             else:
                 left_a -= take
-        if j < len(b):
+        if j < m:
             if left_b == take:
                 j += 1
-                left_b = b[j] if j < len(b) else ZERO
+                left_b = b[j] if j < m else 0
             else:
                 left_b -= take
 

@@ -496,6 +496,26 @@ class TestEqui:
             {"delta": "3", "modulus": "1", "bound": "1", "within_bound": True},
         ]
 
+    def test_default_grid_past_a_small_finite_total(self, workdir, capsys):
+        # delta = 1/2 lies past the total 1/4: the square and the 2x1
+        # operator give the same rows, each side read at min(delta, 1/4)
+        tmp, write = workdir
+        f = write("f.sfn", "total 1/4\n1 1/4\n")
+        outputs = []
+        for name, text in (("square", "1 1\n1\n"), ("tall", "2 1\n1\n0\n")):
+            ops = tmp / name
+            ops.mkdir()
+            (ops / "d.mat").write_text(text)
+            assert main(["equi", f, "--ops", str(ops), "--json"]) == 0
+            outputs.append(json.loads(capsys.readouterr().out)["rows"])
+        assert outputs[0] == outputs[1]
+        assert [(r["modulus"], r["bound"]) for r in outputs[0][:3]] == [
+            ("1/4", "1/4"),
+            ("1/4", "1/4"),
+            ("1/8", "1/8"),
+        ]
+        assert main(["equi", f, "--ops", str(tmp / "square"), "--delta-grid=-1/2"]) == 2
+
     def test_an_operator_that_does_not_parse_is_named(self, workdir, capsys):
         tmp, write = workdir
         f = write("f.sfn", "total 2\n1 2\n")

@@ -126,6 +126,27 @@ class TestEquiModulus:
             equi_modulus([f, image], 1, f)
         assert equi_modulus([f], 1, f).bound == -1
 
+    def test_a_member_past_its_finite_total_reads_its_integral(self):
+        # on total 1/4 the square identity and the 2x1 operator (1, 0) give
+        # the same rows: past a total, each side is its own integral
+        f = canonicalize([(1, F(1, 4))], F(1, 4))
+        square, _ = sequence_apply(OperatorMatrix(((F(1),),)), f, F(1, 4))
+        tall, _ = sequence_apply(OperatorMatrix(((F(1),), (F(0),))), f, F(1, 4))
+        assert (square.total_measure, tall.total_measure) == (F(1, 4), F(1, 2))
+        for k in range(1, 9):
+            delta = F(1, 2**k)
+            rows = [equi_modulus([h], delta, f) for h in (square, tall)]
+            assert rows[0] == rows[1]
+            assert rows[0].modulus == rows[0].bound == min(delta, F(1, 4))
+
+    def test_a_signed_source_past_its_total_reads_its_integral(self):
+        f = canonicalize([(2, 1), (-3, 1)], 2)
+        for delta in (F(5, 2), 3):
+            report = equi_modulus([f], delta, f)
+            assert report.modulus == report.bound == f.integral() == -1
+        with pytest.raises(DeltaOutOfRangeError):
+            equi_modulus([f], -1, f)
+
     def test_empty_family_rejected(self):
         with pytest.raises(EmptyFamilyError):
             equi_modulus([], 1, tall_narrow())

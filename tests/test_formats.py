@@ -92,12 +92,18 @@ class TestSfn:
         assert doc.partition.tail == Tail(F(1), None)
 
     @pytest.mark.parametrize(
-        "total, tail", [(F(0), None), (INF, Tail(F(1), None))]
+        "total, tail, text",
+        [
+            (F(0), None, "total 0\npartition\n"),
+            (INF, Tail(F(1), None), "total inf\npartition\ntail 1 x inf\n"),
+        ],
+        ids=["total0-None", "total1-tail1"],
     )
-    def test_partition_without_atoms_round_trips(self, total, tail):
+    def test_partition_without_atoms_round_trips(self, total, tail, text):
         f = canonicalize([], total)
         partition = Partition(atoms=(), total_measure=total, tail=tail)
-        doc = loads_sfn(dumps_sfn(f, partition))
+        assert dumps_sfn(f, partition) == text
+        doc = loads_sfn(text)
         assert (doc.function, doc.partition) == (f, partition)
 
     def test_bare_partition_on_an_infinite_space_needs_a_tail(self):

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from fractions import Fraction as F
+from itertools import accumulate
 from math import gcd, lcm
 
 import pytest
@@ -352,6 +353,47 @@ def test_averaging_is_the_conditional_expectation_of_the_layout(case):
     assert average.integral() == f.integral()
     assert majorize(average.step_function(), f).holds
     assert partition_average(partition, average.step_function()) == average
+
+
+@st.composite
+def mass_sequences(draw):
+    """Two sequences of positive masses, all ints or all Fractions with prime
+    denominators up to 10^4, either possibly empty: unrelated, equal, or the
+    second cut at some cumulative masses of the first and at points of its
+    own, so that the two layouts share cuts."""
+    mass = st.integers(1, 10**6) if draw(st.booleans()) else rationals(positive=True)
+    a = draw(st.lists(mass, max_size=30))
+    shape = draw(st.sampled_from(("unrelated", "equal", "shared cuts")))
+    if shape == "unrelated":
+        return a, draw(st.lists(mass, max_size=30))
+    if shape == "equal":
+        return a, list(a)
+    kept = {end for end in accumulate(a) if draw(st.booleans())}
+    cuts = sorted(kept | set(draw(st.lists(mass, max_size=5))))
+    return a, [right - left for left, right in zip([0, *cuts], cuts)]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(mass_sequences())
+def test_in_order_walks_the_common_refinement(case):
+    a, b = case
+    ends_a, ends_b = [0, *accumulate(a)], [0, *accumulate(b)]
+    left, rights = 0, []
+    for i, j, mass in _in_order(a, b):
+        assert mass > 0 and type(mass) in {type(x) for x in a + b}
+        right = left + mass
+        # inside the masses it names, or past the end of a sequence, where
+        # its index is that sequence's length
+        for k, seq, ends in ((i, a, ends_a), (j, b, ends_b)):
+            if k < len(seq):
+                assert ends[k] <= left and right <= ends[k + 1]
+            else:
+                assert k == len(seq) and left >= ends[-1]
+        rights.append(right)
+        left = right
+    # positive segments from 0 with these right ends tile [0, max of the sums)
+    assert left == max(ends_a[-1], ends_b[-1])
+    assert rights == sorted(set(ends_a[1:]) | set(ends_b[1:]))
 
 
 def fraction_layout(partition, f):
