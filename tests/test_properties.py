@@ -1,6 +1,7 @@
 """Property tests in the regime the seeded generators miss: many atoms and
 large coprime denominators."""
 
+import importlib
 import random
 import re
 import sys
@@ -50,6 +51,7 @@ from majo.errors import (
     NegativeMassError,
     NegativeValueOnInfiniteSpaceError,
     NonCanonicalError,
+    NotMajorizedError,
     PartitionMisalignedError,
 )
 from majo.extended import as_extended, as_fraction
@@ -315,6 +317,68 @@ def test_chain_takes_the_steps_of_the_quadratic_scan(case):
     target, source = case
     masses = (F(1),) * len(target)
     assert _t_transform_chain(masses, target, source) == quadratic_chain(target, source)
+
+
+@st.composite
+def scan_inputs(draw):
+    """(masses, target, source) on 1 to 200 atoms: positive integer masses and
+    decreasing integer values, signed, with ties and zeros. The source is the
+    target spread by integral-preserving moves from an atom to a later one
+    ("spread"), then perhaps one value nudged ("nudged") or the two swapped
+    ("reversed"), or drawn on its own ("fresh")."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(1, 200)
+    top = rng.choice((2, 10, 10**4))
+    masses = [rng.randint(1, rng.choice((1, 5, 100))) for _ in range(n)]
+
+    def decreasing():
+        return sorted((rng.randint(-top, top) for _ in range(n)), reverse=True)
+
+    kinds = ("spread", "nudged", "reversed", "fresh")
+    target, kind = decreasing(), draw(st.sampled_from(kinds))
+    if kind == "fresh":
+        return masses, target, decreasing()
+    source = list(target)
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        j, k = sorted(rng.sample(range(n), 2))
+        j, k = rng.choice((0, j)), rng.choice((k, n - 1))  # the ends have room
+        # source[j] gains t·masses[k] and source[k] loses t·masses[j]; the
+        # room above j and below k keeps the source decreasing
+        room = [top]
+        if j:
+            room.append((source[j - 1] - source[j]) // masses[k])
+        if k < n - 1:
+            room.append((source[k] - source[k + 1]) // masses[j])
+        t = min(room) // rng.choice((1, 2))
+        source[j] += t * masses[k]
+        source[k] -= t * masses[j]
+    if kind == "nudged":
+        k = rng.randrange(n)
+        low = source[k + 1] if k < n - 1 else source[k] - 1
+        high = source[k - 1] if k else source[k] + 1
+        source[k] = rng.randint(low, high)
+    if kind == "reversed":
+        return masses, source, target
+    return masses, target, source
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(scan_inputs())
+def test_chain_scan_is_the_prefix_sum_test(case):
+    """The scan finds no chain exactly when a prefix sum of the target's atom
+    integrals exceeds the source's or the integrals differ; otherwise its at
+    most n - 1 steps carry the source onto the target."""
+    masses, target, source = case
+    x = list(accumulate(m * v for m, v in zip(masses, target)))
+    y = list(accumulate(m * v for m, v in zip(masses, source)))
+    refused = any(a > b for a, b in zip(x, y)) or x[-1] != y[-1]
+    steps = _t_transform_chain(masses, target, source)
+    assert (steps is None) == refused
+    if steps is not None:
+        assert len(steps) <= len(masses) - 1
+        partition = Partition(tuple(map(F, masses)), sum(masses))
+        chain = WitnessChain(steps, partition)
+        assert reference_mix(chain, [(F(v),) for v in source]) == [(v,) for v in target]
 
 
 @st.composite
@@ -1228,6 +1292,92 @@ def test_each_criterion_stops_at_its_first_violation(case):
             if first is not None and verdict.criterion is Criterion.TAIL_DISTRIBUTION:
                 assert first.left == f.tail_distribution_integral(first.point)
                 assert first.right == g.tail_distribution_integral(first.point)
+
+
+@st.composite
+def witness_cases(draw):
+    """(f, g): g on up to 200 level sets, each value and mass over a prime
+    denominator of four or five digits. f averages g over runs of consecutive
+    level sets ("average"), or g so averages f ("reversed"); f is drawn on
+    g's masses split in two and moved to g's integral ("incomparable"); or,
+    on an infinite space, f is the average with every mass stretched or
+    shrunk, so that its support and integral differ from g's ("unequal").
+    "signed" is one of the first three on a finite space with values of both
+    signs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = ("average", "reversed", "incomparable", "unequal", "signed")
+    kind = draw(st.sampled_from(kinds))
+    infinite = kind != "signed"
+    if not infinite:
+        kind = rng.choice(("average", "reversed", "incomparable"))
+
+    def rational(lo):
+        return F(rng.randint(lo, 10**4), rng.choice(LONG_PRIMES))
+
+    low = 1 if infinite else -(10**4)
+    raw = [(rational(low), rational(1)) for _ in range(rng.randint(1, 200))]
+    total = INF if infinite else sum(m for _, m in raw) + rational(0)
+    g = canonicalize(raw, total)
+    if kind == "incomparable":
+        halves = [m / 2 for _, m in g.pieces for _ in range(2)]
+        f = canonicalize([(rational(low), m) for m in halves], total)
+        if infinite:
+            scale = g.integral() / f.integral()
+            return canonicalize([(v * scale, m) for v, m in f.pieces], total), g
+        shift = (g.integral() - f.integral()) / total
+        return canonicalize([(v + shift, m) for v, m in f.pieces], total), g
+    averaged, run = [], []
+    for k, piece in enumerate(g.pieces):
+        run.append(piece)
+        if k == len(g.pieces) - 1 or rng.random() < 0.3:
+            mass = sum(m for _, m in run)
+            averaged.append((sum(v * m for v, m in run) / mass, mass))
+            run = []
+    if kind == "unequal":
+        stretch = rng.choice((F(1, 2), F(9973, 10007), F(10007, 9973), F(2)))
+        averaged = [(v, m * stretch) for v, m in averaged]
+    f = canonicalize(averaged, total)
+    return (g, f) if kind == "reversed" else (f, g)
+
+
+OPERATORS = importlib.import_module("majo.operators")
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(witness_cases())
+def test_witness_refuses_exactly_what_majorize_refuses(case):
+    """ds_witness refuses a pair exactly when majorize does, naming the same
+    violation; the refinement is walked once, and the rearrangement criterion
+    runs only to name the violation of a refused pair."""
+    f, g = case
+    verdict = majorize(f, g)
+    calls = {"_decide": 0, "_in_order": 0}
+
+    def counting(name):
+        function = getattr(OPERATORS, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(OPERATORS, name, counting(name))
+        try:
+            chain = ds_witness(f, g)
+        except NotMajorizedError as error:
+            assert not verdict.holds
+            assert str(error) == (
+                f"f is not majorized by g (violation at {verdict.violation.point} "
+                "under the rearrangement criterion)"
+            )
+            assert calls == {"_decide": 1, "_in_order": 1}
+        else:
+            assert verdict.holds
+            assert calls == {"_decide": 0, "_in_order": 1}
+            assert chain.apply_to(g) == f
 
 
 @st.composite
