@@ -37,7 +37,14 @@ from .formats import (
     load_sfn,
 )
 from .kernels import kernel_classify, matrix_to_kernel
-from .majorize import Criterion, MajorizationVerdict, _cross_check, _decide, _scaled
+from .majorize import (
+    MajorizationVerdict,
+    cross_check,
+    hinge_criterion,
+    majorize,
+    tail_distribution_criterion,
+    weak_majorize,
+)
 from .operators import (
     Partition,
     classify_matrix,
@@ -119,10 +126,14 @@ def cmd_rearrange(args) -> int:
     return _emit_text(args, report, dumps_sfn(rearranged))
 
 
+def _rearrangement(f, g, *, weak: bool) -> MajorizationVerdict:
+    return weak_majorize(f, g) if weak else majorize(f, g)
+
+
 _CRITERIA = {
-    "rearr": Criterion.REARRANGEMENT,
-    "hinge": Criterion.HINGE,
-    "tail": Criterion.TAIL_DISTRIBUTION,
+    "rearr": _rearrangement,
+    "hinge": hinge_criterion,
+    "tail": tail_distribution_criterion,
 }
 
 
@@ -130,15 +141,13 @@ def cmd_check(args) -> int:
     f = load_sfn(args.f).function
     g = load_sfn(args.g).function
     start = time.monotonic()
-    # scaled once: the reverse verdict takes the halves swapped
-    mass_scale, value_scale, f_levels, g_levels = scaled = _scaled(f, g)
     if args.criterion == "all":
-        report_obj = _cross_check(args.weak, f, g, scaled)
+        report_obj = cross_check(f, g, weak=args.weak)
         verdicts = list(report_obj.verdicts)
         holds = report_obj.holds
         agreement = True
     else:
-        verdict = _decide(_CRITERIA[args.criterion], args.weak, f, g, scaled)
+        verdict = _CRITERIA[args.criterion](f, g, weak=args.weak)
         verdicts = [verdict]
         holds = verdict.holds
         agreement = None
@@ -148,8 +157,8 @@ def cmd_check(args) -> int:
         relation = "weakly majorized" if args.weak else "majorized"
         summary = f"f is {relation} by g"
     else:
-        swapped = (mass_scale, value_scale, g_levels, f_levels)
-        reverse_holds = _decide(Criterion.REARRANGEMENT, args.weak, g, f, swapped).holds
+        # the pair's scaling is kept on f, so the reverse verdict reuses it
+        reverse_holds = _rearrangement(g, f, weak=args.weak).holds
         if reverse_holds:
             summary = "not majorized (the reverse direction holds)"
         else:
@@ -561,6 +570,10 @@ def main(argv=None) -> int:
         return EXIT_FAILS
     except (MajoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        # an input too large for the memory at hand, not a failed relation
+        print(f"error: majo {args.command} ran out of memory", file=sys.stderr)
         return EXIT_INPUT
 
 

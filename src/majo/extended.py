@@ -99,6 +99,16 @@ def as_extended(x) -> ExtendedRational:
     return as_fraction(x)
 
 
+def _shown(x: ExtendedRational) -> str:
+    """``str(x)`` for an error message, or its size where a numerator or
+    denominator has more digits than Python writes out as an integer."""
+    try:
+        return str(x)
+    except ValueError:  # over the int-to-text digit limit
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        return f"a rational of {bits} bits"
+
+
 def common_scale(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
     """The lcm of the denominators of some rationals, and each rational times it.
 

@@ -24,21 +24,24 @@ top, so its pass keeps the lowest violation it meets. To certify, the same
 sweep runs to the end and appends every breakpoint to a list. A sweep costs
 O(m + n) integer operations for m and n level sets, after a sort of the
 value grid. The decision runs on integers: :func:`_scaled` puts the integer
-pairs each :class:`StepFunction` stores on shared scales once per call, and
-only the violation is built as ``Fraction``s, so deciding never builds the
-functions' ``pieces``. The certificate, :attr:`MajorizationVerdict.checked`,
-is the full sweep on the exact values, run when first read, so a caller that
-reads it (``majo check --json``) pays for that sweep, and for both functions'
-``pieces``, on top of the decision.
+pairs each :class:`StepFunction` stores on shared scales once per pair, and
+keeps them on f for its last partner, so ``majorize(g, f)`` after
+``cross_check(f, g)`` scales nothing; only the violation is built as
+``Fraction``s, so deciding never builds the functions' ``pieces``. The
+certificate, :attr:`MajorizationVerdict.checked`, is the full sweep on the
+exact values, run when first read, so a caller that reads it (``majo check
+--json``) pays for that sweep, and for both functions' ``pieces``, on top of
+the decision.
 :func:`cross_check` scales the pair once for all three criteria, and each
-still runs its own sweep on it, so it compares independent computations. The
-direct per-point evaluators on :class:`StepFunction` re-verify any
-certificate.
+still runs its own sweep on it (hinge and tail read one sorted value grid),
+so it compares independent computations. The direct per-point evaluators on
+:class:`StepFunction` re-verify any certificate.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -114,28 +117,54 @@ def _require_same_total(f: StepFunction, g: StepFunction) -> None:
 # exact number type: scaled ints to decide, Fractions to certify.
 Levels = Tuple[Sequence, Sequence]
 Point = Tuple[object, object, object, Relation]  # point, left, right, relation
-Scaled = Tuple[int, int, Levels, Levels]  # as _scaled returns it
+# as _scaled returns it: mass scale, value scale, f, g, value grid
+Scaled = Tuple[int, int, Levels, Levels, List[int]]
 LE, EQ = Relation.LE, Relation.EQ
 
 
 def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
-    """The pair on shared integer scales: (mass scale, value scale, f, g), with
-    every mass of f and g times the lcm of their mass denominators and every
-    value times the lcm of their value denominators. On a finite space the
-    masses tile the total, so it is on the mass scale too.
+    """The pair on shared integer scales: (mass scale, value scale, f, g, value
+    grid), with every mass of f and g times the lcm of their mass denominators
+    and every value times the lcm of their value denominators. On a finite
+    space the masses tile the total, so it is on the mass scale too. The value
+    grid, ``sorted({0, *f values, *g values})`` on the value scale, is empty
+    until :func:`_value_grid` fills it, once for both argument orders.
 
     The one place a pair is put on integers: unequal totals are refused
     first, then the stored pairs of both functions (``StepFunction._levels``)
     go on one scale for the values and one for the masses, with no
-    ``Fraction`` read. A caller scales a pair once for all its reads (the
-    sweeps of ``cross_check``; the walk of ``ds_witness`` and the sweep naming
-    a refused pair's violation); swapping the halves gives the pair (g, f)."""
+    ``Fraction`` read. The result is kept on f (``vars(f)``, next to
+    ``_levels``) with a weak reference to g, so a later ``_scaled(f, g)``
+    gets it back and ``_scaled(g, f)`` gets it with its halves swapped: the
+    criteria of ``cross_check``, the reverse verdict of ``majo check`` and
+    the walk of ``ds_witness`` scale a pair once. Each function keeps its
+    last partner only, and holds no strong reference to it; an equal but
+    distinct partner is scaled again."""
     _require_same_total(f, g)
+    partner, scaled = vars(f).get("_scaling", (None, None))
+    if partner is not None and partner() is g:
+        return scaled
+    partner, scaled = vars(g).get("_scaling", (None, None))
+    if partner is not None and partner() is f:
+        mass_scale, value_scale, g_scaled, f_scaled, grid = scaled
+        return mass_scale, value_scale, f_scaled, g_scaled, grid
     levels = f._levels + g._levels
     value_scale, values = _scale_ratios([v for v, _ in levels])
     mass_scale, masses = _scale_ratios([m for _, m in levels])
     n = len(f._levels)
-    return mass_scale, value_scale, (values[:n], masses[:n]), (values[n:], masses[n:])
+    f_scaled, g_scaled = (values[:n], masses[:n]), (values[n:], masses[n:])
+    scaled = mass_scale, value_scale, f_scaled, g_scaled, []
+    vars(f)["_scaling"] = weakref.ref(g), scaled
+    return scaled
+
+
+def _value_grid(scaled: Scaled) -> List[int]:
+    """The pair's ascending value grid, sorted on its first read and kept in
+    the record, which both argument orders share."""
+    _, _, (fv, _), (gv, _), grid = scaled
+    if not grid:  # it holds 0 once filled; a slice assignment is idempotent
+        grid[:] = sorted({0, *fv, *gv})
+    return grid
 
 
 def _levels(h: StepFunction) -> Levels:
@@ -148,24 +177,27 @@ def _decide(
     """Verdict from a criterion's sweep on ``scaled``, the pair as
     :func:`_scaled` gives it once for all the criteria a caller runs.
 
-    The sweep (:data:`_SWEEPS`) returns the first violation, or None; given
-    a list, it appends every checkpoint to it instead, in ascending order,
-    and returns None. On the integers a point is over the mass scale
-    (rearrangement) or the value scale (hinge, tail), and a side over the
-    product of both. The certificate sweeps the exact ``Fraction`` levels: the
-    integer sweep over the scales gives the three certificates of the 40
-    seed-1 ``decide`` benchmark pairs in 17 ms, not 58 ms, but those of a
-    2000-level file of 4-digit prime denominators against itself in 9.9 s,
-    not 1.6 s, in gcds with the whole scale (Python 3.11, one core).
+    The sweep (:data:`_SWEEPS`) returns the first violation, or None; the
+    hinge and tail sweeps read the pair's value grid, or sort their own when
+    given None, as the certificate does. Given a list, the sweep appends every
+    checkpoint to it instead, in ascending order, and returns None. On the
+    integers a point is over the mass scale (rearrangement) or the value
+    scale (hinge, tail), and a side over the product of both. The
+    certificate sweeps the exact ``Fraction`` levels: the integer sweep over
+    the scales gives the three certificates of the 40 seed-1 ``decide``
+    benchmark pairs in 17 ms, not 58 ms, but those of a 2000-level file of
+    4-digit prime denominators against itself in 9.9 s, not 1.6 s, in gcds
+    with the whole scale (Python 3.11, one core).
     """
-    mass_scale, value_scale, f_scaled, g_scaled = scaled
+    mass_scale, value_scale, f_scaled, g_scaled, _ = scaled
     sweep = _SWEEPS[criterion]
-    first = sweep(f_scaled, g_scaled, f.infinite, weak)
+    rearrangement = criterion is Criterion.REARRANGEMENT
+    grid = None if rearrangement else _value_grid(scaled)
+    first = sweep(f_scaled, g_scaled, f.infinite, weak, grid)
     violation = None
     if first is not None:
         point, left, right, relation = first
         if point is not INF:
-            rearrangement = criterion is Criterion.REARRANGEMENT
             point = Fraction(point, mass_scale if rearrangement else value_scale)
         product = mass_scale * value_scale
         left, right = Fraction(left, product), Fraction(right, product)
@@ -173,7 +205,7 @@ def _decide(
 
     def certificate() -> Tuple[CheckPoint, ...]:
         checked: List[Point] = []
-        sweep(_levels(f), _levels(g), f.infinite, weak, checked)
+        sweep(_levels(f), _levels(g), f.infinite, weak, None, checked)
         # Fraction(): an empty sum, and the point 0, are the int 0
         return tuple([
             CheckPoint(p if p is INF else Fraction(p), Fraction(a), Fraction(b), r)
@@ -189,7 +221,8 @@ def _decide(
 
 
 def _partial_sweep(
-    f: Levels, g: Levels, infinite: bool, weak: bool, checked: Optional[list] = None
+    f: Levels, g: Levels, infinite: bool, weak: bool, grid: None,
+    checked: Optional[list] = None,
 ) -> Optional[Point]:
     """Partial integrals at 0 and every cumulative mass of f and g, then at INF
     on an infinite space; unless ``weak``, the endpoint once more for the
@@ -198,8 +231,9 @@ def _partial_sweep(
 
     A fold over :func:`_in_order`, the walk of the common refinement of both
     mass layouts: each segment adds one product to each integral, and the
-    right end of each is a cumulative mass. On scaled integers an integral
-    comes out on the product of the value and mass scales."""
+    right end of each is a cumulative mass, so it reads no value grid. On
+    scaled integers an integral comes out on the product of the value and
+    mass scales."""
     (fv, fm), (gv, gm) = f, g
     fv, gv = [*fv, 0], [*gv, 0]  # past each support the integrand is 0
     s = left = right = 0
@@ -249,7 +283,8 @@ def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
 
 
 def _hinge_sweep(
-    f: Levels, g: Levels, infinite: bool, weak: bool, checked: Optional[list] = None
+    f: Levels, g: Levels, infinite: bool, weak: bool, grid: Optional[List],
+    checked: Optional[list] = None,
 ) -> Optional[Point]:
     """Integral of (h - u)+ for h = f and g at each u of the value grid, upward:
     W - u*M, with W = sum v*m and M = sum m over the pieces above u. A piece
@@ -260,7 +295,9 @@ def _hinge_sweep(
     fw, gw, fmass, gmass = sum(fp), sum(gp), sum(fm), sum(gm)
     i, j = len(fv) - 1, len(gv) - 1  # the lowest pieces above u
     relation = LE if weak else EQ
-    for u in sorted({0, *fv, *gv}):
+    if grid is None:
+        grid = sorted({0, *fv, *gv})
+    for u in grid:
         while i >= 0 and fv[i] <= u:
             fw -= fp[i]
             fmass -= fm[i]
@@ -279,7 +316,8 @@ def _hinge_sweep(
 
 
 def _tail_sweep(
-    f: Levels, g: Levels, infinite: bool, weak: bool, checked: Optional[list] = None
+    f: Levels, g: Levels, infinite: bool, weak: bool, grid: Optional[List],
+    checked: Optional[list] = None,
 ) -> Optional[Point]:
     """Integral of d_h over [u, oo) for h = f and g at each u of the value grid.
 
@@ -291,7 +329,8 @@ def _tail_sweep(
     n, m = len(fv), len(gv)
     i = j = 0
     fa = ga = ft = gt = 0  # masses strictly above u, integrals of d over [u, oo)
-    grid = sorted({0, *fv, *gv})
+    if grid is None:
+        grid = sorted({0, *fv, *gv})
     previous, first = grid[-1], None
     for u in reversed(grid):
         while i < n and fv[i] > u:
@@ -363,12 +402,7 @@ def cross_check(
     raises :class:`InternalInconsistencyError` carrying all certificates.
     The pair is scaled once; each criterion runs its own sweep on it.
     """
-    return _cross_check(weak, f, g, _scaled(f, g))
-
-
-def _cross_check(
-    weak: bool, f: StepFunction, g: StepFunction, scaled: Scaled
-) -> CrossCheckReport:
+    scaled = _scaled(f, g)
     verdicts = tuple([_decide(c, weak, f, g, scaled) for c in _SWEEPS])
     if len({v.holds for v in verdicts}) != 1:
         raise InternalInconsistencyError(

@@ -39,6 +39,7 @@ from .errors import (
 from .extended import (
     INF,
     ExtendedRational,
+    _shown,
     as_extended,
     as_fraction,
     exact_sum,
@@ -501,8 +502,8 @@ def sequence_apply(
     col_partition = Partition.equal_mass(matrix.cols, mass, f.total_measure)
     if f.support_measure > mass * matrix.cols:
         raise DimensionMismatchError(
-            f"support of mass {f.support_measure} needs more than {matrix.cols} "
-            f"atoms of mass {mass}"
+            f"support of mass {_shown(f.support_measure)} needs more than "
+            f"{matrix.cols} atoms of mass {_shown(mass)}"
         )
     row_total = INF if infinite else mass * matrix.rows
     row_partition = Partition.equal_mass(matrix.rows, mass, row_total)
@@ -751,7 +752,7 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     criterion run, on the same scaling, to name the violation to refuse with.
     """
     scaled = _scaled(f, g)
-    mass_scale, _, (f_values, f_masses), (g_values, g_masses) = scaled
+    mass_scale, _, (f_values, f_masses), (g_values, g_masses), _ = scaled
     f_levels, g_levels = [*f_values, 0], [*g_values, 0]
     masses, x, y = [], [], []
     for i, k, mass in _in_order(f_masses, g_masses):

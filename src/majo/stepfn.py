@@ -141,6 +141,11 @@ class StepFunction:
     def __hash__(self):
         return hash((self._levels, self.total_measure))
 
+    def __getstate__(self):
+        # majorize keeps a pair's scaling here with a weak reference to the
+        # partner (``_scaling``): a cache, and one that cannot be pickled
+        return {k: v for k, v in vars(self).items() if k != "_scaling"}
+
     # -- derived structure ---------------------------------------------------
 
     @property

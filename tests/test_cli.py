@@ -749,11 +749,58 @@ class TestExitCodes:
     def test_internal_inconsistency_exits_three(self, workdir, capsys, monkeypatch):
         from majo.errors import InternalInconsistencyError
 
-        def explode(weak, f, g, scaled):
+        def explode(f, g, *, weak):
             raise InternalInconsistencyError("criteria disagree")
 
-        monkeypatch.setattr("majo.cli._cross_check", explode)
+        monkeypatch.setattr("majo.cli.cross_check", explode)
         _, write = workdir
         f, g = majorized(write)
         assert main(["check", f, g]) == 3
         assert "internal inconsistency" in capsys.readouterr().err
+
+
+# the cap on the child's address space, bytes: well above the interpreter's
+# start-up peak (about 21 MB), well below what the commands below take on a
+# 3000-level file of distinct 5-digit prime denominators (check --criterion
+# all peaks near 158 MiB)
+MEMORY_CAP = 60 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "big.sfn", "big.sfn", "--criterion", "all"],
+        ["check", "big.sfn", "big.sfn", "--json"],
+        ["witness", "big.sfn", "big.sfn"],
+        ["equi", "big.sfn", "--ops", "ops"],
+        ["rearrange", "big.sfn", "--json"],
+    ],
+    ids=["check", "check-json", "witness", "equi", "rearrange-json"],
+)
+def test_running_out_of_memory_is_an_input_error(workdir, argv):
+    """A command that allocates in proportion to level count times scale
+    bits, under a cap on the memory of its process only, either fits and
+    succeeds or exits 2 with one line naming the command: never a traceback,
+    and never exit 1 (the relation fails) or 3."""
+    resource = pytest.importorskip("resource")
+    tmp, write = workdir
+    primes = [p for p in range(10000, 100000) if all(p % d for d in range(2, 317))]
+    write("big.sfn", "total inf\n" + "".join(
+        f"{k}/{primes[k]} 1/{primes[3000 + k]}\n" for k in range(1, 3001)
+    ))
+    (tmp / "ops").mkdir()
+    write("ops/identity.mat", "1 1\n1\n")
+    src = str(Path(majo.__file__).resolve().parents[1])
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "majo", *argv],
+        capture_output=True, text=True, cwd=tmp, preexec_fn=cap, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode in (0, 2), done.stderr[-2000:]
+    assert "Traceback" not in done.stderr
+    if done.returncode == 2:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -1,8 +1,13 @@
 """Criteria, certificates, cross-checks, and the preorder laws."""
 
+import gc
 import importlib
 import math
+import pickle
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -37,7 +42,6 @@ from majo.sampling import (
 
 # the modules, not the functions of the same names that majo exports
 MAJORIZE = importlib.import_module("majo.majorize")
-OPERATORS = importlib.import_module("majo.operators")
 CLI = importlib.import_module("majo.cli")
 
 
@@ -242,26 +246,28 @@ class TestCrossCheck:
 
 class TestOneScalingPerCall:
     """A pair is put on integers once per cross_check, per ds_witness and per
-    majo check."""
+    majo check, and once for both directions: the scaling is kept on the
+    first function with a weak reference to its partner."""
 
     @pytest.fixture
     def scalings(self, monkeypatch):
-        calls, scaled = [], MAJORIZE._scaled
+        """The number of pairs put on integers so far: one scaling calls
+        _scale_ratios twice, on the values and on the masses of both
+        functions."""
+        calls, scale = [], MAJORIZE._scale_ratios
 
-        def counting(f, g):
-            calls.append((f, g))
-            return scaled(f, g)
+        def counting(ratios):
+            calls.append(ratios)
+            return scale(ratios)
 
-        monkeypatch.setattr(MAJORIZE, "_scaled", counting)
-        monkeypatch.setattr(OPERATORS, "_scaled", counting)
-        monkeypatch.setattr(CLI, "_scaled", counting)
-        return calls
+        monkeypatch.setattr(MAJORIZE, "_scale_ratios", counting)
+        return lambda: len(calls) / 2
 
     @pytest.mark.parametrize("weak", [False, True])
     def test_cross_check_scales_once(self, scalings, weak):
         f, g = majorized_pair(random.Random(5))
         report = cross_check(f, g, weak=weak)
-        assert len(scalings) == 1
+        assert scalings() == 1
         rearr = weak_majorize(f, g) if weak else majorize(f, g)
         hinge = hinge_criterion(f, g, weak=weak)
         tail = tail_distribution_criterion(f, g, weak=weak)
@@ -280,14 +286,90 @@ class TestOneScalingPerCall:
         flat.write_text("total 2\n1 2\n")
         argv = ["check", str(peak), str(flat), "--criterion", criterion, *weak]
         assert CLI.main(argv) == 1
-        assert len(scalings) == 1
+        assert scalings() == 1
         summary = capsys.readouterr().out.splitlines()[-1]
         assert summary == "not majorized (the reverse direction holds)"
 
     def test_ds_witness_scales_once(self, scalings):
         f, g = majorized_pair(random.Random(7))
         assert ds_witness(f, g).apply_to(g) == f
-        assert len(scalings) == 1
+        assert scalings() == 1
+
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_the_reverse_direction_reuses_the_scaling(self, scalings, weak):
+        """majorize(g, f) after cross_check(f, g), as majo check and the
+        decide benchmark ask it, takes the kept scaling with its halves
+        swapped; a fresh pair gives the same verdict."""
+        f, g = majorized_pair(random.Random(11))
+        assert cross_check(f, g, weak=weak).holds
+        reverse = weak_majorize(g, f) if weak else majorize(g, f)
+        assert scalings() == 1
+        g2, f2 = (canonicalize(h.pieces, h.total_measure) for h in (g, f))
+        assert reverse == (weak_majorize(g2, f2) if weak else majorize(g2, f2))
+        assert scalings() == 2
+
+    def test_an_equal_partner_is_scaled_again(self, scalings):
+        f, g = majorized_pair(random.Random(13))
+        twin, other = (canonicalize(g.pieces, g.total_measure) for _ in range(2))
+        assert twin == g and twin is not g
+        scaled = MAJORIZE._scaled(f, g)
+        again = MAJORIZE._scaled(f, twin)
+        assert scalings() == 2
+        assert again == scaled
+        assert MAJORIZE._scaled(f, twin) is again and scalings() == 2
+        back = MAJORIZE._scaled(other, f)
+        assert scalings() == 3 and back[2:4] == (again[3], again[2])
+
+    def test_the_partner_is_not_kept_alive(self, scalings):
+        f, g = majorized_pair(random.Random(17))
+        assert cross_check(f, g).holds  # the report, dropped here, holds g
+        partner = weakref.ref(g)
+        del g
+        gc.collect()
+        assert partner() is None
+        assert majorize(f, f).holds and scalings() == 2
+
+    def test_a_scaled_function_pickles_without_its_partner(self):
+        f, g = majorized_pair(random.Random(19))
+        assert cross_check(f, g).holds
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and "_scaling" not in vars(copy)
+
+    def test_threads_sharing_functions_get_fresh_results(self):
+        """Threads scaling pairs of one shared family with switching partners,
+        under a short switch interval, get what fresh copies give."""
+        rng = random.Random(23)
+        family = [random_step_function(rng, infinite=True) for _ in range(4)]
+        copies = [canonicalize(h.pieces, INF) for h in family]
+        fresh = {
+            (i, j): MAJORIZE._scaled(copies[i], copies[j])
+            for i in range(4) for j in range(4) if i != j
+        }
+        for scaled in fresh.values():
+            MAJORIZE._value_grid(scaled)
+        errors = []
+
+        def work(seed):
+            r = random.Random(seed)
+            for _ in range(300):
+                i, j = r.sample(range(4), 2)
+                scaled = MAJORIZE._scaled(family[i], family[j])
+                MAJORIZE._value_grid(scaled)
+                if scaled != fresh[i, j]:
+                    errors.append((i, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_unequal_totals_are_refused_before_scaling(self, monkeypatch):
         scaled = []
@@ -307,7 +389,7 @@ class TestOneScalingPerCall:
         assert str(info.value) == (
             "f is not majorized by g (violation at 1 under the rearrangement criterion)"
         )
-        assert len(scalings) == 1
+        assert scalings() == 1
 
 
 class TestDilationMonotonicity:

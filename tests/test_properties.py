@@ -56,7 +56,7 @@ from majo.errors import (
 )
 from majo.extended import as_extended, as_fraction
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
-from majo.majorize import _scaled
+from majo.majorize import _scaled, _value_grid
 from majo.operators import TTransform, WitnessChain, _t_transform_chain
 from majo.stepfn import _in_order
 
@@ -1002,7 +1002,7 @@ def test_pair_scales_are_exact_and_least(f, partners):
                     continue
                 total = max(a.total_measure, b.total_measure)
                 a, b = canonicalize(a.pieces, total), canonicalize(b.pieces, total)
-            mass_scale, value_scale, left, right = _scaled(a, b)
+            mass_scale, value_scale, left, right, _ = _scaled(a, b)
             pieces = a.pieces + b.pieces
             assert value_scale == lcm(*[v.denominator for v, _ in pieces])
             assert mass_scale == lcm(*[m.denominator for _, m in pieces])
@@ -1014,6 +1014,71 @@ def test_pair_scales_are_exact_and_least(f, partners):
     assert f == fresh and fresh == f
     assert hash(f) == hash(fresh)
     assert repr(f) == repr(fresh)
+
+
+@st.composite
+def same_total_family(draw):
+    """Two to four step functions on one total: infinite, or a finite total
+    that every function's masses tile, with values of both signs."""
+    infinite = draw(st.booleans())
+    total = INF if infinite else draw(rationals(positive=True))
+    family = []
+    for _ in range(draw(st.integers(2, 4))):
+        raw = draw(st.lists(st.tuples(rationals(), rationals(positive=True)), max_size=8))
+        if infinite:
+            family.append(canonicalize([(abs(v), m) for v, m in raw], INF))
+            continue
+        share = total / (sum((m for _, m in raw), F(0)) + draw(rationals(positive=True)))
+        family.append(canonicalize([(v, m * share) for v, m in raw], total))
+    return family
+
+
+# the calls that scale a pair, and how each is made
+_SCALING_CALLS = (
+    cross_check,
+    lambda f, g: cross_check(f, g, weak=True),
+    majorize,
+    weak_majorize,
+    hinge_criterion,
+    tail_distribution_criterion,
+    _scaled,
+)
+
+
+def _filled(scaled):
+    _value_grid(scaled)
+    return scaled
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(
+    same_total_family(),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 7)), max_size=12),
+)
+def test_kept_scalings_equal_fresh_ones(family, calls):
+    """After interleaved calls with switching partners, the scaling each
+    function keeps for its last partner equals a fresh scaling of fresh copies
+    of the pair, value grid included, in both argument orders."""
+    for i, j, call in calls:
+        f, g = family[i % len(family)], family[j % len(family)]
+        if call == len(_SCALING_CALLS):
+            try:
+                ds_witness(f, g)
+            except NotMajorizedError:
+                pass
+        else:
+            _SCALING_CALLS[call](f, g)
+    copies = {id(h): canonicalize(h.pieces, h.total_measure) for h in family}
+    for h in family:
+        if "_scaling" not in vars(h):
+            continue
+        partner, record = vars(h)["_scaling"]
+        p = partner()
+        assert p is not None and any(p is k for k in family)
+        fresh_h, fresh_p = copies[id(h)], copies[id(p)]
+        assert _filled(record) == _filled(_scaled(fresh_h, fresh_p))
+        assert _filled(_scaled(p, h)) == _filled(_scaled(fresh_p, fresh_h))
+        assert _scaled(h, p) is record
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
