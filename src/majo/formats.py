@@ -12,23 +12,21 @@ nowhere else.
 A matrix file is ``rows cols`` on the first effective line followed by
 row-major entries separated by arbitrary whitespace.
 
-A level-set line is read as four integers, each rational reduced by one gcd,
-and the pairs go to the integer core of ``canonicalize`` with no
-``Fraction`` built; the writer formats a function from the same pairs.
+A level-set line is read as four integers, each rational put in lowest
+terms by ``extended._reduced``, and the pairs go to the integer core of
+``canonicalize`` with no ``Fraction`` built; the writer formats a function
+from the same pairs with ``extended._format_ratio``.
 """
 
 from __future__ import annotations
 
-import math
 import re
-import sys
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import InvalidRationalError, ParseError, RationalTooLongError
-from .extended import _RATIONAL, INF, ExtendedRational, Infinity, as_fraction
+from .errors import InvalidRationalError, ParseError
+from .extended import _RATIONAL, INF, _format_ratio, _reduced, _shown, as_fraction
 from .operators import OperatorMatrix, Partition, Tail
 # canonicalize is not called here, but majo.formats.canonicalize stays a name
 # for it: bench/tracing.py and its tests find it in this module
@@ -41,30 +39,9 @@ def format_rational(x) -> str:
     A numerator or denominator with more digits than Python converts to text
     (``sys.get_int_max_str_digits``) raises :class:`RationalTooLongError`.
     """
-    if isinstance(x, Infinity):
+    if x is INF:
         return "inf"
     return _format_ratio(*Fraction(x).as_integer_ratio())
-
-
-def _format_ratio(numerator: int, denominator: int) -> str:
-    """:func:`format_rational` on a ratio in lowest terms."""
-    try:
-        if denominator == 1:
-            return str(numerator)
-        return f"{numerator}/{denominator}"
-    except ValueError:  # over the int-to-text digit limit
-        digits = max(_digit_count(numerator), _digit_count(denominator))
-        raise RationalTooLongError(
-            f"a numerator or denominator of {digits} digits is over Python's "
-            f"limit of {sys.get_int_max_str_digits()} digits for writing an integer"
-        ) from None
-
-
-def _digit_count(n: int) -> int:
-    """Decimal digits of |n|, counted without converting it to text."""
-    n = abs(n)
-    estimate = int((max(n.bit_length(), 1) - 1) * math.log10(2)) + 1
-    return estimate + (n >= 10**estimate)
 
 
 def _parse_rational(token: str, line: int, column: int) -> Fraction:
@@ -154,11 +131,7 @@ def loads_sfn(text: str) -> SfnDocument:
             line=number,
             token=" ".join(tokens),
         )
-    total: ExtendedRational
-    if tokens[1].lower() == "inf":
-        total = INF
-    else:
-        total = _parse_rational(tokens[1], number, 2)
+    total = INF if tokens[1].lower() == "inf" else _parse_rational(tokens[1], number, 2)
 
     pieces = []
     atoms: Optional[List[Fraction]] = None
@@ -174,8 +147,7 @@ def loads_sfn(text: str) -> SfnDocument:
                 pass
             else:
                 # in lowest terms, as the integer core takes them
-                c, e = gcd(vn, vd), gcd(mn, md)
-                pieces.append(((vn // c, vd // c), (mn // e, md // e)))
+                pieces.append((_reduced(vn, vd), _reduced(mn, md)))
                 continue
         tokens = line.split("#", 1)[0].split()
         if not tokens:
@@ -272,7 +244,7 @@ def loads_mat(text: str) -> OperatorMatrix:
     if len(entries) != rows * cols:
         # number is the last effective line
         raise ParseError(
-            f"expected {rows * cols} entries, found {len(entries)}", line=number
+            f"expected {_shown(rows * cols)} entries, found {len(entries)}", line=number
         )
     # rows sliced from the entry list, and tuples built from lists, not from
     # generators, as in extended._scale_ratios

@@ -44,6 +44,7 @@ import enum
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -138,7 +139,8 @@ def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     gets it back and ``_scaled(g, f)`` gets it with its halves swapped: the
     criteria of ``cross_check``, the reverse verdict of ``majo check`` and
     the walk of ``ds_witness`` scale a pair once. Each function keeps its
-    last partner only, and holds no strong reference to it; an equal but
+    last partner only, and holds no strong reference to it; the record goes
+    when the partner is collected (:func:`_forget`), and an equal but
     distinct partner is scaled again."""
     _require_same_total(f, g)
     partner, scaled = vars(f).get("_scaling", (None, None))
@@ -154,8 +156,17 @@ def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     n = len(f._levels)
     f_scaled, g_scaled = (values[:n], masses[:n]), (values[n:], masses[n:])
     scaled = mass_scale, value_scale, f_scaled, g_scaled, []
-    vars(f)["_scaling"] = weakref.ref(g), scaled
+    vars(f)["_scaling"] = weakref.ref(g, partial(_forget, weakref.ref(f))), scaled
     return scaled
+
+
+def _forget(owner: weakref.ref, partner: weakref.ref) -> None:
+    """The callback of the weak reference to a pair's partner: drop the
+    record kept on ``owner()`` if it is still the one kept with ``partner``.
+    It holds the owner weakly, so the record makes no reference cycle."""
+    f = owner()
+    if f is not None and vars(f).get("_scaling", (None,))[0] is partner:
+        vars(f).pop("_scaling", None)  # a thread may have dropped it meanwhile
 
 
 def _value_grid(scaled: Scaled) -> List[int]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,6 +38,9 @@ from .errors import (
 from .extended import (
     INF,
     ExtendedRational,
+    _combine,
+    _Ratio,
+    _reduced,
     _shown,
     as_extended,
     as_fraction,
@@ -46,15 +48,7 @@ from .extended import (
     fraction_gcd,
 )
 from .majorize import Criterion, _decide, _scaled
-from .stepfn import (
-    ZERO,
-    StepFunction,
-    _canonical,
-    _in_order,
-    _Ratio,
-    _text,
-    canonicalize,
-)
+from .stepfn import ZERO, StepFunction, _canonical, _in_order, canonicalize
 
 ONE = Fraction(1)
 # largest equal-mass grid WitnessChain.product expands a chain onto: the chain
@@ -115,10 +109,10 @@ class Partition:
                         "unbounded tail on a finite measure space"
                     )
                 tail_mass = self.tail.mass * self.tail.count
-            explicit = exact_sum(self.atoms)
-            if explicit + tail_mass != self.total_measure:
+            tiled = exact_sum(self.atoms) + tail_mass
+            if tiled != self.total_measure:
                 raise MeasureMismatchError(
-                    f"atoms tile {explicit + tail_mass}, total is {self.total_measure}"
+                    f"atoms tile {_shown(tiled)}, total is {self.total_measure}"
                 )
 
     @property
@@ -203,15 +197,13 @@ def _layout(partition: Partition, f: StepFunction):
             over = ln * ad - an * ld  # level set left past the atom, times ad·ld
             if over > 0:  # the atom ends inside the level set
                 yield n, k, (an, ad)
-                common = gcd(over, ad * ld)
-                masses[k] = over // common, ad * ld // common
+                masses[k] = _reduced(over, ad * ld)
                 break
             yield n, k, masses[k]
             k += 1
             if not over:
                 break
-            common = gcd(over, ad * ld)  # the level set ends inside the atom
-            an, ad = -over // common, ad * ld // common
+            an, ad = _reduced(-over, ad * ld)  # the level set ends inside the atom
     for (numerator, _), _ in f._levels[k:]:
         if numerator:
             raise PartitionMisalignedError(
@@ -225,10 +217,10 @@ def _aligned_levels(partition: Partition, f: StepFunction) -> List[int]:
     levels = []
     for n, k, mass in _layout(partition, f):
         if mass != partition.atoms[n].as_integer_ratio():
-            value = _text(f._levels[k][0]) if k < len(f._levels) else "0"
+            value = _Ratio(*f._levels[k][0]) if k < len(f._levels) else 0
             raise PartitionMisalignedError(
                 f"atom of mass {partition.atoms[n]} straddles a level boundary "
-                f"(only {_text(mass)} left at value {value})"
+                f"(only {_shown(_Ratio(*mass))} left at value {_shown(value)})"
             )
         levels.append(k)
     return levels
@@ -556,29 +548,7 @@ class TTransform:
         wn, wd = self.weight.as_integer_ratio()
         pj, qj = masses[self.j].as_integer_ratio()
         pk, qk = masses[self.k].as_integer_ratio()
-        n, d = (wd - wn) * pj * qk, wd * qj * pk
-        common = gcd(n, d)
-        return n // common, d // common
-
-
-def _combine(p: int, q: int, d: int, x, y) -> Tuple[int, int]:
-    """(p·x + q·y) / d in lowest terms, where p/d, q/d, x and y are.
-
-    Two nonzero terms are reduced by one gcd. One term reduces as Fraction
-    multiplies, by two gcds of a short and a long integer, where one gcd of
-    two long integers with a short result would take time quadratic in
-    their length.
-    """
-    (xn, xd), (yn, yd) = x, y
-    if not xn or not yn:
-        n, m, w = (yn, yd, q) if not xn else (xn, xd, p)
-        if not n * w:
-            return 0, 1
-        a, b = gcd(w, m), gcd(n, d)
-        return (w // a) * (n // b), (d // b) * (m // a)
-    num, den = p * xn * yd + q * yn * xd, d * xd * yd
-    common = gcd(num, den)
-    return num // common, den // common
+        return _reduced((wd - wn) * pj * qk, wd * qj * pk)
 
 
 @dataclass(frozen=True)
@@ -604,7 +574,7 @@ class WitnessChain:
             if beta[0] > beta[1]:
                 raise InvalidTTransformError(
                     f"step on atoms ({step.j}, {step.k}) gives atom {step.k} "
-                    f"the weight {Fraction(*beta)} outside [0, 1]"
+                    f"the weight {_shown(_Ratio(*beta))} outside [0, 1]"
                 )
 
     @property
@@ -625,7 +595,7 @@ class WitnessChain:
         length = int(source.explicit_measure / unit)
         if length > WITNESS_ATOM_BUDGET:
             raise MajoError(
-                f"the witness matrix needs {length} atoms of mass {unit}, "
+                f"the witness matrix needs {_shown(length)} atoms of mass {_shown(unit)}, "
                 f"over the budget of {WITNESS_ATOM_BUDGET}"
             )
         return Partition.equal_mass(length, unit, source.total_measure)
@@ -655,9 +625,8 @@ class WitnessChain:
         for n, (row, count) in enumerate(zip(rows, counts)):
             if n in mixed:
                 spread = []
-                for (e, d), c in zip(row, counts):
-                    common = gcd(e, c)  # e/d is in lowest terms
-                    spread += [Fraction(_Ratio(e // common, d * c // common))] * c
+                for entry, c in zip(row, counts):  # entry / c, by two short gcds
+                    spread += [Fraction(_Ratio(*_combine(1, 0, c, entry, (0, 1))))] * c
                 expanded += [tuple(spread)] * count
             else:
                 expanded += [
@@ -765,7 +734,7 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
         if violation is None:
             raise InternalInconsistencyError("chain scan and criterion disagree")
         raise NotMajorizedError(
-            f"f is not majorized by g (violation at {violation.point} "
+            f"f is not majorized by g (violation at {_shown(violation.point)} "
             f"under the {Criterion.REARRANGEMENT.value} criterion)"
         )
     total = f.total_measure

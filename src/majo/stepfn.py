@@ -10,19 +10,18 @@ so the canonical piece order *is* the decreasing rearrangement.
 The stored form is integers: each value and mass is a pair (numerator,
 positive denominator) in lowest terms, so two functions are equal exactly
 when their pairs and totals are. :attr:`StepFunction.pieces`, the same level
-sets as ``Fraction``s, is built from the pairs when it is first read. One
-integer core puts raw pairs in canonical form; the text loader feeds it the
-integers it reads, ``WitnessChain.apply_to`` its mixed values and atoms, and
-:func:`canonicalize` the ratios of its coerced inputs.
+sets as ``Fraction``s, is built from the pairs when it is first read.
+``_canonical`` puts raw pairs in canonical form, with the pair arithmetic of
+``extended``; the text loader feeds it the pairs it reads,
+``WitnessChain.apply_to`` its mixed values and atoms, and :func:`canonicalize`
+the ratios of its coerced inputs.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import (
@@ -36,30 +35,19 @@ from .errors import (
 from .extended import (
     INF,
     ExtendedRational,
+    Pair,
+    _as_ratio,
+    _Ratio,
+    _reduced,
+    _shown,
+    _sum,
     as_extended,
     as_fraction,
-    _scale_ratios,
 )
 
 ZERO = Fraction(0)
 
-# (numerator, positive denominator) in lowest terms
-Pair = Tuple[int, int]
-Level = Tuple[Pair, Pair]  # (value, mass)
-
-
-@numbers.Rational.register
-class _Ratio(NamedTuple):
-    """An integer pair in lowest terms, as a ``numbers.Rational`` is by contract:
-    ``Fraction(ratio)`` takes both integers as they are, where ``Fraction(n,
-    d)`` runs a gcd on them again, quadratic in their length. The ABC check
-    makes it a constant 0.73-0.77 us, where ``Fraction(n, d)`` of random
-    coprime integers takes 0.44 us at 8 bits, 0.74 us at 64, 1.6 us at 256
-    and 33 us at 4096 (Python 3.11, best of 5 ``timeit`` runs on a shared
-    2-core machine): it pays only past about 64 bits."""
-
-    numerator: int
-    denominator: int
+Level = Tuple[Pair, Pair]  # (value, mass), each in lowest terms
 
 
 class _BuiltOnFirstRead:
@@ -259,10 +247,6 @@ def canonicalize(raw_pieces: Iterable, total) -> StepFunction:
     )
 
 
-def _as_ratio(x) -> Pair:
-    return (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
-
-
 def _canonical(levels: Iterable[Level], total: ExtendedRational) -> StepFunction:
     """The integer core of :func:`canonicalize`, on (value, mass) pairs in
     lowest terms with positive denominators, and a coerced total.
@@ -277,7 +261,7 @@ def _canonical(levels: Iterable[Level], total: ExtendedRational) -> StepFunction
     for value, mass in levels:
         # merging could hide a nonpositive mass
         if mass[0] <= 0:
-            raise NegativeMassError(f"mass {_text(mass)} must be positive")
+            raise NegativeMassError(f"mass {_shown(_Ratio(*mass))} must be positive")
         first = merged.get(value)
         if first is None:
             merged[value] = mass
@@ -295,7 +279,7 @@ def _canonical(levels: Iterable[Level], total: ExtendedRational) -> StepFunction
         rest = tn * sd - sn * td  # the total minus the support, times sd·td
         if rest < 0:
             raise MassExceedsTotalError(
-                f"masses sum to {Fraction(sn, sd)} > total measure {total}"
+                f"masses sum to {_shown(Fraction(sn, sd))} > total measure {total}"
             )
         if rest:
             zero = merged.get(_ZERO_KEY)
@@ -317,25 +301,9 @@ def _canonical(levels: Iterable[Level], total: ExtendedRational) -> StepFunction
     if infinite and ordered and ordered[-1][0][0] < 0:
         negative = next(value for value, _ in ordered if value[0] < 0)
         raise NegativeValueOnInfiniteSpaceError(
-            f"value {_text(negative)} < 0 on an infinite measure space"
+            f"value {_shown(_Ratio(*negative))} < 0 on an infinite measure space"
         )
     return StepFunction._trusted(ordered, total)
-
-
-def _sum(pairs: Sequence[Pair]) -> Pair:
-    """The sum of some ratios over the lcm of their denominators, unreduced."""
-    scale, scaled = _scale_ratios(pairs)
-    return sum(scaled), scale
-
-
-def _reduced(n: int, d: int) -> Pair:
-    common = gcd(n, d)
-    return n // common, d // common
-
-
-def _text(pair: Pair) -> str:
-    """A ratio as ``str`` writes the ``Fraction``."""
-    return str(Fraction(_Ratio(*pair)))
 
 
 _ZERO_KEY = (0, 1)

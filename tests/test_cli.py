@@ -804,3 +804,53 @@ def test_running_out_of_memory_is_an_input_error(workdir, argv):
     assert "Traceback" not in done.stderr
     if done.returncode == 2:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def _primes(lo, hi):
+    """The primes in [lo, hi), by a sieve."""
+    sieve = bytearray([1]) * hi
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(hi**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi, p)))
+    return [p for p in range(lo, hi) if sieve[p]]
+
+
+# 1/p over the 9592 primes below 10^5 sums to a rational of 143 818 bits;
+# 1000 level sets with distinct 5-digit prime denominators give a witness
+# grid whose atom count and atom mass each have over 4300 digits; a matrix of
+# 10^3000 x 10^3000 entries expects a product of 6001 digits
+LONG_MESSAGES = [
+    (["rearrange", "masses.sfn"], "masses sum to a rational of 143818 bits > total measure 1"),
+    (["rearrange", "atoms.sfn"], "atoms tile a rational of 143818 bits, total is 1"),
+    (["witness", "p.sfn", "p.sfn", "-o", "W.mat"], "the witness matrix needs a rational of "),
+    (["classify", "big.mat"], "expected a rational of 19932 bits entries, found 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", LONG_MESSAGES, ids=["masses", "atoms", "grid", "matrix-entries"]
+)
+def test_an_error_naming_a_rational_past_the_digit_limit_exits_two(workdir, argv, message):
+    """An error message names a computed rational with more digits than
+    Python writes out by its size in bits: one stderr line and exit 2, not a
+    traceback from ``str`` and exit 1 (the relation fails)."""
+    tmp, write = workdir
+    primes = _primes(2, 10**5)
+    write("masses.sfn", "total 1\n" + "".join(f"1 1/{p}\n" for p in primes))
+    write("atoms.sfn", "total 1\n1 1\npartition " + " ".join(f"1/{p}" for p in primes) + "\n")
+    five = [p for p in primes if p > 10**4]
+    write("big.mat", f"1{'0' * 3000} 1{'0' * 3000}\n")
+    write("p.sfn", "total inf\n" + "".join(
+        f"{k}/{five[k]} 1/{five[1000 + k]}\n" for k in range(1, 1001)
+    ))
+    src = str(Path(majo.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "majo", *argv],
+        capture_output=True, text=True, cwd=tmp, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
+    assert done.stderr.startswith(f"error: {message}")
+    assert not (tmp / "W.mat").exists()

@@ -329,6 +329,29 @@ class TestOneScalingPerCall:
         assert partner() is None
         assert majorize(f, f).holds and scalings() == 2
 
+    def test_the_scaling_goes_with_its_partner(self):
+        """With the cycle collector off: once g is gone, f holds no record of
+        the pair, and f itself is freed by refcount alone, so the callback
+        that drops the record makes no cycle. The death of an earlier partner
+        whose weak reference outlives its record drops nothing."""
+        f, g = majorized_pair(random.Random(23))
+        earlier, later = (canonicalize(g.pieces, g.total_measure) for _ in range(2))
+        gc.disable()
+        try:
+            assert cross_check(f, g).holds
+            del g
+            assert "_scaling" not in vars(f)
+            MAJORIZE._scaled(f, earlier)
+            kept = vars(f)["_scaling"]  # holds the weak reference to earlier
+            scaled = MAJORIZE._scaled(f, later)
+            del earlier
+            assert vars(f)["_scaling"][1] is scaled
+            alive = weakref.ref(f)
+            del f
+            assert alive() is None and kept[0]() is None
+        finally:
+            gc.enable()
+
     def test_a_scaled_function_pickles_without_its_partner(self):
         f, g = majorized_pair(random.Random(19))
         assert cross_check(f, g).holds

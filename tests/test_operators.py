@@ -609,3 +609,17 @@ class TestDsWitness:
             v_g = align(chain.grid, g).values
             assert apply_matrix(chain.product, v_g) == v_f
             assert l1_distance(chain.apply_to(g), f) == 0
+
+
+def test_a_straddling_remainder_past_the_digit_limit_is_named_by_its_bits():
+    """At the first level boundary, 1/10, the level set's remainder left
+    after about 3000 atoms 1/p (p prime from 10007) has a 23 695-bit
+    denominator: the refusal names its size, where ``str`` would raise."""
+    f = canonicalize([(2, F(1, 10)), (1, F(1, 10))], INF)
+    primes = [p for p in range(10007, 80000) if all(p % q for q in range(2, 283))]
+    atoms = [F(1, p) for p in primes[:6401]]  # they sum past 1/5, f's support
+    with pytest.raises(PartitionMisalignedError, match=(
+        r"^atom of mass 1/\d+ straddles a level boundary "
+        r"\(only a rational of \d+ bits left at value 2\)$"
+    )):
+        align(Partition(atoms, INF, Tail(F(1, 7))), f)

@@ -54,7 +54,18 @@ from majo.errors import (
     NotMajorizedError,
     PartitionMisalignedError,
 )
-from majo.extended import as_extended, as_fraction
+from majo.errors import RationalTooLongError
+from majo.extended import (
+    _combine,
+    _format_ratio,
+    _Ratio,
+    _reduced,
+    _scale_ratios,
+    _shown,
+    _sum,
+    as_extended,
+    as_fraction,
+)
 from majo.formats import dumps_mat, dumps_sfn, loads_mat, loads_sfn
 from majo.majorize import _scaled, _value_grid
 from majo.operators import TTransform, WitnessChain, _t_transform_chain
@@ -1285,7 +1296,6 @@ def tie_pairs(draw):
 
 # the pairs of many_piece_pairs at prime denominators of four and five digits,
 # in either order
-LONG_PRIMES = [p for p in range(1000, 10**5) if all(p % q for q in range(2, 317))]
 long_pairs = st.tuples(many_piece_pairs(LONG_PRIMES), st.booleans()).map(
     lambda case: case[0][::-1] if case[1] else case[0]
 )
@@ -1511,3 +1521,54 @@ def test_equi_bound_past_a_nonnegative_source_is_its_integral(case):
     report = equi_modulus([image], delta, source)
     assert report.bound == source.integral()
     assert report.within_bound
+
+
+@st.composite
+def toolkit_rationals(draw):
+    """Up to 8 rationals of both signs and zero over 4-5 digit primes, powers
+    of two up to 2^64 and small denominators, some 2^-64 apart."""
+    denominators = st.one_of(
+        st.sampled_from(LONG_PRIMES),
+        st.integers(0, 64).map(lambda k: 2**k),
+        st.integers(1, 12),
+    )
+    numerators = st.one_of(st.integers(-(10**6), 10**6), st.integers(-(2**80), 2**80))
+    values = draw(st.lists(st.builds(F, numerators, denominators), max_size=8))
+    values += [v + F(k, 2**64) for v in values for k in draw(st.sets(st.sampled_from((-1, 1))))]
+    return values
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    toolkit_rationals(),
+    st.integers(1, 10**6),
+    st.fractions(0, 1, max_denominator=10**6) | st.just(F(1, 2**64)),
+    st.sampled_from(LONG_PRIMES) | st.integers(1, 12),
+)
+def test_the_pair_toolkit_agrees_with_fraction(values, k, weight, count):
+    """Each integer-pair helper of ``extended`` gives what ``Fraction`` gives:
+    reduction, the shared scale and the sum over it, the two mixes
+    ``TTransform._mix`` and ``WitnessChain.product`` make, and the text."""
+    pairs = [v.as_integer_ratio() for v in values]
+    scale, scaled = _scale_ratios(pairs)
+    assert scale == lcm(*[d for _, d in pairs])
+    assert [F(n, scale) for n in scaled] == values
+    assert _sum(pairs) == (sum(scaled), scale)
+    assert F(*_sum(pairs)) == sum(values, F(0))
+    wn, wd = weight.as_integer_ratio()
+    for (n, d), v in zip(pairs, values):
+        assert _reduced(n * k, d * k) == (n, d)
+        assert _format_ratio(n, d) == _shown(_Ratio(n, d)) == _shown(v) == str(v)
+        assert _combine(1, 0, count, (n, d), (0, 1)) == (v / count).as_integer_ratio()
+        for y, w in zip(pairs, values):
+            mixed = weight * v + (1 - weight) * w
+            assert _combine(wn, wd - wn, wd, (n, d), y) == mixed.as_integer_ratio()
+    assert _shown(INF) == "inf" and _shown(scale) == str(scale)
+    limit = sys.get_int_max_str_digits()
+    if limit:  # past the digit limit the writer refuses and a message gives bits
+        long = F(10**limit * (k + 1) + 1, count)
+        for x in (long, 1 / long):
+            with pytest.raises(RationalTooLongError):
+                _format_ratio(*x.as_integer_ratio())
+            bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+            assert _shown(x) == f"a rational of {bits} bits"
