@@ -32,10 +32,10 @@ certificate, :attr:`MajorizationVerdict.checked`, is the full sweep on the
 exact values, run when first read, so a caller that reads it (``majo check
 --json``) pays for that sweep, and for both functions' ``pieces``, on top of
 the decision.
-:func:`cross_check` scales the pair once for all three criteria, and each
-still runs its own sweep on it (hinge and tail read one sorted value grid),
-so it compares independent computations. The direct per-point evaluators on
-:class:`StepFunction` re-verify any certificate.
+:func:`cross_check` scales the pair once for all three criteria and sorts
+its value grid once for the hinge and tail sweeps; each criterion still runs
+its own sweep, so it compares independent computations. The direct
+per-point evaluators on :class:`StepFunction` re-verify any certificate.
 """
 
 from __future__ import annotations
@@ -118,18 +118,16 @@ def _require_same_total(f: StepFunction, g: StepFunction) -> None:
 # exact number type: scaled ints to decide, Fractions to certify.
 Levels = Tuple[Sequence, Sequence]
 Point = Tuple[object, object, object, Relation]  # point, left, right, relation
-# as _scaled returns it: mass scale, value scale, f, g, value grid
-Scaled = Tuple[int, int, Levels, Levels, List[int]]
+# as _scaled returns it: mass scale, value scale, f, g
+Scaled = Tuple[int, int, Levels, Levels]
 LE, EQ = Relation.LE, Relation.EQ
 
 
 def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
-    """The pair on shared integer scales: (mass scale, value scale, f, g, value
-    grid), with every mass of f and g times the lcm of their mass denominators
-    and every value times the lcm of their value denominators. On a finite
-    space the masses tile the total, so it is on the mass scale too. The value
-    grid, ``sorted({0, *f values, *g values})`` on the value scale, is empty
-    until :func:`_value_grid` fills it, once for both argument orders.
+    """The pair on shared integer scales: (mass scale, value scale, f, g),
+    with every mass of f and g times the lcm of their mass denominators and
+    every value times the lcm of their value denominators. On a finite space
+    the masses tile the total, so it is on the mass scale too.
 
     The one place a pair is put on integers: unequal totals are refused
     first, then the stored pairs of both functions (``StepFunction._levels``)
@@ -141,21 +139,22 @@ def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     the walk of ``ds_witness`` scale a pair once. Each function keeps its
     last partner only, and holds no strong reference to it; the record goes
     when the partner is collected (:func:`_forget`), and an equal but
-    distinct partner is scaled again."""
+    distinct partner is scaled again. Nothing is written into a record once
+    it is kept."""
     _require_same_total(f, g)
     partner, scaled = vars(f).get("_scaling", (None, None))
     if partner is not None and partner() is g:
         return scaled
     partner, scaled = vars(g).get("_scaling", (None, None))
     if partner is not None and partner() is f:
-        mass_scale, value_scale, g_scaled, f_scaled, grid = scaled
-        return mass_scale, value_scale, f_scaled, g_scaled, grid
+        mass_scale, value_scale, g_scaled, f_scaled = scaled
+        return mass_scale, value_scale, f_scaled, g_scaled
     levels = f._levels + g._levels
     value_scale, values = _scale_ratios([v for v, _ in levels])
     mass_scale, masses = _scale_ratios([m for _, m in levels])
     n = len(f._levels)
     f_scaled, g_scaled = (values[:n], masses[:n]), (values[n:], masses[n:])
-    scaled = mass_scale, value_scale, f_scaled, g_scaled, []
+    scaled = mass_scale, value_scale, f_scaled, g_scaled
     vars(f)["_scaling"] = weakref.ref(g, partial(_forget, weakref.ref(f))), scaled
     return scaled
 
@@ -169,28 +168,21 @@ def _forget(owner: weakref.ref, partner: weakref.ref) -> None:
         vars(f).pop("_scaling", None)  # a thread may have dropped it meanwhile
 
 
-def _value_grid(scaled: Scaled) -> List[int]:
-    """The pair's ascending value grid, sorted on its first read and kept in
-    the record, which both argument orders share."""
-    _, _, (fv, _), (gv, _), grid = scaled
-    if not grid:  # it holds 0 once filled; a slice assignment is idempotent
-        grid[:] = sorted({0, *fv, *gv})
-    return grid
-
-
 def _levels(h: StepFunction) -> Levels:
     return [v for v, _ in h.pieces], [m for _, m in h.pieces]
 
 
 def _decide(
-    criterion: Criterion, weak: bool, f: StepFunction, g: StepFunction, scaled: Scaled
+    criterion: Criterion, weak: bool, f: StepFunction, g: StepFunction,
+    scaled: Scaled, grid: Optional[List[int]] = None,
 ) -> MajorizationVerdict:
     """Verdict from a criterion's sweep on ``scaled``, the pair as
     :func:`_scaled` gives it once for all the criteria a caller runs.
 
     The sweep (:data:`_SWEEPS`) returns the first violation, or None; the
-    hinge and tail sweeps read the pair's value grid, or sort their own when
-    given None, as the certificate does. Given a list, the sweep appends every
+    hinge and tail sweeps read ``grid``, the scaled value grid that
+    :func:`cross_check` sorts once for both, or sort their own when given
+    None, as the certificate does. Given a list, the sweep appends every
     checkpoint to it instead, in ascending order, and returns None. On the
     integers a point is over the mass scale (rearrangement) or the value
     scale (hinge, tail), and a side over the product of both. The
@@ -200,10 +192,9 @@ def _decide(
     4-digit prime denominators against itself in 9.9 s, not 1.6 s, in gcds
     with the whole scale (Python 3.11, one core).
     """
-    mass_scale, value_scale, f_scaled, g_scaled, _ = scaled
+    mass_scale, value_scale, f_scaled, g_scaled = scaled
     sweep = _SWEEPS[criterion]
     rearrangement = criterion is Criterion.REARRANGEMENT
-    grid = None if rearrangement else _value_grid(scaled)
     first = sweep(f_scaled, g_scaled, f.infinite, weak, grid)
     violation = None
     if first is not None:
@@ -232,7 +223,7 @@ def _decide(
 
 
 def _partial_sweep(
-    f: Levels, g: Levels, infinite: bool, weak: bool, grid: None,
+    f: Levels, g: Levels, infinite: bool, weak: bool, grid: object,
     checked: Optional[list] = None,
 ) -> Optional[Point]:
     """Partial integrals at 0 and every cumulative mass of f and g, then at INF
@@ -411,10 +402,13 @@ def cross_check(
 
     A disagreement is an implementation bug, never a mathematical state, and
     raises :class:`InternalInconsistencyError` carrying all certificates.
-    The pair is scaled once; each criterion runs its own sweep on it.
+    The pair is scaled once, and its value grid sorted once for the hinge
+    and tail sweeps; each criterion runs its own sweep on it.
     """
     scaled = _scaled(f, g)
-    verdicts = tuple([_decide(c, weak, f, g, scaled) for c in _SWEEPS])
+    (fv, _), (gv, _) = scaled[2:]
+    grid = sorted({0, *fv, *gv})
+    verdicts = tuple([_decide(c, weak, f, g, scaled, grid) for c in _SWEEPS])
     if len({v.holds for v in verdicts}) != 1:
         raise InternalInconsistencyError(
             "equivalent majorization criteria disagree: "

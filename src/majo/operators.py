@@ -679,20 +679,34 @@ def _t_transform_chain(
     pair's), both scales cancel in every weight, and each weight is one
     ``Fraction``. The pointers j and k only move forward:
     an equalized atom stays equal, and a deficit is never overfilled, so no
-    atom before either pointer can become the next surplus or deficit.
+    atom before either pointer can become the next surplus or deficit. Each
+    pointer moves one atom at a time, so an atom's integrals are formed when
+    a pointer first reaches it: a refusal reads only a prefix of the atoms,
+    up to the farthest pointer, and one at the first atom forms two
+    products, not 2n.
     """
     a = masses
     n, j, k, steps = len(a), 0, 0, []
-    x, y = list(map(mul, a, target)), list(map(mul, a, source))
+    x, y = [], []  # the atom integrals up to the farthest pointer
     for _ in range(n + 1):
-        while j < n and y[j] == x[j]:
+        while j < n:
+            if j == len(x):
+                x.append(a[j] * target[j])
+                y.append(a[j] * source[j])
+            if y[j] != x[j]:
+                break
             j += 1
         if j == n:
             break
         if y[j] < x[j]:
             return None
         k = max(k, j + 1)
-        while k < n and y[k] >= x[k]:
+        while k < n:
+            if k == len(x):
+                x.append(a[k] * target[k])
+                y.append(a[k] * source[k])
+            if y[k] < x[k]:
+                break
             k += 1
         if k == n:
             return None
@@ -721,7 +735,7 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     criterion run, on the same scaling, to name the violation to refuse with.
     """
     scaled = _scaled(f, g)
-    mass_scale, _, (f_values, f_masses), (g_values, g_masses), _ = scaled
+    mass_scale, _, (f_values, f_masses), (g_values, g_masses) = scaled
     f_levels, g_levels = [*f_values, 0], [*g_values, 0]
     masses, x, y = [], [], []
     for i, k, mass in _in_order(f_masses, g_masses):

@@ -1,5 +1,6 @@
 """Criteria, certificates, cross-checks, and the preorder laws."""
 
+import copy
 import gc
 import importlib
 import math
@@ -368,8 +369,6 @@ class TestOneScalingPerCall:
             (i, j): MAJORIZE._scaled(copies[i], copies[j])
             for i in range(4) for j in range(4) if i != j
         }
-        for scaled in fresh.values():
-            MAJORIZE._value_grid(scaled)
         errors = []
 
         def work(seed):
@@ -377,7 +376,6 @@ class TestOneScalingPerCall:
             for _ in range(300):
                 i, j = r.sample(range(4), 2)
                 scaled = MAJORIZE._scaled(family[i], family[j])
-                MAJORIZE._value_grid(scaled)
                 if scaled != fresh[i, j]:
                     errors.append((i, j))
 
@@ -393,6 +391,25 @@ class TestOneScalingPerCall:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+
+    def test_a_kept_record_is_never_written(self, scalings):
+        """Every later call that scales the pair, in either argument order,
+        reads the record kept on f and leaves each of its fields as it was."""
+        f, g = majorized_pair(random.Random(29))
+        kept = MAJORIZE._scaled(f, g)
+        snapshot = copy.deepcopy(kept)
+        calls = (cross_check, lambda a, b: cross_check(a, b, weak=True), majorize,
+                 weak_majorize, hinge_criterion, tail_distribution_criterion,
+                 ds_witness, MAJORIZE._scaled)
+        for call in calls:
+            for a, b in ((f, g), (g, f)):
+                try:
+                    call(a, b)
+                except NotMajorizedError:
+                    pass
+                assert vars(f)["_scaling"][1] is kept
+                assert kept == snapshot
+        assert scalings() == 1
 
     def test_unequal_totals_are_refused_before_scaling(self, monkeypatch):
         scaled = []

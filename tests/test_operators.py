@@ -386,6 +386,25 @@ class TestTTransformChain:
         target, source = (F(1), F(1), F(0)), (F(1), F(2), F(0))
         assert _t_transform_chain((F(1),) * 3, target, source) is None
 
+    def test_a_refusal_at_the_first_atom_forms_two_products(self):
+        """Each atom's integrals are formed when the scan first reaches it, so
+        a pair refused at its first atom multiplies one mass by its two
+        values and reads no later atom."""
+        products = []
+
+        class Counted(int):
+            def __mul__(self, other):
+                products.append(other)
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+        n = 1000
+        masses = [Counted(m) for m in range(1, n + 1)]
+        target, source = [2] + [1] * (n - 1), [1] * n
+        assert _t_transform_chain(masses, target, source) is None
+        assert len(products) <= 2
+
 
 class TestSequenceApply:
     def test_rectangular_shift_lands_on_the_row_total(self):
