@@ -14,6 +14,7 @@ in error messages). No other module reduces a pair.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -28,8 +29,11 @@ from .errors import EmptyFamilyError, InvalidRationalError, RationalTooLongError
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
+@functools.total_ordering
 class Infinity:
-    """The extended value +inf (a singleton, see module-level ``INF``)."""
+    """The extended value +inf (a singleton, see module-level ``INF``): above
+    every int and ``Fraction``, and equal only to itself, by identity.
+    ``<=``, ``>`` and ``>=`` follow from ``<``."""
 
     _instance = None
 
@@ -41,30 +45,9 @@ class Infinity:
     def __repr__(self) -> str:
         return "inf"
 
-    # -- ordering -----------------------------------------------------------
-
     def __lt__(self, other) -> bool:
         if isinstance(other, (Infinity, int, Fraction)):
             return False
-        return NotImplemented
-
-    def __le__(self, other) -> bool:
-        if isinstance(other, Infinity):
-            return True
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, Infinity):
-            return False
-        if isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, (Infinity, int, Fraction)):
-            return True
         return NotImplemented
 
 

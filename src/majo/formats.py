@@ -175,11 +175,12 @@ def loads_sfn(text: str) -> SfnDocument:
                 count = _parse_count(tokens[3], number, 4, message)
             tail = Tail(mass, count)
             tail_line = number
-        elif len(tokens) == 2:
-            value = _parse_rational(tokens[0], number, 1)
-            mass = _parse_rational(tokens[1], number, 2)
-            pieces.append((value.as_integer_ratio(), mass.as_integer_ratio()))
         else:
+            # as_fraction refuses a token of a two-token line _LEVEL_LINE
+            # refused: it matches the same _RATIONAL, under the same int() limit
+            if len(tokens) == 2:
+                _parse_rational(tokens[0], number, 1)
+                _parse_rational(tokens[1], number, 2)
             raise ParseError(
                 "expected '<value> <mass>', 'partition ...' or 'tail ...'",
                 line=number,

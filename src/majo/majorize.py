@@ -35,7 +35,9 @@ the decision.
 :func:`cross_check` scales the pair once for all three criteria and sorts
 its value grid once for the hinge and tail sweeps; each criterion still runs
 its own sweep, so it compares independent computations. The direct
-per-point evaluators on :class:`StepFunction` re-verify any certificate.
+per-point evaluators on :class:`StepFunction` re-verify any certificate;
+``ds_witness`` runs no sweep, as its chain scan stops at the rearrangement
+sweep's first violation.
 """
 
 from __future__ import annotations
@@ -136,11 +138,12 @@ def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     ``_levels``) with a weak reference to g, so a later ``_scaled(f, g)``
     gets it back and ``_scaled(g, f)`` gets it with its halves swapped: the
     criteria of ``cross_check``, the reverse verdict of ``majo check`` and
-    the walk of ``ds_witness`` scale a pair once. Each function keeps its
-    last partner only, and holds no strong reference to it; the record goes
-    when the partner is collected (:func:`_forget`), and an equal but
-    distinct partner is scaled again. Nothing is written into a record once
-    it is kept."""
+    ``ds_witness`` (whose chain scan stops at the rearrangement criterion's
+    first violation, so it runs no sweep) scale a pair once. Each function
+    keeps its last partner only, and holds no strong reference to it; the
+    record goes when the partner is collected (:func:`_forget`), and an equal
+    but distinct partner is scaled again. Nothing is written into a record
+    once it is kept."""
     _require_same_total(f, g)
     partner, scaled = vars(f).get("_scaling", (None, None))
     if partner is not None and partner() is g:

@@ -8,9 +8,11 @@ between step functions and sequences through the per-atom integral map and
 its right inverse; the doubly stochastic witness for a majorized pair is a
 chain of mass-weighted two-atom mixings on the common refinement of the two
 level-set layouts, expanded onto an equal-mass grid only when its dense
-matrix is asked for. The chain and its image run on integers; ``Fraction``s
-are built only for the partition's atoms, the step weights and the dense
-matrix.
+matrix is asked for. The scan that builds the chain is the majorization
+test, and a refusal runs no criterion sweep: the scan moves mass only
+forward, so the atom it refuses at is the rearrangement criterion's first
+violation. The chain and its image run on integers; ``Fraction``s are built
+only for the partition's atoms, the step weights and the dense matrix.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .extended import (
     exact_sum,
     fraction_gcd,
 )
-from .majorize import Criterion, _decide, _scaled
+from .majorize import Criterion, _scaled
 from .stepfn import ZERO, StepFunction, _canonical, _in_order, canonicalize
 
 ONE = Fraction(1)
@@ -658,19 +660,25 @@ class WitnessChain:
 
 def _t_transform_chain(
     masses: Sequence, target: Sequence, source: Sequence
-) -> Optional[Tuple[TTransform, ...]]:
+) -> Tuple[TTransform, ...] | int:
     """Chain of mass-weighted T-transforms carrying ``source`` onto ``target``,
-    or None when the target is not majorized by the source.
+    or, when the target is not majorized by the source, the first atom j at
+    whose right end the target's prefix sum of atom integrals exceeds the
+    source's, or n (the atom count) when only the totals differ.
 
     Both hold values on atoms of the given masses, the target sorted
     decreasingly. The scan rule is deterministic: first surplus atom j, first
     deficit atom k after it, move the smaller of the two integral
     discrepancies from j to k. A step keeps the total and raises no prefix sum
     of the source's atom integrals, nor lowers one below the target's, and
-    equalizes at least one more atom, so at most n - 1 steps are made. None
-    comes at a first discrepancy that is a deficit (a prefix sum of the target
-    exceeds the source's) or a surplus without a later deficit (the integrals
-    differ). The weight w moving δ is 1 - δ·a_k / (Y_j·a_k - Y_k·a_j), for
+    equalizes at least one more atom, so at most n - 1 steps are made. The
+    scan refuses at its first unequalized atom j if it is a deficit, and
+    returns j, or at a surplus with no later deficit, and returns n. That is
+    the prefix-sum test's first violation: mass moves only forward, to the
+    first deficit, and no atom turns into a deficit, so no mass has crossed
+    a deficit j's right end, where the source's prefix sum is its own and
+    below the target's; the source's earlier prefix sums are at least the
+    target's. The weight w moving δ is 1 - δ·a_k / (Y_j·a_k - Y_k·a_j), for
     atom integrals Y; both w and β = (1-w)·a_j/a_k lie in [0, 1]
     because y_k < x_k ≤ x_j < y_j. On equal atoms it is the classical chain.
 
@@ -699,7 +707,7 @@ def _t_transform_chain(
         if j == n:
             break
         if y[j] < x[j]:
-            return None
+            return j
         k = max(k, j + 1)
         while k < n:
             if k == len(x):
@@ -709,7 +717,7 @@ def _t_transform_chain(
                 break
             k += 1
         if k == n:
-            return None
+            return n
         delta = min(y[j] - x[j], x[k] - y[k])
         spread = y[j] * a[k] - y[k] * a[j]
         steps.append(TTransform(j, k, Fraction(spread - delta * a[k], spread)))
@@ -731,11 +739,12 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
     :attr:`WitnessChain.product` expands the chain onto one on request. The
     pair is scaled once, and one walk of the refinement on its integer masses
     gives the atoms and both value vectors. The chain scan is the
-    majorization test; only when it finds no chain does the rearrangement
-    criterion run, on the same scaling, to name the violation to refuse with.
+    majorization test, and no criterion sweep runs: the atoms are the
+    segments the rearrangement sweep folds over, so the atom j the scan
+    refuses at is that sweep's first violation, at j's right end, or for
+    j = n at the equal-integrals clause, at the total measure.
     """
-    scaled = _scaled(f, g)
-    mass_scale, _, (f_values, f_masses), (g_values, g_masses) = scaled
+    mass_scale, _, (f_values, f_masses), (g_values, g_masses) = _scaled(f, g)
     f_levels, g_levels = [*f_values, 0], [*g_values, 0]
     masses, x, y = [], [], []
     for i, k, mass in _in_order(f_masses, g_masses):
@@ -743,12 +752,13 @@ def ds_witness(f: StepFunction, g: StepFunction) -> WitnessChain:
         x.append(f_levels[i])
         y.append(g_levels[k])
     steps = _t_transform_chain(masses, x, y)
-    if steps is None:
-        violation = _decide(Criterion.REARRANGEMENT, False, f, g, scaled).violation
-        if violation is None:
-            raise InternalInconsistencyError("chain scan and criterion disagree")
+    if isinstance(steps, int):
+        point = (
+            f.total_measure if steps == len(masses)
+            else Fraction(sum(masses[:steps + 1]), mass_scale)
+        )
         raise NotMajorizedError(
-            f"f is not majorized by g (violation at {_shown(violation.point)} "
+            f"f is not majorized by g (violation at {_shown(point)} "
             f"under the {Criterion.REARRANGEMENT.value} criterion)"
         )
     total = f.total_measure

@@ -1,5 +1,6 @@
 """The extended-rational layer: one infinity, exact coercions, gcd."""
 
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,31 @@ class TestInfinity:
         assert not INF > INF
         assert INF == INF
         assert INF != F(1)
+
+    @pytest.mark.parametrize(
+        "other", [INF, 0, 7, -2, F(1, 3), F(-5, 2), True, 0.5, "inf", None]
+    )
+    def test_comparison_table(self, other):
+        """All six comparisons in both operand orders: INF is above every
+        int and Fraction (a bool is an int), equal only to itself, and
+        unordered against any other type."""
+        ops = operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne
+        if other is INF:
+            left = right = (False, True, False, True, True, False)
+        elif isinstance(other, (int, F)):
+            left = (False, False, True, True, False, True)  # INF ? other
+            right = (True, True, False, False, False, True)  # other ? INF
+        else:
+            left = right = (TypeError,) * 4 + (False, True)
+
+        def outcome(op, a, b):
+            try:
+                return op(a, b)
+            except TypeError:
+                return TypeError
+
+        assert tuple(outcome(op, INF, other) for op in ops) == left
+        assert tuple(outcome(op, other, INF) for op in ops) == right
 
     def test_sorting_puts_infinity_last(self):
         assert sorted([INF, F(2), F(1, 2)]) == [F(1, 2), F(2), INF]

@@ -376,15 +376,15 @@ class TestTTransform:
 
 
 class TestTTransformChain:
-    """The scan finds no chain where the target is not majorized; its steps
-    are pinned in test_properties."""
+    """Where the target is not majorized the scan returns the atom it refuses
+    at, not a chain; its steps are pinned in test_properties."""
 
     def test_first_discrepancy_a_deficit_is_refused(self):
-        assert _t_transform_chain((F(1), F(1)), (F(2), F(0)), (F(1), F(1))) is None
+        assert _t_transform_chain((F(1), F(1)), (F(2), F(0)), (F(1), F(1))) == 0
 
     def test_surplus_without_a_later_deficit_is_refused(self):
         target, source = (F(1), F(1), F(0)), (F(1), F(2), F(0))
-        assert _t_transform_chain((F(1),) * 3, target, source) is None
+        assert _t_transform_chain((F(1),) * 3, target, source) == 3
 
     def test_a_refusal_at_the_first_atom_forms_two_products(self):
         """Each atom's integrals are formed when the scan first reaches it, so
@@ -402,7 +402,7 @@ class TestTTransformChain:
         n = 1000
         masses = [Counted(m) for m in range(1, n + 1)]
         target, source = [2] + [1] * (n - 1), [1] * n
-        assert _t_transform_chain(masses, target, source) is None
+        assert _t_transform_chain(masses, target, source) == 0
         assert len(products) <= 2
 
 

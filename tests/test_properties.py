@@ -377,15 +377,20 @@ def scan_inputs(draw):
 @hypothesis.given(scan_inputs())
 def test_chain_scan_is_the_prefix_sum_test(case):
     """The scan finds no chain exactly when a prefix sum of the target's atom
-    integrals exceeds the source's or the integrals differ; otherwise its at
-    most n - 1 steps carry the source onto the target."""
+    integrals exceeds the source's or the integrals differ, and returns the
+    first atom whose prefix sums do, or the atom count when only the totals
+    differ; otherwise its at most n - 1 steps carry the source onto the
+    target."""
     masses, target, source = case
     x = list(accumulate(m * v for m, v in zip(masses, target)))
     y = list(accumulate(m * v for m, v in zip(masses, source)))
-    refused = any(a > b for a, b in zip(x, y)) or x[-1] != y[-1]
+    first = next((i for i, (a, b) in enumerate(zip(x, y)) if a > b), None)
+    if first is None and x[-1] != y[-1]:
+        first = len(masses)
     steps = _t_transform_chain(masses, target, source)
-    assert (steps is None) == refused
-    if steps is not None:
+    if first is not None:
+        assert steps == first
+    else:
         assert len(steps) <= len(masses) - 1
         partition = Partition(tuple(map(F, masses)), sum(masses))
         chain = WitnessChain(steps, partition)
@@ -1411,21 +1416,20 @@ def witness_cases(draw):
 
 
 OPERATORS = importlib.import_module("majo.operators")
+MAJORIZE = importlib.import_module("majo.majorize")
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(witness_cases())
 def test_witness_refuses_exactly_what_majorize_refuses(case):
     """ds_witness refuses a pair exactly when majorize does, naming the same
-    violation; the refinement is walked once, and the rearrangement criterion
-    runs only to name the violation of a refused pair."""
+    violation; the refinement is walked once, and no criterion runs, on an
+    accepted pair or a refused one: the chain scan names the violation."""
     f, g = case
     verdict = majorize(f, g)
-    calls = {"_decide": 0, "_in_order": 0}
+    calls = {"_decide": 0, "sweep": 0, "_in_order": 0}
 
-    def counting(name):
-        function = getattr(OPERATORS, name)
-
+    def counting(name, function):
         def counted(*args):
             calls[name] += 1
             return function(*args)
@@ -1433,8 +1437,10 @@ def test_witness_refuses_exactly_what_majorize_refuses(case):
         return counted
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in calls:
-            patch.setattr(OPERATORS, name, counting(name))
+        patch.setattr(OPERATORS, "_in_order", counting("_in_order", OPERATORS._in_order))
+        patch.setattr(MAJORIZE, "_decide", counting("_decide", MAJORIZE._decide))
+        for criterion, sweep in MAJORIZE._SWEEPS.items():
+            patch.setitem(MAJORIZE._SWEEPS, criterion, counting("sweep", sweep))
         try:
             chain = ds_witness(f, g)
         except NotMajorizedError as error:
@@ -1443,11 +1449,10 @@ def test_witness_refuses_exactly_what_majorize_refuses(case):
                 f"f is not majorized by g (violation at {verdict.violation.point} "
                 "under the rearrangement criterion)"
             )
-            assert calls == {"_decide": 1, "_in_order": 1}
         else:
             assert verdict.holds
-            assert calls == {"_decide": 0, "_in_order": 1}
             assert chain.apply_to(g) == f
+    assert calls == {"_decide": 0, "sweep": 0, "_in_order": 1}
 
 
 @st.composite
