@@ -198,11 +198,12 @@ def _digit_count(n: int) -> int:
 def _shown(x) -> str:
     """``str(x)`` for an error message, for an int, ``Fraction``, ``_Ratio``
     or ``INF``; past the digit limit of :func:`_format_ratio`, the size of
-    the rational in bits, so a message never fails to be written."""
+    the integer or rational in bits, so a message never fails to be written."""
     if isinstance(x, Infinity):
         return "inf"
     n, d = x.numerator, x.denominator
     try:
         return _format_ratio(n, d)
     except RationalTooLongError:
-        return f"a rational of {max(n.bit_length(), d.bit_length())} bits"
+        kind = "an integer" if isinstance(x, int) else "a rational"
+        return f"{kind} of {max(n.bit_length(), d.bit_length())} bits"

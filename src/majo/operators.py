@@ -11,8 +11,9 @@ level-set layouts, expanded onto an equal-mass grid only when its dense
 matrix is asked for. The scan that builds the chain is the majorization
 test, and a refusal runs no criterion sweep: the scan moves mass only
 forward, so the atom it refuses at is the rearrangement criterion's first
-violation. The chain and its image run on integers; ``Fraction``s are built
-only for the partition's atoms, the step weights and the dense matrix.
+violation. The chain runs on integers: it derives each step's weights once,
+where it checks them, and one mix serves its image and its dense matrix;
+``Fraction``s are built only for the atoms, the weights and the matrix.
 """
 
 from __future__ import annotations
@@ -517,7 +518,8 @@ class TTransform:
     On values y, atom j takes w·y_j + (1-w)·y_k and atom k takes
     β·y_j + (1-β)·y_k, where β = (1-w)·a_j/a_k for atom masses a_j and a_k;
     the step keeps constants and integrals. On equal masses β = 1-w, and the
-    step is the 2x2 block [[w, 1-w], [1-w, w]].
+    step is the 2x2 block [[w, 1-w], [1-w, w]]; :class:`WitnessChain`, which
+    knows the masses, derives β and applies the step.
     """
 
     j: int
@@ -532,26 +534,6 @@ class TTransform:
         if not 0 <= n <= d:
             raise InvalidTTransformError(f"mixing weight {self.weight} outside [0, 1]")
 
-    def _mix(self, rows: list, masses: Sequence) -> None:
-        """Left-multiply by this step on atoms of ``masses``, in place.
-
-        Rows j and k become w·(row j) + (1-w)·(row k) and
-        β·(row j) + (1-β)·(row k). Entries are integer pairs (numerator,
-        positive denominator) in lowest terms, and so is each new one.
-        """
-        wn, wd = self.weight.as_integer_ratio()
-        bn, bd = self._beta(masses)
-        a, b = rows[self.j], rows[self.k]
-        rows[self.j] = tuple([_combine(wn, wd - wn, wd, x, y) for x, y in zip(a, b)])
-        rows[self.k] = tuple([_combine(bn, bd - bn, bd, x, y) for x, y in zip(a, b)])
-
-    def _beta(self, masses: Sequence) -> Tuple[int, int]:
-        """β = (1-w)·a_j/a_k as an integer pair in lowest terms."""
-        wn, wd = self.weight.as_integer_ratio()
-        pj, qj = masses[self.j].as_integer_ratio()
-        pk, qk = masses[self.k].as_integer_ratio()
-        return _reduced((wd - wn) * pj * qk, wd * qj * pk)
-
 
 @dataclass(frozen=True)
 class WitnessChain:
@@ -559,25 +541,42 @@ class WitnessChain:
 
     The chain is the only stored form: :meth:`apply_to` mixes a function's
     values step by step, and :attr:`product` expands the steps onto the
-    equal-mass :attr:`grid` on request.
+    equal-mass :attr:`grid` on request, both by :meth:`_mix`, the one step
+    action. Each step's weights w and β are derived once, where
+    ``__post_init__`` checks them, and are no field: ``==``, ``hash`` and
+    ``repr`` see only the steps and the partition.
     """
 
     steps: Tuple[TTransform, ...]
     source_partition: Partition
 
     def __post_init__(self):
-        masses = self.source_partition.atoms
+        masses, actions = self.source_partition.atoms, []
         for step in self.steps:
             if step.k >= self.dimension:
                 raise DimensionMismatchError(
                     f"coordinate {step.k} outside dimension {self.dimension}"
                 )
-            beta = step._beta(masses)
+            wn, wd = step.weight.as_integer_ratio()
+            pj, qj = masses[step.j].as_integer_ratio()
+            pk, qk = masses[step.k].as_integer_ratio()
+            beta = _reduced((wd - wn) * pj * qk, wd * qj * pk)  # (1-w)·a_j/a_k
             if beta[0] > beta[1]:
                 raise InvalidTTransformError(
                     f"step on atoms ({step.j}, {step.k}) gives atom {step.k} "
                     f"the weight {_shown(_Ratio(*beta))} outside [0, 1]"
                 )
+            actions.append((step.j, step.k, (wn, wd), beta))
+        object.__setattr__(self, "_actions", tuple(actions))
+
+    def _mix(self, rows: list) -> None:
+        """Left-multiply rows of integer pairs by the steps in order, in place:
+        rows j and k become w·(row j) + (1-w)·(row k) and β·(row j) + (1-β)·(row k),
+        each new entry a pair in lowest terms."""
+        for j, k, (wn, wd), (bn, bd) in self._actions:
+            a, b = rows[j], rows[k]
+            rows[j] = tuple([_combine(wn, wd - wn, wd, x, y) for x, y in zip(a, b)])
+            rows[k] = tuple([_combine(bn, bd - bn, bd, x, y) for x, y in zip(a, b)])
 
     @property
     def dimension(self) -> int:
@@ -607,8 +606,8 @@ class WitnessChain:
         """The chain's matrix on :attr:`grid`, built on access.
 
         As an operator on functions, a step replaces f on atoms j and k by
-        its mixed averages there and leaves it alone elsewhere. So the steps
-        mix identity rows of integer pairs on the source atoms (last step
+        its mixed averages there and leaves it alone elsewhere. So :meth:`_mix`
+        turns identity rows of integer pairs on the source atoms (last step
         leftmost) into the value-basis matrix M there, and a grid atom of a
         mixed source atom n gets row n of M with each entry M[n][c] spread
         evenly over the grid atoms of source atom c; grid atoms of an atom no
@@ -619,8 +618,7 @@ class WitnessChain:
         """
         grid, masses, n = self.grid, self.source_partition.atoms, self.dimension
         rows = [tuple([(int(i == c), 1) for c in range(n)]) for i in range(n)]
-        for step in self.steps:
-            step._mix(rows, masses)
+        self._mix(rows)
         counts = [int(m / grid.atoms[0]) for m in masses]
         mixed = {step.j for step in self.steps} | {step.k for step in self.steps}
         expanded, start = [], 0
@@ -642,15 +640,14 @@ class WitnessChain:
         """Apply the witness operator to a function on its partition.
 
         g's stored value pairs are laid over the atoms and mixed by
-        :meth:`TTransform._mix`, the step action :attr:`product` uses too; the
-        mixed pairs and the atoms' pairs go to the integer core of
+        :meth:`_mix`, the step action :attr:`product` uses too; the mixed
+        pairs and the atoms' pairs go to the integer core of
         ``canonicalize``, so the image builds no ``Fraction``.
         """
         partition = self.source_partition
         values = [value for value, _ in g._levels] + [(0, 1)]
         column = [(values[k],) for k in _aligned_levels(partition, g)]
-        for step in self.steps:
-            step._mix(column, partition.atoms)
+        self._mix(column)
         atoms = [atom.as_integer_ratio() for atom in partition.atoms]
         return _canonical(
             [(entry, atom) for (entry,), atom in zip(column, atoms)],

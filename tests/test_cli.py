@@ -653,6 +653,12 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert message in err
 
+    def test_a_tail_of_zero_mass_exits_two(self, workdir, capsys):
+        _, write = workdir
+        f = write("zero-tail.sfn", "total 2\n1 1\npartition 1\ntail 0 x 1\n")
+        assert main(["rearrange", f]) == 2
+        assert capsys.readouterr().err == "error: tail atom mass 0 must be positive\n"
+
     def test_a_parse_error_quotes_a_short_prefix_of_a_long_token(
         self, workdir, capsys
     ):
@@ -823,8 +829,9 @@ def _primes(lo, hi):
 LONG_MESSAGES = [
     (["rearrange", "masses.sfn"], "masses sum to a rational of 143818 bits > total measure 1"),
     (["rearrange", "atoms.sfn"], "atoms tile a rational of 143818 bits, total is 1"),
-    (["witness", "p.sfn", "p.sfn", "-o", "W.mat"], "the witness matrix needs a rational of "),
-    (["classify", "big.mat"], "expected a rational of 19932 bits entries, found 0"),
+    (["witness", "p.sfn", "p.sfn", "-o", "W.mat"],
+     "the witness matrix needs an integer of 14577 bits atoms of mass a rational of "),
+    (["classify", "big.mat"], "expected an integer of 19932 bits entries, found 0"),
 ]
 
 

@@ -126,6 +126,11 @@ class TestSfn:
         with pytest.raises(ParseError):
             loads_sfn("total inf\n1 1\ntail 1 x inf\n")
 
+    def test_tail_line_without_a_count(self):
+        with pytest.raises(ParseError, match="^tail syntax is ") as err:
+            loads_sfn("total inf\n1 1\npartition 1\ntail 1 x\n")
+        assert (err.value.line, err.value.token) == (4, "tail 1 x")
+
     def test_junk_line(self):
         with pytest.raises(ParseError) as err:
             loads_sfn("total 2\n1 1 1\n")

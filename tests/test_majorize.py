@@ -25,7 +25,7 @@ from majo import (
     tail_distribution_criterion,
     weak_majorize,
 )
-from majo.errors import MeasureMismatchError, NotMajorizedError
+from majo.errors import InternalInconsistencyError, MeasureMismatchError, NotMajorizedError
 from majo.operators import (
     AlignedStep,
     Partition,
@@ -243,6 +243,19 @@ class TestCrossCheck:
         for _ in range(80):
             f, g = majorized_pair(rng)
             assert cross_check(f, g).holds
+
+    def test_a_disagreeing_sweep_raises_with_all_three_verdicts(self, monkeypatch):
+        """A hinge sweep that finds no violation, patched in, disagrees with
+        the other two on a pair that is not majorized."""
+        monkeypatch.setitem(MAJORIZE._SWEEPS, Criterion.HINGE, lambda *_: None)
+        f, g = incomparable_pair()
+        with pytest.raises(InternalInconsistencyError, match="criteria disagree") as err:
+            cross_check(f, g)
+        assert [(v.criterion, v.holds) for v in err.value.verdicts] == [
+            (Criterion.REARRANGEMENT, False),
+            (Criterion.HINGE, True),
+            (Criterion.TAIL_DISTRIBUTION, False),
+        ]
 
 
 class TestOneScalingPerCall:

@@ -34,6 +34,8 @@ from majo.errors import (
     MajoError,
     MeasureMismatchError,
     NegativeEntryError,
+    NegativeMassError,
+    NegativeValueOnInfiniteSpaceError,
     NotMajorizedError,
     NotStochasticError,
     PartitionMisalignedError,
@@ -77,6 +79,12 @@ class TestClassify:
     def test_negative_entries_rejected(self):
         with pytest.raises(NegativeEntryError):
             OperatorMatrix(((F(-1),),))
+
+    def test_ragged_rows_and_mismatched_shapes_are_refused(self):
+        with pytest.raises(DimensionMismatchError, match="differing lengths"):
+            OperatorMatrix(((F(1), F(0)), (F(1),)))
+        with pytest.raises(DimensionMismatchError, match="2x2 @ 3x3"):
+            OperatorMatrix.identity(2) @ OperatorMatrix.identity(3)
 
     def test_inclusion_chain_on_random_matrices(self):
         rng = random.Random(61)
@@ -140,6 +148,10 @@ class TestPartition:
             Partition(atoms=(F(1), F(1)), total_measure=F(3), tail=None)
         Partition(atoms=(F(1), F(1)), total_measure=F(3), tail=Tail(F(1, 2), 2))
 
+    def test_tail_of_zero_mass_is_refused(self):
+        with pytest.raises(NegativeMassError, match="tail atom mass 0"):
+            Tail(F(0))
+
     def test_equal_mass_helper(self):
         p = Partition.equal_mass(3, F(1, 2), INF)
         assert p.atoms == (F(1, 2),) * 3
@@ -169,6 +181,18 @@ class TestAlign:
         partition = Partition((F(1),), F(2), Tail(F(1), 1))
         f = canonicalize([(1, 1)], 2)
         assert align(partition, f).values == (F(1),)
+
+    @pytest.mark.parametrize("lay", [align, partition_average])
+    def test_a_partition_of_another_total_is_refused(self, lay):
+        partition = Partition.equal_mass(2, 1, 2)
+        with pytest.raises(MeasureMismatchError, match="tiles 2, function lives on 3"):
+            lay(partition, canonicalize([(1, 1)], 3))
+
+    def test_aligned_step_refuses_extra_values_and_negative_infinite_values(self):
+        with pytest.raises(DimensionMismatchError, match="2 values for 1 atoms"):
+            AlignedStep(Partition.equal_mass(1, 1, 1), (F(1), F(2)))
+        with pytest.raises(NegativeValueOnInfiniteSpaceError):
+            AlignedStep(Partition.equal_mass(1, 1, INF), (F(-1),))
 
     def test_nonzero_level_set_may_not_reach_a_finite_tail(self):
         partition = Partition((F(1),), F(2), Tail(F(1), 1))
@@ -201,6 +225,10 @@ class TestPhiPsi:
     def test_psi_zero_padded(self):
         partition = Partition.equal_mass(3, 1, INF)
         assert psi(partition, (3,)).values == (F(3), F(0), F(0))
+
+    def test_psi_refuses_more_coefficients_than_atoms(self):
+        with pytest.raises(DimensionMismatchError, match="2 coefficients for 1 atoms"):
+            psi(Partition.equal_mass(1, 1, 1), (1, 2))
 
     def test_phi_contracts_the_l1_norm(self):
         rng = random.Random(179)
@@ -286,6 +314,22 @@ class TestPartitionAverage:
             kernel_classify(matrix_to_kernel(fine, matrix))
             is OperatorClass.DOUBLY_STOCHASTIC
         )
+
+    @pytest.mark.parametrize(
+        "coarse, fine, error, message",
+        [
+            (Partition.equal_mass(2, 1, 2), Partition.equal_mass(3, 1, 3),
+             MeasureMismatchError, "tile different totals"),
+            (Partition((F(1),), F(3), Tail(F(1), 2)), Partition.equal_mass(3, 1, 3),
+             PartitionMisalignedError, "must tile the partition's"),
+            (Partition((F(1), F(2)), F(3)), Partition((F(2), F(1)), F(3)),
+             PartitionMisalignedError, "fine atom of mass 2 straddles"),
+        ],
+        ids=["totals", "explicit-measure", "straddle"],
+    )
+    def test_average_matrix_refusals(self, coarse, fine, error, message):
+        with pytest.raises(error, match=message):
+            partition_average_matrix(coarse, fine)
 
 
 class TestLiftRestrict:
@@ -581,13 +625,12 @@ class TestDsWitness:
         f, g = self.averaged_pair(10007, 9973)
         chain = ds_witness(f, g)
         masses = chain.source_partition.atoms
-        # _mix works on entries given as integer (numerator, denominator) pairs
+        # the chain's _mix works on integer (numerator, denominator) pairs
         rows = [
             tuple(e.as_integer_ratio() for e in row)
             for row in OperatorMatrix.identity(chain.dimension).entries
         ]
-        for step in chain.steps:
-            step._mix(rows, masses)
+        chain._mix(rows)
         # the value-basis matrix M in the integral basis: d = diag(a) M diag(1/a)
         d = OperatorMatrix(
             tuple(

@@ -1549,7 +1549,7 @@ def toolkit_rationals(draw):
 def test_the_pair_toolkit_agrees_with_fraction(values, k, weight, count):
     """Each integer-pair helper of ``extended`` gives what ``Fraction`` gives:
     reduction, the shared scale and the sum over it, the two mixes
-    ``TTransform._mix`` and ``WitnessChain.product`` make, and the text."""
+    ``WitnessChain._mix`` and ``WitnessChain.product`` make, and the text."""
     pairs = [v.as_integer_ratio() for v in values]
     scale, scaled = _scale_ratios(pairs)
     assert scale == lcm(*[d for _, d in pairs])
@@ -1574,3 +1574,7 @@ def test_the_pair_toolkit_agrees_with_fraction(values, k, weight, count):
                 _format_ratio(*x.as_integer_ratio())
             bits = max(x.numerator.bit_length(), x.denominator.bit_length())
             assert _shown(x) == f"a rational of {bits} bits"
+        # a count is an int, and a message names it as an integer
+        whole = long.numerator
+        assert _shown(whole) == f"an integer of {whole.bit_length()} bits"
+        assert _shown(F(whole)) == f"a rational of {whole.bit_length()} bits"

@@ -330,6 +330,10 @@ class TestHingeIntegral:
         with pytest.raises(DivergentHingeError):
             tall_narrow().hinge_integral(-1)
 
+    def test_tail_integral_diverges_below_zero_on_infinite_space(self):
+        with pytest.raises(DivergentHingeError, match="u = -1 < 0 diverges"):
+            tall_narrow().tail_distribution_integral(-1)
+
     def test_negative_threshold_on_finite_space(self):
         f = canonicalize([(2, 1), (0, 1)], 2)
         assert f.hinge_integral(-1) == f.integral() + 2
