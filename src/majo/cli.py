@@ -19,7 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import selftest
 from .diagnostics import _require_comparable, equi_modulus
 from .errors import (
     InternalInconsistencyError,
@@ -429,6 +428,8 @@ def cmd_equi(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
+
     outcomes = selftest.run_all(args.seed, only=args.only or None)
     passed = sum(o.passed for o in outcomes)
     report = {
@@ -461,6 +462,8 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import selftest  # here, so `import majo.cli` loads no selftest or sampling
+
     parser = argparse.ArgumentParser(
         prog="majo",
         description=(

@@ -6,10 +6,11 @@ rational and has no arithmetic: adding, subtracting or negating it raises
 ``TypeError``.
 
 This is also the toolkit for exact integer pairs (numerator, positive
-denominator), the form every value and mass is stored in: :func:`_reduced`,
-:func:`_scale_ratios` and :func:`_sum` (over the lcm of the denominators),
-:func:`_combine`, :class:`_Ratio` and :func:`_format_ratio` (:func:`_shown`
-in error messages). No other module reduces a pair.
+denominator), the form every value and mass is stored in: :func:`_read_ratio`
+(the one reader of a rational written as text, with no regex),
+:func:`_reduced`, :func:`_scale_ratios` and :func:`_sum` (over the lcm of the
+denominators), :func:`_combine`, :class:`_Ratio` and :func:`_format_ratio`
+(:func:`_shown` in error messages). No other module reduces a pair.
 """
 
 from __future__ import annotations
@@ -17,16 +18,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import EmptyFamilyError, InvalidRationalError, RationalTooLongError
-
-# an optionally signed integer, or p/q with a nonzero denominator
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 @functools.total_ordering
@@ -70,15 +67,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        # one match gives both integers; Fraction(x) would match the text again
-        match = _RATIONAL.fullmatch(x.strip())
-        if match:
-            numerator, denominator = match.groups()
-            try:
-                return Fraction(int(numerator), int(denominator) if denominator else 1)
-            except ValueError:  # more digits than int() converts
-                pass
-        raise InvalidRationalError(f"expected an integer or p/q, got {x[:40]!r}")
+        pair = _read_ratio(x.strip())
+        if pair is None:
+            raise InvalidRationalError(f"expected an integer or p/q, got {x[:40]!r}")
+        return Fraction(*pair)
     raise TypeError(f"exact rational expected, got {type(x).__name__}: {x!r}")
 
 
@@ -129,6 +121,23 @@ class _Ratio(NamedTuple):
 def _as_ratio(x) -> Pair:
     """An exact rational, coerced as :func:`as_fraction` does, as a pair."""
     return (x if type(x) is Fraction else as_fraction(x)).as_integer_ratio()
+
+
+def _read_ratio(token: str) -> Optional[Pair]:
+    """A token of the grammar ``[+-]?[0-9]+(/0*[1-9][0-9]*)?`` as a pair in
+    lowest terms; None for any other token, or one with more digits than
+    ``int()`` converts. Only ASCII digits pass the checks, which so refuse
+    the ``١``, ``²``, whitespace and ``_`` that ``int()`` would take."""
+    numerator, slash, denominator = token.partition("/")
+    # a second sign is left to int() to refuse
+    if not (token.isascii() and numerator.lstrip("+-").isdigit()
+            and (denominator.isdigit() or not slash)):
+        return None
+    try:
+        n, d = int(numerator), int(denominator) if slash else 1
+    except ValueError:  # more digits than int() converts
+        return None
+    return _reduced(n, d) if d else None
 
 
 def _reduced(n: int, d: int) -> Pair:

@@ -12,21 +12,22 @@ nowhere else.
 A matrix file is ``rows cols`` on the first effective line followed by
 row-major entries separated by arbitrary whitespace.
 
-A level-set line is read as four integers, each rational put in lowest
-terms by ``extended._reduced``, and the pairs go to the integer core of
-``canonicalize`` with no ``Fraction`` built; the writer formats a function
-from the same pairs with ``extended._format_ratio``.
+Each line is split into tokens once, and every rational token (a level's
+value and mass, the total, the partition atoms, the tail mass, a matrix
+entry) is read by the one reader ``extended._read_ratio``, with no regex. A
+level set's value and mass stay integer pairs in lowest terms and go to the
+integer core of ``canonicalize`` with no ``Fraction`` built; the writer
+formats a function from the same pairs with ``extended._format_ratio``.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import InvalidRationalError, ParseError
-from .extended import _RATIONAL, INF, _format_ratio, _reduced, _shown, as_fraction
+from .errors import ParseError
+from .extended import INF, _format_ratio, _read_ratio, _shown
 from .operators import OperatorMatrix, Partition, Tail
 # canonicalize is not called here, but majo.formats.canonicalize stays a name
 # for it: bench/tracing.py and its tests find it in this module
@@ -44,21 +45,19 @@ def format_rational(x) -> str:
     return _format_ratio(*Fraction(x).as_integer_ratio())
 
 
+_NOT_RATIONAL = "expected a rational p/q or integer"
+
+
 def _parse_rational(token: str, line: int, column: int) -> Fraction:
-    try:
-        return as_fraction(token)
-    except InvalidRationalError:
-        raise ParseError(
-            "expected a rational p/q or integer", line=line, column=column, token=token
-        ) from None
-
-
-_COUNT = re.compile("[0-9]+")
+    pair = _read_ratio(token)
+    if pair is None:
+        raise ParseError(_NOT_RATIONAL, line=line, column=column, token=token)
+    return Fraction(*pair)
 
 
 def _parse_count(token: str, line: int, column: int, message: str) -> int:
     """A nonnegative integer written in ASCII digits only (no sign, no '_')."""
-    if _COUNT.fullmatch(token):
+    if token.isascii() and token.isdigit():
         try:
             return int(token)
         except ValueError:  # more digits than int() converts
@@ -114,15 +113,9 @@ class SfnDocument:
         self.partition = partition
 
 
-# a level-set line in one match: two rationals by the rule of
-# extended.as_fraction, then at most a comment
-_LEVEL_LINE = re.compile(rf"\s*{_RATIONAL.pattern}\s+{_RATIONAL.pattern}\s*(?:#.*)?")
-
-
 def loads_sfn(text: str) -> SfnDocument:
-    lines = enumerate(_split_lines(text), start=1)
-    # the header line as tokens; the lines after it go on from `lines`
-    number, tokens = next(_effective_lines(lines), (None, None))
+    lines = _effective_lines(enumerate(_split_lines(text), start=1))
+    number, tokens = next(lines, (None, None))
     if number is None:
         raise ParseError("empty step-function file", line=1)
     if tokens[0] != "total" or len(tokens) != 2:
@@ -137,21 +130,13 @@ def loads_sfn(text: str) -> SfnDocument:
     atoms: Optional[List[Fraction]] = None
     tail: Optional[Tail] = None
     tail_line = None
-    for number, line in lines:
-        level = _LEVEL_LINE.fullmatch(line)
-        if level:
-            p, q, r, s = level.groups()
-            try:
-                vn, vd, mn, md = int(p), int(q) if q else 1, int(r), int(s) if s else 1
-            except ValueError:  # more digits than int() converts: the tokens say where
-                pass
-            else:
-                # in lowest terms, as the integer core takes them
-                pieces.append((_reduced(vn, vd), _reduced(mn, md)))
+    for number, tokens in lines:
+        if len(tokens) == 2:
+            # a level set, in lowest terms, as the integer core takes it
+            value, mass = _read_ratio(tokens[0]), _read_ratio(tokens[1])
+            if value and mass:
+                pieces.append((value, mass))
                 continue
-        tokens = line.split("#", 1)[0].split()
-        if not tokens:
-            continue
         if tokens[0] == "partition":
             if atoms is not None:
                 raise ParseError("second partition block", line=number)
@@ -176,11 +161,11 @@ def loads_sfn(text: str) -> SfnDocument:
             tail = Tail(mass, count)
             tail_line = number
         else:
-            # as_fraction refuses a token of a two-token line _LEVEL_LINE
-            # refused: it matches the same _RATIONAL, under the same int() limit
-            if len(tokens) == 2:
-                _parse_rational(tokens[0], number, 1)
-                _parse_rational(tokens[1], number, 2)
+            if len(tokens) == 2:  # the first token that does not read
+                column = 2 if value else 1
+                raise ParseError(
+                    _NOT_RATIONAL, line=number, column=column, token=tokens[column - 1]
+                )
             raise ParseError(
                 "expected '<value> <mass>', 'partition ...' or 'tail ...'",
                 line=number,

@@ -25,6 +25,19 @@ from majo.sampling import random_fraction, random_step_function
 OTHER_SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 RATIONAL_ERROR = "expected a rational p/q or integer"
 LINE_ERROR = "expected '<value> <mass>', 'partition ...' or 'tail ...'"
+COUNT_ERROR = "tail count must be a nonnegative integer or inf"
+SHAPE_ERROR = "rows and cols must be nonnegative integers"
+# tokens one character away from a rational or a count: a signed or empty
+# side of the slash, a digit separator, digits that are not ASCII, a zero
+# denominator, two slashes, two signs
+NEAR_MISSES = ("1/+2", "1/-2", "1_0", "\u0661", "\u00b2", "1/0", "1//2", "+-1", "1/", "/2")
+
+
+def assert_parse_error(load, text, message, line, column, token):
+    with pytest.raises(ParseError) as err:
+        load(text)
+    assert str(err.value) == f"{message} (line {line}, column {column}, near {token!r})"
+    assert (err.value.line, err.value.column, err.value.token) == (line, column, token)
 
 
 class TestRationalFormat:
@@ -183,6 +196,18 @@ class TestSfn:
             f"{message} (line {line}, column {column}, near {token!r})")
         assert (err.value.line, err.value.column, err.value.token) == (line, column, token)
 
+    @pytest.mark.parametrize("token", NEAR_MISSES)
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("total 3\n{} 1\n", RATIONAL_ERROR, 2, 1),
+        ("total 3\n1 {}\n", RATIONAL_ERROR, 2, 2),
+        ("total {}\n", RATIONAL_ERROR, 1, 2),
+        ("total inf\n1 1\npartition 1 {}\n", RATIONAL_ERROR, 3, 3),
+        ("total inf\n1 1\npartition 1\ntail {} x inf\n", RATIONAL_ERROR, 4, 2),
+        ("total inf\n1 1\npartition 1\ntail 1 x {}\n", COUNT_ERROR, 4, 4),
+    ], ids=["value", "mass", "total", "atom", "tail-mass", "tail-count"])
+    def test_near_miss_tokens_in_every_slot(self, text, message, line, column, token):
+        assert_parse_error(loads_sfn, text.format(token), message, line, column, token)
+
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
         reason="this Python reads integers of any length",
@@ -244,6 +269,15 @@ class TestMat:
             with pytest.raises(ParseError) as err:
                 load(tmp_path / name)
             assert err.value.line == 3
+
+    @pytest.mark.parametrize("token", NEAR_MISSES)
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("1 2\n1 {}\n", RATIONAL_ERROR, 2, 2),
+        ("{} 1\n1\n", SHAPE_ERROR, 1, 1),
+        ("1 {}\n1\n", SHAPE_ERROR, 1, 2),
+    ], ids=["entry", "rows", "cols"])
+    def test_near_miss_tokens_in_every_slot(self, text, message, line, column, token):
+        assert_parse_error(loads_mat, text.format(token), message, line, column, token)
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:

@@ -59,6 +59,7 @@ from majo.extended import (
     _combine,
     _format_ratio,
     _Ratio,
+    _read_ratio,
     _reduced,
     _scale_ratios,
     _shown,
@@ -727,6 +728,55 @@ def test_rational_reader_matches_the_two_pass_rule(token):
     assert type(value) is F
     assert (value.numerator, value.denominator) == (
         expected.numerator, expected.denominator)
+
+
+# the text rule for a rational, kept here only: the library reads it with no regex
+RATIONAL_PATTERN = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+# every character str.isspace() takes but the two that end a line
+INLINE_WHITESPACE = tuple(
+    c for c in map(chr, range(0x110000)) if c.isspace() and c not in "\r\n"
+)
+
+
+def pattern_ratio(token):
+    """``token`` read by the pattern and int(), in lowest terms, or None."""
+    match = RATIONAL_PATTERN.fullmatch(token)
+    if not match:
+        return None
+    numerator, denominator = match.groups()
+    try:
+        return F(int(numerator), int(denominator or 1)).as_integer_ratio()
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+# ASCII digits, the signs, the slash, the digit separator int() takes,
+# whitespace, and digits that are not ASCII: an Arabic-Indic one and a
+# mathematical bold nine, which int() reads, and a superscript two, which
+# it refuses
+READER_ALPHABET = tuple("0123456789+-/_") + (" ", "\t", "\x1c", "\x85", "\u2028",
+                                             "\u0661", "\u00b2", "\U0001d7d7")
+
+
+@hypothesis.settings(max_examples=2000, deadline=None)
+@hypothesis.given(
+    st.text(st.sampled_from(READER_ALPHABET), max_size=12)
+    | rational_like_tokens()
+    | long_tokens(),
+    st.text(st.sampled_from(INLINE_WHITESPACE + ("\n", "\r")), max_size=2),
+    st.text(st.sampled_from(INLINE_WHITESPACE + ("\n", "\r")), max_size=2),
+)
+def test_ratio_reader_is_the_pattern(token, left, right):
+    """``_read_ratio`` reads what the pattern reads and refuses the rest, and
+    ``as_fraction`` does the same after stripping surrounding whitespace."""
+    assert _read_ratio(token) == pattern_ratio(token)
+    text = left + token + right
+    expected = pattern_ratio(text.strip())
+    if expected is None:
+        with pytest.raises(InvalidRationalError):
+            as_fraction(text)
+    else:
+        assert as_fraction(text).as_integer_ratio() == expected
 
 
 def fraction_keyed_canonicalize(raw, total):
@@ -1578,3 +1628,75 @@ def test_the_pair_toolkit_agrees_with_fraction(values, k, weight, count):
         whole = long.numerator
         assert _shown(whole) == f"an integer of {whole.bit_length()} bits"
         assert _shown(F(whole)) == f"a rational of {whole.bit_length()} bits"
+
+
+def unreduced(rng, x):
+    """``x`` written k·n/k·d for a random k."""
+    k = rng.randint(1, 12)
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+def scattered_text(rng, lines):
+    """Lines of tokens as text: runs of any whitespace that does not end a
+    line before, between and after the tokens, some trailing comments that
+    hold whitespace and tokens, and \\n, \\r\\n or \\r line ends."""
+    def gap(least):
+        return "".join(rng.choice(INLINE_WHITESPACE) for _ in range(rng.randint(least, 2)))
+
+    text = []
+    for tokens in lines:
+        line = gap(0) + "".join(token + gap(1) for token in tokens[:-1]) + tokens[-1] + gap(0)
+        if rng.random() < 0.3:
+            line += "#" + gap(0) + rng.choice(("", "1 1", "partition 1", "note")) + gap(0)
+        text.append(line + rng.choice(("\n", "\r\n", "\r")))
+    return "".join(text)
+
+
+@st.composite
+def prime_denominator_functions(draw):
+    """A function of up to 300 level sets whose values and masses have prime
+    denominators of four and five digits, on a finite or an infinite space."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    infinite = draw(st.booleans())
+    primes = rng.sample(LONG_PRIMES, rng.randint(1, 6))
+    low = 0 if infinite else -(10**6)
+    pieces = [
+        (F(rng.randint(low, 10**6), rng.choice(primes)),
+         F(rng.randint(1, 10**4), rng.choice(primes)))
+        for _ in range(draw(st.integers(0, 300)))
+    ]
+    support = sum((m for _, m in pieces), F(0))
+    total = INF if infinite else support + F(rng.randint(0, 9), rng.choice(primes))
+    return canonicalize(pieces, total)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(prime_denominator_functions(), st.randoms(use_true_random=False))
+def test_sfn_text_at_prime_denominators_reads_back(f, rng):
+    """The level sets written in shuffled order with unreduced tokens,
+    scattered whitespace, comments and mixed line ends read back as f."""
+    lines = [[unreduced(rng, v), unreduced(rng, m)] for v, m in f.pieces]
+    rng.shuffle(lines)
+    total = "inf" if f.total_measure is INF else unreduced(rng, f.total_measure)
+    document = loads_sfn(scattered_text(rng, [["total", total], *lines]))
+    assert (document.function, document.partition) == (f, None)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(st.integers(1, 20), st.integers(1, 20), st.randoms(use_true_random=False))
+def test_mat_text_at_prime_denominators_reads_back(rows, cols, rng):
+    """Entries over prime denominators of four and five digits, written
+    unreduced, wrapped at random and scattered as in the .sfn test, read
+    back as the matrix."""
+    primes = rng.sample(LONG_PRIMES, rng.randint(1, 6))
+    matrix = OperatorMatrix(
+        [[F(rng.randint(0, 10**4), rng.choice(primes)) for _ in range(cols)]
+         for _ in range(rows)]
+    )
+    entries = [unreduced(rng, e) for row in matrix.entries for e in row]
+    lines = [[str(rows), str(cols)]]
+    while entries:
+        cut = rng.randint(1, 8)
+        lines.append(entries[:cut])
+        entries = entries[cut:]
+    assert loads_mat(scattered_text(rng, lines)) == matrix
