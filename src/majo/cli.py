@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (relation holds / command completed), 1 the checked
 relation fails, 2 malformed input or violated precondition, 3 internal
-inconsistency (equivalent criteria disagreed, which is a bug). JSON reports
+inconsistency (equivalent criteria disagreed, or a witness chain does not
+carry g onto f, which is a bug). JSON reports
 use stable key order and serialize every rational as 'p/q', so identical
 inputs and seed produce byte-identical output; timings are emitted only on
 request because they would break that.
@@ -57,6 +58,19 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
+
+# the names of selftest.SUITE, for `selftest --only`: the parser lists them
+# without importing selftest, so no other command loads it or sampling
+_BATTERIES = (
+    "equivalence",
+    "fixtures",
+    "sds-majorization",
+    "witness",
+    "partition-ops",
+    "equi-bound",
+    "markov-norm",
+    "grid-oracle",
+)
 
 
 def _jsonable(value):
@@ -205,6 +219,10 @@ def cmd_witness(args) -> int:
     f = load_sfn(args.f).function
     g = load_sfn(args.g).function
     chain = ds_witness(f, g)
+    # a pass independent of the scan backs the chain before anything is
+    # printed or written
+    if chain.apply_to(g) != f:
+        raise InternalInconsistencyError("the witness chain does not carry g onto f")
     partition = chain.source_partition
     atoms = f"{chain.dimension} level-set atom(s)" if chain.dimension else "no atoms"
     lines = [f"chain of {len(chain.steps)} T-transform(s) on {atoms}"]
@@ -276,18 +294,22 @@ def cmd_kernel(args) -> int:
     matrix = load_mat(args.matrix)
     kernel = matrix_to_kernel(partition, matrix)
     cls = kernel_classify(kernel)
-    report = {
-        "command": "kernel",
-        "partition": args.partition,
-        "matrix": args.matrix,
-        "class": cls.label,
-        "values": [list(row) for row in kernel.values],
-        "column_integrals": list(kernel.column_integrals()),
-        "row_integrals": list(kernel.row_integrals()),
-    }
-    lines = [f"kernel classifies {cls.label}"]
-    for row in kernel.values:
-        lines.append(" ".join(format_rational(v) for v in row))
+    values = kernel.values
+    report = lines = None
+    if args.json:
+        # only the report reads the marginals again
+        report = {
+            "command": "kernel",
+            "partition": args.partition,
+            "matrix": args.matrix,
+            "class": cls.label,
+            "values": [list(row) for row in values],
+            "column_integrals": list(kernel.column_integrals()),
+            "row_integrals": list(kernel.row_integrals()),
+        }
+    else:
+        lines = [f"kernel classifies {cls.label}"]
+        lines += [" ".join(format_rational(v) for v in row) for row in values]
     _emit(report, args.json, lines)
     return EXIT_HOLDS
 
@@ -462,8 +484,6 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import selftest  # here, so `import majo.cli` loads no selftest or sampling
-
     parser = argparse.ArgumentParser(
         prog="majo",
         description=(
@@ -551,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--only",
         action="append",
-        choices=[name for name, _ in selftest.SUITE],
+        choices=_BATTERIES,
         help="run a single battery (repeatable)",
     )
     p.add_argument("--json", action="store_true")

@@ -7,10 +7,14 @@ when additionally every row integral (over y) is at most 1, and doubly
 stochastic when the row integrals equal 1. Applying a kernel to a function
 aligned with the column partition integrates against it exactly.
 
-A kernel is a change of basis of a sequence matrix: with row masses r, the
-kernel K and the sequence matrix d = diag(r) · K describe one operator. The
-kernel is stored as d, so the column integrals and the action are those of d
-and the values K are derived on request.
+A kernel is a change of basis of a sequence matrix: a sequence matrix d
+between row masses r and column masses c has the kernel K = diag(1/r) · d
+and the value-basis matrix diag(1/r) · d · diag(c) (``operators.lift``), and
+all three describe one operator. The kernel is stored as d, and every view
+reads d itself, with no second matrix built: the values are
+K[n][j] = d[n][j] / r_n, the column integrals are d's column sums, the row
+integrals are sum_j d[n][j] · c_j / r_n (the value-basis matrix's row sums),
+and the action is d's.
 
 On a partition with an unbounded tail the kernel is stored over the explicit
 atoms only; applied to aligned functions (zero on the tail) this coincides
@@ -21,18 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from operator import mul
 from typing import Tuple
 
 from .errors import DimensionMismatchError, NotStochasticError
+from .extended import exact_sum
 from .operators import (
-    ONE,
     AlignedStep,
     OperatorClass,
     OperatorMatrix,
     Partition,
     _image,
-    _rescale,
     classify_matrix,
 )
 from .stepfn import ZERO
@@ -62,8 +65,8 @@ class StepKernel:
     @property
     def values(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """K[n][j] = d[n][j] / mass(n), the kernel's value on box n x j."""
-        inverse = [1 / m for m in self.row_partition.atoms]
-        return _rescale(inverse, self.matrix.entries, repeat(ONE)).entries
+        rows = zip(self.row_partition.atoms, self.matrix.entries)
+        return tuple([tuple([x / r for x in row]) for r, row in rows])
 
     def column_integrals(self) -> Tuple[Fraction, ...]:
         """Integral over x of K(x, y) on each column atom: d's column sums."""
@@ -71,13 +74,10 @@ class StepKernel:
         return self.matrix.column_sums() or (ZERO,) * self.col_partition.size
 
     def row_integrals(self) -> Tuple[Fraction, ...]:
-        """Integral over y of K(x, y) on each row atom.
-
-        These are the row sums of the value-basis matrix diag(1/r) · d · diag(c).
-        """
-        inverse = [1 / m for m in self.row_partition.atoms]
+        """Integral over y of K(x, y) on each row atom: sum_j d[n][j] · c_j / r_n."""
         masses = self.col_partition.atoms
-        return _rescale(inverse, self.matrix.entries, masses).row_sums()
+        rows = zip(self.row_partition.atoms, self.matrix.entries)
+        return tuple([exact_sum(list(map(mul, row, masses))) / r for r, row in rows])
 
 
 def kernel_classify(kernel: StepKernel) -> OperatorClass:

@@ -377,20 +377,6 @@ def psi(partition: Partition, coefficients: Sequence) -> AlignedStep:
     return AlignedStep(partition=partition, values=values)
 
 
-def _rescale(left: Sequence, rows, right: Sequence) -> OperatorMatrix:
-    """The matrix diag(left) · M · diag(right), M given by its rows.
-
-    A sequence matrix d between row masses r and column masses c has the
-    kernel diag(1/r) · d and the value-basis matrix diag(1/r) · d · diag(c):
-    every change of basis of one operator is such a rescaling.
-    """
-    return OperatorMatrix(
-        tuple(
-            tuple(a * x * b for x, b in zip(row, right)) for a, row in zip(left, rows)
-        )
-    )
-
-
 def _image(matrix: OperatorMatrix, columns: Partition, f, rows: Partition):
     """The action of a sequence matrix: psi(rows, matrix · phi(columns, f))."""
     return psi(rows, apply_matrix(matrix, phi(columns, f)))
@@ -431,7 +417,7 @@ def partition_average_matrix(
 
     Each atom of ``refinement`` must sit inside a single atom of ``partition``
     (in order); entry (r, c) is mass(r)/mass(block) when both fine atoms share
-    a coarse block.
+    a coarse block, and 0 otherwise.
     """
     if partition.total_measure != refinement.total_measure:
         raise MeasureMismatchError("partition and refinement tile different totals")
@@ -439,17 +425,18 @@ def partition_average_matrix(
         raise PartitionMisalignedError(
             "the refinement's explicit atoms must tile the partition's"
         )
-    blocks = []
+    blocks, shares = [], []
     for r, block, mass in _in_order(refinement.atoms, partition.atoms):
         if mass != refinement.atoms[r]:
             raise PartitionMisalignedError(
                 f"fine atom of mass {refinement.atoms[r]} straddles a coarse boundary"
             )
         blocks.append(block)
-    same_block = tuple(tuple(ONE if b == c else ZERO for c in blocks) for b in blocks)
-    return _rescale(
-        refinement.atoms, same_block, [1 / partition.atoms[b] for b in blocks]
-    )
+        shares.append(mass / partition.atoms[block])
+    return OperatorMatrix(tuple([
+        tuple([share if b == c else ZERO for c in blocks])
+        for share, b in zip(shares, blocks)
+    ]))
 
 
 def lift(partition: Partition, matrix: OperatorMatrix) -> OperatorMatrix:
@@ -462,7 +449,10 @@ def lift(partition: Partition, matrix: OperatorMatrix) -> OperatorMatrix:
     """
     _require_sds(matrix, partition)
     masses = partition.atoms
-    return _rescale([1 / m for m in masses], matrix.entries, masses)
+    return OperatorMatrix(tuple([
+        tuple([x * c / r for x, c in zip(row, masses)])
+        for r, row in zip(masses, matrix.entries)
+    ]))
 
 
 def lift_apply(partition: Partition, matrix: OperatorMatrix, f) -> AlignedStep:

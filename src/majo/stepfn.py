@@ -130,9 +130,9 @@ class StepFunction:
         return hash((self._levels, self.total_measure))
 
     def __getstate__(self):
-        # majorize keeps a pair's scaling here with a weak reference to the
-        # partner (``_scaling``): a cache, and one that cannot be pickled
-        return {k: v for k, v in vars(self).items() if k != "_scaling"}
+        # the function's own state; what another module caches here stays behind
+        state = vars(self)
+        return {k: state[k] for k in ("_levels", "_pieces", "total_measure")}
 
     # -- derived structure ---------------------------------------------------
 

@@ -187,6 +187,32 @@ class TestWitnessRoundTrip:
         assert loads_sfn(Path(image).read_text()).function == loads_sfn(Path(f).read_text()).function
 
 
+def test_witness_that_does_not_carry_g_onto_f_exits_three(workdir, capsys, monkeypatch):
+    """A chain whose image is not f is reported as an internal inconsistency,
+    before anything is printed or written."""
+    from majo import operators
+
+    scan = operators._t_transform_chain
+
+    def identity_steps(masses, target, source):
+        steps = scan(masses, target, source)
+        if isinstance(steps, int):
+            return steps
+        return tuple(operators.TTransform(s.j, s.k, 1) for s in steps)
+
+    monkeypatch.setattr("majo.operators._t_transform_chain", identity_steps)
+    tmp, write = workdir
+    f, g = majorized(write)
+    out = tmp / "D.mat"
+    for extra in ([], ["--json"]):
+        assert main(["witness", f, g, "-o", str(out), *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal inconsistency: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestWitnessWithoutMatrix:
     def test_json_reports_the_level_set_chain_without_a_grid(self, workdir, capsys):
         tmp, write = workdir
@@ -584,6 +610,11 @@ class TestSelftest:
         assert main(["selftest", "--only", "fixtures", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 0
+
+    def test_only_lists_the_batteries_of_the_suite(self):
+        from majo import cli, selftest
+
+        assert cli._BATTERIES == tuple(name for name, _ in selftest.SUITE)
 
 
 class TestExitCodes:

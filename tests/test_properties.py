@@ -21,6 +21,7 @@ from majo import (
     Partition,
     Relation,
     StepFunction,
+    StepKernel,
     Tail,
     align,
     apply_matrix,
@@ -32,10 +33,13 @@ from majo import (
     fraction_gcd,
     hinge_criterion,
     kernel_apply,
+    kernel_classify,
+    lift,
     lift_apply,
     majorize,
     matrix_to_kernel,
     partition_average,
+    partition_average_matrix,
     phi,
     psi,
     sequence_apply,
@@ -44,6 +48,7 @@ from majo import (
     weak_majorize,
 )
 from majo.errors import (
+    DimensionMismatchError,
     InvalidRationalError,
     MajoError,
     MassExceedsTotalError,
@@ -52,6 +57,7 @@ from majo.errors import (
     NegativeValueOnInfiniteSpaceError,
     NonCanonicalError,
     NotMajorizedError,
+    NotStochasticError,
     PartitionMisalignedError,
 )
 from majo.errors import RationalTooLongError
@@ -118,6 +124,109 @@ def test_lift_kernel_and_sequence_actions_agree(case):
         assert rows == partition
         via_lift = lift_apply(partition, d, align(partition, g))
         assert via_lift.step_function() == via_sequence
+
+
+def prime_distribution(rng, length):
+    """``length`` nonnegative rationals over one prime denominator, summing to 1."""
+    p = rng.choice(PRIMES)
+    cuts = sorted(rng.randint(0, p) for _ in range(length - 1))
+    return [F(b - a, p) for a, b in zip([0, *cuts], [*cuts, p])]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A partition of up to 60 atoms with prime-denominator masses, a sequence
+    matrix on it (doubly stochastic, Markov on all atoms, Markov on leading
+    atoms only, or zero; no rows on no atoms), the column partition of its
+    kernel (the matrix's own atoms, as ``matrix_to_kernel`` takes them, or
+    other ones) and a refinement of the partition."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(0, 60))
+    atoms = tuple(draw(rationals(positive=True)) for _ in range(n))
+    infinite = draw(st.booleans())
+    tail = Tail(atoms[-1] if atoms else 1) if infinite else None
+    partition = Partition(atoms, INF if infinite else sum(atoms, F(0)), tail)
+    kind = draw(st.sampled_from(("doubly", "markov", "narrow", "zero")))
+    cols = draw(st.integers(0, n - 1)) if kind == "narrow" and n else n
+    if kind == "doubly":
+        weights = prime_distribution(rng, rng.randint(1, 4))
+        entries = [[F(0)] * n for _ in range(n)]
+        for weight in weights:
+            for column, row in enumerate(rng.sample(range(n), n)):
+                entries[row][column] += weight
+    elif kind == "zero":
+        entries = [[F(0)] * cols for _ in range(n)]
+    else:
+        columns = [prime_distribution(rng, n) for _ in range(cols)]
+        entries = [[column[row] for column in columns] for row in range(n)]
+    if cols == n and not draw(st.booleans()):
+        col_partition = partition
+    else:
+        own = atoms[:cols] if draw(st.booleans()) else tuple(
+            draw(rationals(positive=True)) for _ in range(cols)
+        )
+        col_partition = Partition(own, sum(own, F(0)))
+    pieces = []
+    for atom in atoms:
+        pieces += [atom * w for w in prime_distribution(rng, rng.randint(1, 3)) if w]
+    refinement = Partition(tuple(pieces), partition.total_measure, tail)
+    return partition, col_partition, OperatorMatrix(entries), refinement
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(kernel_cases())
+def test_kernel_views_are_the_dense_change_of_basis(case):
+    partition, col_partition, d, refinement = case
+    kernel = StepKernel(partition, col_partition, d)
+    if classify_matrix(d) >= OperatorClass.MARKOV:
+        built = matrix_to_kernel(partition, d)
+        assert (built == kernel) == (built.col_partition == col_partition)
+    # the dense reference: K = diag(1/r) · d, and the value-basis matrix
+    # diag(1/r) · d · diag(c), in plain Fraction loops
+    rows, cols = partition.atoms, col_partition.atoms
+    values = [[d.entries[n][j] / rows[n] for j in range(len(cols))] for n in range(len(rows))]
+    value_basis = [
+        [values[n][j] * cols[j] for j in range(len(cols))] for n in range(len(rows))
+    ]
+    row_integrals = [sum(row, F(0)) for row in value_basis]
+    column_integrals = [
+        sum((values[n][j] * rows[n] for n in range(len(rows))), F(0))
+        for j in range(len(cols))
+    ]
+    assert kernel.values == tuple(tuple(row) for row in values)
+    assert kernel.row_integrals() == tuple(row_integrals)
+    assert kernel.column_integrals() == tuple(column_integrals)
+    assert kernel_classify(kernel) == OperatorClass.from_marginals(
+        column_integrals, row_integrals
+    )
+    # lift is the value-basis matrix of d with the partition on both sides
+    try:
+        lifted = lift(partition, d)
+    except (DimensionMismatchError, NotStochasticError):
+        square = d.rows == d.cols == len(rows)
+        assert not square or classify_matrix(d) < OperatorClass.SEMI_DOUBLY_STOCHASTIC
+    else:
+        assert lifted.entries == tuple(
+            tuple(d.entries[n][j] / rows[n] * rows[j] for j in range(len(rows)))
+            for n in range(len(rows))
+        )
+    # averaging over the partition's atoms, seen on the refinement: mass(r) /
+    # mass(block) where fine atoms r and c share a block, and 0 elsewhere
+    fine = refinement.atoms
+    owner, k = [], 0
+    for n, atom in enumerate(rows):
+        covered = F(0)
+        while covered < atom:
+            covered += fine[k]
+            owner.append(n)
+            k += 1
+    averaging = [
+        [fine[r] / rows[owner[r]] if owner[r] == owner[c] else F(0) for c in range(len(fine))]
+        for r in range(len(fine))
+    ]
+    assert partition_average_matrix(partition, refinement).entries == tuple(
+        tuple(row) for row in averaging
+    )
 
 
 @st.composite
