@@ -170,7 +170,7 @@ def cmd_check(args) -> int:
         relation = "weakly majorized" if args.weak else "majorized"
         summary = f"f is {relation} by g"
     else:
-        # the pair's scaling is kept on f, so the reverse verdict reuses it
+        # the pair's scaling is cached, so the reverse verdict reuses it
         reverse_holds = _rearrangement(g, f, weak=args.weak).holds
         if reverse_holds:
             summary = "not majorized (the reverse direction holds)"

@@ -36,7 +36,6 @@ from .operators import (
     OperatorMatrix,
     Partition,
     _image,
-    classify_matrix,
 )
 from .stepfn import ZERO
 
@@ -99,7 +98,7 @@ def matrix_to_kernel(partition: Partition, matrix: OperatorMatrix) -> StepKernel
     the leading atoms as its column partition. :class:`StepKernel` refuses
     any other shape.
     """
-    if classify_matrix(matrix) < OperatorClass.MARKOV:
+    if any(s != 1 for s in matrix.column_sums()):
         raise NotStochasticError("kernels are built from Markov matrices only")
     if matrix.cols == partition.size:
         col_partition = partition

@@ -24,8 +24,8 @@ top, so its pass keeps the lowest violation it meets. To certify, the same
 sweep runs to the end and appends every breakpoint to a list. A sweep costs
 O(m + n) integer operations for m and n level sets, after a sort of the
 value grid. The decision runs on integers: :func:`_scaled` puts the integer
-pairs each :class:`StepFunction` stores on shared scales once per pair, and
-keeps them on f for its last partner, so ``majorize(g, f)`` after
+pairs each :class:`StepFunction` stores on shared scales, cached on the two
+level tuples for the last pair only, so ``majorize(g, f)`` after
 ``cross_check(f, g)`` scales nothing; only the violation is built as
 ``Fraction``s, so deciding never builds the functions' ``pieces``. The
 certificate, :attr:`MajorizationVerdict.checked`, is the full sweep on the
@@ -43,16 +43,15 @@ sweep's first violation.
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, MeasureMismatchError
 from .extended import INF, _scale_ratios
-from .stepfn import StepFunction, _BuiltOnFirstRead, _in_order
+from .stepfn import Level, StepFunction, _BuiltOnFirstRead, _in_order
 
 
 class Criterion(enum.Enum):
@@ -132,43 +131,31 @@ def _scaled(f: StepFunction, g: StepFunction) -> Scaled:
     the masses tile the total, so it is on the mass scale too.
 
     The one place a pair is put on integers: unequal totals are refused
-    first, then the stored pairs of both functions (``StepFunction._levels``)
-    go on one scale for the values and one for the masses, with no
-    ``Fraction`` read. The result is kept on f (``vars(f)``, next to
-    ``_levels``) with a weak reference to g, so a later ``_scaled(f, g)``
-    gets it back and ``_scaled(g, f)`` gets it with its halves swapped: the
-    criteria of ``cross_check``, the reverse verdict of ``majo check`` and
-    ``ds_witness`` (whose chain scan stops at the rearrangement criterion's
-    first violation, so it runs no sweep) scale a pair once. Each function
-    keeps its last partner only, and holds no strong reference to it; the
-    record goes when the partner is collected (:func:`_forget`), and an equal
-    but distinct partner is scaled again. Nothing is written into a record
-    once it is kept."""
+    first, then :func:`_scaled_levels` scales the stored pairs of both
+    functions (``StepFunction._levels``), taking the two level tuples in one
+    fixed order and swapping the halves back, so ``_scaled(g, f)`` after
+    ``_scaled(f, g)`` hits its cache: the criteria of ``cross_check``, the
+    reverse verdict of ``majo check`` and ``ds_witness`` (whose chain scan
+    stops at the rearrangement criterion's first violation, so it runs no
+    sweep) scale a pair once. Nothing is written into the cached record."""
     _require_same_total(f, g)
-    partner, scaled = vars(f).get("_scaling", (None, None))
-    if partner is not None and partner() is g:
-        return scaled
-    partner, scaled = vars(g).get("_scaling", (None, None))
-    if partner is not None and partner() is f:
-        mass_scale, value_scale, g_scaled, f_scaled = scaled
+    if g._levels < f._levels:
+        mass_scale, value_scale, g_scaled, f_scaled = _scaled_levels(g._levels, f._levels)
         return mass_scale, value_scale, f_scaled, g_scaled
-    levels = f._levels + g._levels
+    return _scaled_levels(f._levels, g._levels)
+
+
+@lru_cache(maxsize=1)
+def _scaled_levels(a: Tuple[Level, ...], b: Tuple[Level, ...]) -> Scaled:
+    """Two level tuples on one value scale and one mass scale, with a's
+    levels first. The scaling depends on nothing else, so an equal pair of
+    other functions shares it; only the last pair is kept, as every pair's
+    scaled integers would otherwise stay alive."""
+    levels = a + b
     value_scale, values = _scale_ratios([v for v, _ in levels])
     mass_scale, masses = _scale_ratios([m for _, m in levels])
-    n = len(f._levels)
-    f_scaled, g_scaled = (values[:n], masses[:n]), (values[n:], masses[n:])
-    scaled = mass_scale, value_scale, f_scaled, g_scaled
-    vars(f)["_scaling"] = weakref.ref(g, partial(_forget, weakref.ref(f))), scaled
-    return scaled
-
-
-def _forget(owner: weakref.ref, partner: weakref.ref) -> None:
-    """The callback of the weak reference to a pair's partner: drop the
-    record kept on ``owner()`` if it is still the one kept with ``partner``.
-    It holds the owner weakly, so the record makes no reference cycle."""
-    f = owner()
-    if f is not None and vars(f).get("_scaling", (None,))[0] is partner:
-        vars(f).pop("_scaling", None)  # a thread may have dropped it meanwhile
+    n = len(a)
+    return mass_scale, value_scale, (values[:n], masses[:n]), (values[n:], masses[n:])
 
 
 def _levels(h: StepFunction) -> Levels:

@@ -124,7 +124,7 @@ class Partition:
 
     @property
     def explicit_measure(self) -> Fraction:
-        return sum(self.atoms, ZERO)
+        return exact_sum(self.atoms)
 
     @property
     def equal_masses(self) -> bool:
@@ -166,7 +166,7 @@ class AlignedStep:
             )
 
     def integral(self) -> Fraction:
-        return sum((v * m for v, m in zip(self.values, self.partition.atoms)), ZERO)
+        return exact_sum(list(map(mul, self.values, self.partition.atoms)))
 
     def step_function(self) -> StepFunction:
         """Forget the alignment: the canonical step function."""
@@ -311,10 +311,10 @@ class OperatorMatrix:
         )
 
     def column_sums(self) -> Tuple[Fraction, ...]:
-        return tuple(sum(column, ZERO) for column in zip(*self.entries))
+        return tuple([exact_sum(column) for column in zip(*self.entries)])
 
     def row_sums(self) -> Tuple[Fraction, ...]:
-        return tuple(sum(row, ZERO) for row in self.entries)
+        return tuple([exact_sum(row) for row in self.entries])
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.cols != other.rows:

@@ -129,11 +129,6 @@ class StepFunction:
     def __hash__(self):
         return hash((self._levels, self.total_measure))
 
-    def __getstate__(self):
-        # the function's own state; what another module caches here stays behind
-        state = vars(self)
-        return {k: state[k] for k in ("_levels", "_pieces", "total_measure")}
-
     # -- derived structure ---------------------------------------------------
 
     @property

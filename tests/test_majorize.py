@@ -260,8 +260,8 @@ class TestCrossCheck:
 
 class TestOneScalingPerCall:
     """A pair is put on integers once per cross_check, per ds_witness and per
-    majo check, and once for both directions: the scaling is kept on the
-    first function with a weak reference to its partner."""
+    majo check, and once for both directions: the scaling is cached on the
+    pair's two level tuples, for the last pair only."""
 
     @pytest.fixture
     def scalings(self, monkeypatch):
@@ -274,6 +274,7 @@ class TestOneScalingPerCall:
             calls.append(ratios)
             return scale(ratios)
 
+        MAJORIZE._scaled_levels.cache_clear()  # the cache outlives a test
         monkeypatch.setattr(MAJORIZE, "_scale_ratios", counting)
         return lambda: len(calls) / 2
 
@@ -312,27 +313,28 @@ class TestOneScalingPerCall:
     @pytest.mark.parametrize("weak", [False, True])
     def test_the_reverse_direction_reuses_the_scaling(self, scalings, weak):
         """majorize(g, f) after cross_check(f, g), as majo check and the
-        decide benchmark ask it, takes the kept scaling with its halves
-        swapped; a fresh pair gives the same verdict."""
+        decide benchmark ask it, takes the cached scaling with its halves
+        swapped; fresh equal copies of the pair reuse it and give the same
+        verdict."""
         f, g = majorized_pair(random.Random(11))
         assert cross_check(f, g, weak=weak).holds
         reverse = weak_majorize(g, f) if weak else majorize(g, f)
         assert scalings() == 1
         g2, f2 = (canonicalize(h.pieces, h.total_measure) for h in (g, f))
         assert reverse == (weak_majorize(g2, f2) if weak else majorize(g2, f2))
-        assert scalings() == 2
+        assert scalings() == 1
 
-    def test_an_equal_partner_is_scaled_again(self, scalings):
+    def test_an_equal_partner_shares_the_scaling(self, scalings):
+        """The scaling depends on the two level tuples only, so an equal but
+        distinct partner shares it, from either side."""
         f, g = majorized_pair(random.Random(13))
-        twin, other = (canonicalize(g.pieces, g.total_measure) for _ in range(2))
+        twin = canonicalize(g.pieces, g.total_measure)
         assert twin == g and twin is not g
         scaled = MAJORIZE._scaled(f, g)
-        again = MAJORIZE._scaled(f, twin)
-        assert scalings() == 2
-        assert again == scaled
-        assert MAJORIZE._scaled(f, twin) is again and scalings() == 2
-        back = MAJORIZE._scaled(other, f)
-        assert scalings() == 3 and back[2:4] == (again[3], again[2])
+        assert MAJORIZE._scaled(f, twin) == scaled
+        back = MAJORIZE._scaled(twin, f)
+        assert back == (*scaled[:2], scaled[3], scaled[2])
+        assert scalings() == 1
 
     def test_the_partner_is_not_kept_alive(self, scalings):
         f, g = majorized_pair(random.Random(17))
@@ -343,28 +345,19 @@ class TestOneScalingPerCall:
         assert partner() is None
         assert majorize(f, f).holds and scalings() == 2
 
-    def test_the_scaling_goes_with_its_partner(self):
-        """With the cycle collector off: once g is gone, f holds no record of
-        the pair, and f itself is freed by refcount alone, so the callback
-        that drops the record makes no cycle. The death of an earlier partner
-        whose weak reference outlives its record drops nothing."""
+    def test_scaling_writes_nothing_into_the_functions(self):
+        """Every call that scales a pair, accepted or refused and in both
+        argument orders, leaves each function holding its own state only."""
         f, g = majorized_pair(random.Random(23))
-        earlier, later = (canonicalize(g.pieces, g.total_measure) for _ in range(2))
-        gc.disable()
-        try:
-            assert cross_check(f, g).holds
-            del g
-            assert "_scaling" not in vars(f)
-            MAJORIZE._scaled(f, earlier)
-            kept = vars(f)["_scaling"]  # holds the weak reference to earlier
-            scaled = MAJORIZE._scaled(f, later)
-            del earlier
-            assert vars(f)["_scaling"][1] is scaled
-            alive = weakref.ref(f)
-            del f
-            assert alive() is None and kept[0]() is None
-        finally:
-            gc.enable()
+        for call in (cross_check, lambda a, b: cross_check(a, b, weak=True), majorize,
+                     hinge_criterion, tail_distribution_criterion):
+            assert call(f, g).holds
+        assert not majorize(g, f).holds and not weak_majorize(g, f).holds
+        assert ds_witness(f, g).apply_to(g) == f
+        with pytest.raises(NotMajorizedError):
+            ds_witness(g, f)
+        for h in (f, g):
+            assert set(vars(h)) <= {"_levels", "_pieces", "total_measure"}
 
     def test_a_scaled_function_pickles_without_its_partner(self):
         f, g = majorized_pair(random.Random(19))
@@ -407,9 +400,11 @@ class TestOneScalingPerCall:
 
     def test_a_kept_record_is_never_written(self, scalings):
         """Every later call that scales the pair, in either argument order,
-        reads the record kept on f and leaves each of its fields as it was."""
+        reads the cached record and leaves each of its fields as it was."""
         f, g = majorized_pair(random.Random(29))
-        kept = MAJORIZE._scaled(f, g)
+        MAJORIZE._scaled(f, g)
+        key = sorted((f._levels, g._levels))
+        kept = MAJORIZE._scaled_levels(*key)
         snapshot = copy.deepcopy(kept)
         calls = (cross_check, lambda a, b: cross_check(a, b, weak=True), majorize,
                  weak_majorize, hinge_criterion, tail_distribution_criterion,
@@ -420,7 +415,7 @@ class TestOneScalingPerCall:
                     call(a, b)
                 except NotMajorizedError:
                     pass
-                assert vars(f)["_scaling"][1] is kept
+                assert MAJORIZE._scaled_levels(*key) is kept
                 assert kept == snapshot
         assert scalings() == 1
 
