@@ -175,57 +175,49 @@ class AlignedStep:
         )
 
 
-def _layout(partition: Partition, f: StepFunction):
-    """Segments ``(atom, level set, mass)`` of f's rearrangement laid over the atoms.
+_INTO_TAIL = "support extends past the explicit atoms into the tail"
 
-    Masses are integer pairs in lowest terms, f's as it stores them, compared
-    by cross-multiplying and reduced by a gcd only where a segment ends
-    inside one: no shared scale, which would grow with every distinct
-    denominator. The level-set index equals ``len(f.pieces)`` past the
-    support. Segments past the explicit atoms lie in the tail, where every
-    function of the partition is zero: a zero level set there is dropped, and
-    a nonzero one is an error.
-    """
+
+def _same_total(partition: Partition, f: StepFunction) -> None:
+    """f and the partition must live on one measure space to be laid together."""
     if partition.total_measure != f.total_measure:
         raise MeasureMismatchError(
             f"partition tiles {partition.total_measure}, function lives on "
             f"{f.total_measure}"
         )
-    # past the support f is zero on a level set of mass 1/0, above every atom
-    masses, k = [mass for _, mass in f._levels] + [(1, 0)], 0
-    for n, atom in enumerate(partition.atoms):
-        an, ad = atom.as_integer_ratio()
-        while True:
-            ln, ld = masses[k]
-            over = ln * ad - an * ld  # level set left past the atom, times ad·ld
-            if over > 0:  # the atom ends inside the level set
-                yield n, k, (an, ad)
-                masses[k] = _reduced(over, ad * ld)
-                break
-            yield n, k, masses[k]
-            k += 1
-            if not over:
-                break
-            an, ad = _reduced(-over, ad * ld)  # the level set ends inside the atom
-    for (numerator, _), _ in f._levels[k:]:
-        if numerator:
-            raise PartitionMisalignedError(
-                "support extends past the explicit atoms into the tail"
-            )
 
 
 def _aligned_levels(partition: Partition, f: StepFunction) -> List[int]:
     """The index of the level set of f on each atom, ``len(f.pieces)`` for
-    zero past the support; an atom that straddles two level sets is an error."""
-    levels = []
-    for n, k, mass in _layout(partition, f):
-        if mass != partition.atoms[n].as_integer_ratio():
-            value = _Ratio(*f._levels[k][0]) if k < len(f._levels) else 0
+    zero past the support: f's rearrangement laid over the atoms left to
+    right, where each atom must fit in what is left of its level set.
+
+    Masses are integer pairs in lowest terms, compared by cross-multiplying
+    and reduced only where an atom ends inside a level set, so no shared
+    scale grows with the denominators. A nonzero level left for the tail,
+    where every function of the partition is zero, is an error.
+    """
+    _same_total(partition, f)
+    # past the support f is zero on a level set of mass 1/0, above every atom
+    masses, k, levels = [mass for _, mass in f._levels] + [(1, 0)], 0, []
+    ln, ld = masses[0]  # what is left of level set k
+    for atom in partition.atoms:
+        an, ad = atom.as_integer_ratio()
+        over = ln * ad - an * ld  # level set left past the atom, times ad·ld
+        if over < 0:
+            value = _shown(_Ratio(*f._levels[k][0]))
             raise PartitionMisalignedError(
-                f"atom of mass {partition.atoms[n]} straddles a level boundary "
-                f"(only {_shown(_Ratio(*mass))} left at value {_shown(value)})"
+                f"atom of mass {atom} straddles a level boundary "
+                f"(only {_shown(_Ratio(ln, ld))} left at value {value})"
             )
         levels.append(k)
+        if over:
+            ln, ld = _reduced(over, ad * ld)
+        else:
+            k += 1
+            ln, ld = masses[k]
+    if any(numerator for (numerator, _), _ in f._levels[k:]):
+        raise PartitionMisalignedError(_INTO_TAIL)
     return levels
 
 
@@ -401,12 +393,17 @@ def partition_average(partition: Partition, f: StepFunction) -> AlignedStep:
     f is laid over the atoms as its decreasing rearrangement, left to right,
     the layout :func:`align` uses; each atom gets the mass-weighted mean of
     the levels it covers, so a function constant on every atom averages to
-    its :func:`align` values.
+    its :func:`align` values. A fold over :func:`_in_order`; a nonzero
+    segment past the explicit atoms, in the tail, is an error.
     """
+    _same_total(partition, f)
     levels = f.values() + (ZERO,)
     sums = [ZERO] * partition.size
-    for n, k, mass in _layout(partition, f):
-        sums[n] += levels[k] * Fraction(_Ratio(*mass))
+    for n, k, mass in _in_order(partition.atoms, [p.mass for p in f.pieces]):
+        if n < partition.size:
+            sums[n] += levels[k] * mass
+        elif levels[k]:
+            raise PartitionMisalignedError(_INTO_TAIL)
     return AlignedStep(partition, tuple(s / m for s, m in zip(sums, partition.atoms)))
 
 

@@ -311,9 +311,9 @@ def _in_order(a: Sequence, b: Sequence) -> Iterator[Tuple[int, int, object]]:
     order: the segment lies in the i-th mass of ``a`` and the j-th mass of
     ``b``. Past the end of the shorter sequence its index equals its length,
     so the segments cover both sequences whole. Masses and segments are ints
-    or ``Fraction``s. The walk on numbers, for the rearrangement criterion,
-    ``ds_witness``, ``l1_distance`` and ``partition_average_matrix``; its form
-    on integer pairs in lowest terms is ``operators._layout``.
+    or ``Fraction``s. The one walk of a common refinement in the package:
+    the rearrangement criterion, ``ds_witness``, ``l1_distance``,
+    ``partition_average`` and ``partition_average_matrix`` read it.
     """
     n, m = len(a), len(b)
     i = j = 0

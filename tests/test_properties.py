@@ -679,6 +679,17 @@ def layout_outcome(action, partition, f):
 @hypothesis.given(layout_cases())
 @hypothesis.example((canonicalize([], INF), Partition((), INF, Tail(F(1)))))
 @hypothesis.example((canonicalize([], 0), Partition((), 0)))
+# a finite zero level set reaching a finite tail; the atoms end with the support
+@hypothesis.example((canonicalize([(2, F(1, 3)), (1, F(1, 5))], 1),
+                     Partition((F(1, 3), F(1, 5)), 1, Tail(F(7, 30), 2))))
+# the first atom straddles the first level boundary
+@hypothesis.example((canonicalize([(2, F(1, 3)), (1, F(1, 5))], INF),
+                     Partition((F(1, 2),), INF, Tail(F(1)))))
+# the support runs past the atoms by part of a level set
+@hypothesis.example((canonicalize([(2, F(1, 3)), (1, F(1, 5))], INF),
+                     Partition((F(1, 3), F(1, 7)), INF, Tail(F(1)))))
+# a finite partition and a function on an infinite space
+@hypothesis.example((canonicalize([(2, F(1, 3))], INF), Partition((F(1, 3),), F(1, 3))))
 def test_integer_layout_walk_is_the_fraction_walk(case):
     """align and partition_average give the Fraction walk's values, or raise
     its exception with its message."""
@@ -719,6 +730,50 @@ def prime_mass_pairs(draw):
 def test_witness_image_is_f_over_three_mass_denominators(case):
     f, g = case
     assert ds_witness(f, g).apply_to(g) == f
+
+
+@st.composite
+def chains_and_functions(draw):
+    """The chain of a majorized pair with prime-denominator masses, and a
+    function h on the same total. In most draws h is laid out on the chain's
+    atoms: decreasing values from a small pool, so that runs of atoms share a
+    level set, and on an infinite space the last atoms may lie past the
+    support. Otherwise h has level sets of its own, cut from the finite
+    total or of random masses on an infinite space, so that an atom may
+    straddle a level boundary or the support may run into the tail."""
+    f, g = draw(prime_mass_pairs())
+    chain = ds_witness(f, g)
+    partition = chain.source_partition
+    total = partition.total_measure
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    least = 0 if total is INF else -(10**4)
+    pool = [F(rng.randint(least, 10**4), rng.choice(PRIMES)) for _ in range(rng.randint(1, 6))]
+    pool += [F(0)] * rng.randint(0, 1)
+    if rng.random() < 0.75:
+        values = sorted((rng.choice(pool) for _ in partition.atoms), reverse=True)
+        return chain, AlignedStep(partition, values).step_function()
+    if total is INF:
+        masses = [F(rng.randint(1, 5), rng.choice(PRIMES)) for _ in range(rng.randint(0, 12))]
+    else:
+        cuts = sorted({total * F(rng.randint(1, p - 1), p)
+                       for p in rng.choices(PRIMES, k=rng.randint(0, 12))})
+        masses = [b - a for a, b in zip([F(0), *cuts], [*cuts, total])]
+    return chain, canonicalize([(rng.choice(pool), m) for m in masses], total)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(chains_and_functions())
+def test_apply_to_lays_out_any_function_as_align_does(case):
+    """apply_to on a function other than g refuses exactly what align refuses,
+    with its message, and otherwise is the Fraction mix of align's values."""
+    chain, h = case
+    partition = chain.source_partition
+    aligned = layout_outcome(align, partition, h)
+    if not isinstance(aligned, AlignedStep):
+        assert layout_outcome(lambda _, h: chain.apply_to(h), partition, h) == aligned
+        return
+    mixed = [v for (v,) in reference_mix(chain, [(v,) for v in aligned.values])]
+    assert chain.apply_to(h) == canonicalize(zip(mixed, partition.atoms), partition.total_measure)
 
 
 @st.composite
