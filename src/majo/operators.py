@@ -308,19 +308,6 @@ class OperatorMatrix:
     def row_sums(self) -> Tuple[Fraction, ...]:
         return tuple([exact_sum(row) for row in self.entries])
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError(
-                f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        columns = tuple(zip(*other.entries))
-        return OperatorMatrix(
-            tuple(
-                tuple(sum(map(mul, row, column), ZERO) for column in columns)
-                for row in self.entries
-            )
-        )
-
 
 def classify_matrix(matrix: OperatorMatrix) -> OperatorClass:
     """Most specific class by exact column and row sums."""

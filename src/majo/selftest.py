@@ -1,9 +1,11 @@
 """The randomized invariant suite behind the acceptance tests and the CLI.
 
-Each criterion is a seeded, self-contained battery returning a
-:class:`SuiteOutcome`; one integer seed reproduces every battery exactly.
-The batteries only ever compare exact rationals, so a single failure message
-is a genuine counterexample, never a tolerance artifact.
+Each criterion is a battery returning a :class:`SuiteOutcome`, seeded by
+(seed, name) alone: one integer seed reproduces every battery exactly, and a
+battery run alone (``selftest --only``) gives its outcome from the full run.
+Every battery fails once it reaches the 30 s budget. The batteries only ever
+compare exact rationals, so a single failure message is a genuine
+counterexample, never a tolerance artifact.
 """
 
 from __future__ import annotations
@@ -76,8 +78,32 @@ class SuiteOutcome:
         return f"[{status}] {self.name}: {self.cases} cases in {self.elapsed_s:.2f}s{extra}"
 
 
-def _rng(seed: int, name: str) -> random.Random:
-    return random.Random(f"{seed}:{name}")
+SUITE: List[Tuple[str, Callable[[int], SuiteOutcome]]] = []
+
+
+def _battery(name: str, title: str, cases: int):
+    """Register a body that draws ``cases`` cases into the rng and outcome it
+    is handed; ``run`` seeds it by (seed, name), times it and applies the
+    budget. ``SUITE`` keeps definition order."""
+
+    def register(body: Callable[[random.Random, SuiteOutcome], None]):
+        def run(seed: int) -> SuiteOutcome:
+            outcome = SuiteOutcome(title, cases)
+            start = time.monotonic()
+            body(random.Random(f"{seed}:{name}"), outcome)
+            outcome.elapsed_s = time.monotonic() - start
+            if outcome.elapsed_s >= 30.0:
+                outcome.fail(f"runtime {outcome.elapsed_s:.1f}s breaches the 30s budget")
+            return outcome
+
+        SUITE.append((name, run))
+        return run
+
+    return register
+
+
+def run_all(seed: int, only: Optional[Sequence[str]] = None) -> List[SuiteOutcome]:
+    return [run(seed) for name, run in SUITE if not only or name in only]
 
 
 def _constructed_majorized_pair(
@@ -100,10 +126,8 @@ def _constructed_majorized_pair(
 # ---------------------------------------------------------------------------
 
 
-def criterion_equivalence(seed: int) -> SuiteOutcome:
-    rng = _rng(seed, "equivalence")
-    outcome = SuiteOutcome("criterion equivalence (rearrangement = hinge = tail)", 1000)
-    start = time.monotonic()
+@_battery("equivalence", "criterion equivalence (rearrangement = hinge = tail)", 1000)
+def criterion_equivalence(rng: random.Random, outcome: SuiteOutcome) -> None:
     holds_count = 0
     for index in range(outcome.cases):
         style = index % 5
@@ -119,11 +143,7 @@ def criterion_equivalence(seed: int) -> SuiteOutcome:
             outcome.fail(f"pair #{index}: {exc} (f={f}, g={g})")
             continue
         holds_count += report.holds
-    outcome.elapsed_s = time.monotonic() - start
     outcome.note = f"{holds_count} majorized, {outcome.cases - holds_count} not"
-    if outcome.elapsed_s >= 30.0:
-        outcome.fail(f"runtime {outcome.elapsed_s:.1f}s breaches the 30s budget")
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +175,8 @@ def incomparable_fixture() -> Tuple[StepFunction, StepFunction]:
     return f, g
 
 
-def criterion_fixtures(seed: int = 0) -> SuiteOutcome:
-    outcome = SuiteOutcome("published fixtures (incomparable pair, T1/T2/T3)", 8)
-    start = time.monotonic()
+@_battery("fixtures", "published fixtures (incomparable pair, T1/T2/T3)", 8)
+def criterion_fixtures(rng: random.Random, outcome: SuiteOutcome) -> None:
     f, g = incomparable_fixture()
 
     forward = weak_majorize(f, g)
@@ -189,8 +208,6 @@ def criterion_fixtures(seed: int = 0) -> SuiteOutcome:
         got = classify_matrix(matrix)
         if got != want:
             outcome.fail(f"{label} classified {got.label}, expected {want.label}")
-    outcome.elapsed_s = time.monotonic() - start
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +215,8 @@ def criterion_fixtures(seed: int = 0) -> SuiteOutcome:
 # ---------------------------------------------------------------------------
 
 
-def criterion_sds_majorization(seed: int) -> SuiteOutcome:
-    rng = _rng(seed, "sds-majorization")
-    outcome = SuiteOutcome("SDS image majorized by the source", 500)
-    start = time.monotonic()
+@_battery("sds-majorization", "SDS image majorized by the source", 500)
+def criterion_sds_majorization(rng: random.Random, outcome: SuiteOutcome) -> None:
     for index in range(outcome.cases):
         cols = rng.randint(2, 5)
         rows = cols + rng.randint(0, 3)
@@ -231,8 +246,6 @@ def criterion_sds_majorization(seed: int) -> SuiteOutcome:
         outcome.fail("no indicator defeats the summing truncation")
     else:
         outcome.note = f"T1 defeated by the indicator of {broken} atoms"
-    outcome.elapsed_s = time.monotonic() - start
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +253,8 @@ def criterion_sds_majorization(seed: int) -> SuiteOutcome:
 # ---------------------------------------------------------------------------
 
 
-def criterion_witness(seed: int) -> SuiteOutcome:
-    rng = _rng(seed, "witness")
-    outcome = SuiteOutcome("doubly stochastic witness exactness", 500)
-    start = time.monotonic()
+@_battery("witness", "doubly stochastic witness exactness", 500)
+def criterion_witness(rng: random.Random, outcome: SuiteOutcome) -> None:
     max_dimension = 0
     for index in range(outcome.cases):
         f, g = _constructed_majorized_pair(rng)
@@ -273,8 +284,6 @@ def criterion_witness(seed: int) -> SuiteOutcome:
         if l1_distance(chain.apply_to(g), f) != 0:
             outcome.fail(f"case #{index}: lift-apply does not reproduce f exactly")
     outcome.note = f"largest refinement dimension {max_dimension}"
-    outcome.elapsed_s = time.monotonic() - start
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +303,8 @@ def _random_refinement(rng: random.Random, partition: Partition) -> Partition:
     )
 
 
-def criterion_partition_ops(seed: int) -> SuiteOutcome:
-    rng = _rng(seed, "partition-ops")
-    outcome = SuiteOutcome("averaging, lifting and kernel marginals", 200)
-    start = time.monotonic()
+@_battery("partition-ops", "averaging, lifting and kernel marginals", 200)
+def criterion_partition_ops(rng: random.Random, outcome: SuiteOutcome) -> None:
     for index in range(outcome.cases):
         # averaging operators classify doubly stochastic through their kernel
         coarse = random_unequal_partition(rng, rng.randint(2, 4))
@@ -337,8 +344,6 @@ def criterion_partition_ops(seed: int) -> SuiteOutcome:
             outcome.fail(f"case #{index}: kernel column integral differs from 1")
         if any(s > 1 for s in kernel.row_integrals()):
             outcome.fail(f"case #{index}: kernel row integral exceeds 1")
-    outcome.elapsed_s = time.monotonic() - start
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +351,9 @@ def criterion_partition_ops(seed: int) -> SuiteOutcome:
 # ---------------------------------------------------------------------------
 
 
-def criterion_equi_bound(seed: int) -> SuiteOutcome:
-    rng = _rng(seed, "equi-bound")
+@_battery("equi-bound", "equi-integrability truncation bound", 10 * 50)
+def criterion_equi_bound(rng: random.Random, outcome: SuiteOutcome) -> None:
     functions, operators = 10, 50
-    outcome = SuiteOutcome("equi-integrability truncation bound", functions * operators)
-    start = time.monotonic()
     deltas = [Fraction(1, 2**k) for k in range(1, 9)]
     for f_index in range(functions):
         cols = rng.randint(2, 4)
@@ -383,8 +386,6 @@ def criterion_equi_bound(seed: int) -> SuiteOutcome:
                     outcome.fail(
                         f"f #{f_index}, delta {delta}, c {c}: pointwise bound broken"
                     )
-    outcome.elapsed_s = time.monotonic() - start
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +393,8 @@ def criterion_equi_bound(seed: int) -> SuiteOutcome:
 # ---------------------------------------------------------------------------
 
 
-def criterion_markov_norm(seed: int) -> SuiteOutcome:
-    rng = _rng(seed, "markov-norm")
-    outcome = SuiteOutcome("Markov norm (column-stochastic contraction)", 500)
-    start = time.monotonic()
+@_battery("markov-norm", "Markov norm (column-stochastic contraction)", 500)
+def criterion_markov_norm(rng: random.Random, outcome: SuiteOutcome) -> None:
     top_ratio = ZERO
     for index in range(outcome.cases):
         rows = rng.randint(1, 6)
@@ -422,8 +421,6 @@ def criterion_markov_norm(seed: int) -> SuiteOutcome:
             top_ratio = max(top_ratio, norm_out / norm_in)
     if top_ratio != 1:
         outcome.fail(f"supremum of norm ratios is {top_ratio}, expected exactly 1")
-    outcome.elapsed_s = time.monotonic() - start
-    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +472,8 @@ def _scaled_hinge_values(f: StepFunction, span: int, grid: int) -> List[int]:
     return out
 
 
-def criterion_grid_oracle(seed: int) -> SuiteOutcome:
-    rng = _rng(seed, "grid-oracle")
-    outcome = SuiteOutcome("breakpoint procedure against the dense grid", 200)
-    start = time.monotonic()
+@_battery("grid-oracle", "breakpoint procedure against the dense grid", 200)
+def criterion_grid_oracle(rng: random.Random, outcome: SuiteOutcome) -> None:
     grid = 10**4
     agreements = {True: 0, False: 0}
     for index in range(outcome.cases):
@@ -532,30 +527,3 @@ def criterion_grid_oracle(seed: int) -> SuiteOutcome:
         f"{agreements[True]} weakly majorized, {agreements[False]} not, "
         f"{grid + 1} grid points each"
     )
-    outcome.elapsed_s = time.monotonic() - start
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# runner
-# ---------------------------------------------------------------------------
-
-SUITE: Tuple[Tuple[str, Callable[[int], SuiteOutcome]], ...] = (
-    ("equivalence", criterion_equivalence),
-    ("fixtures", criterion_fixtures),
-    ("sds-majorization", criterion_sds_majorization),
-    ("witness", criterion_witness),
-    ("partition-ops", criterion_partition_ops),
-    ("equi-bound", criterion_equi_bound),
-    ("markov-norm", criterion_markov_norm),
-    ("grid-oracle", criterion_grid_oracle),
-)
-
-
-def run_all(seed: int, only: Optional[Sequence[str]] = None) -> List[SuiteOutcome]:
-    outcomes = []
-    for name, battery in SUITE:
-        if only and name not in only:
-            continue
-        outcomes.append(battery(seed))
-    return outcomes

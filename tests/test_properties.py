@@ -625,12 +625,25 @@ def fraction_align(partition, f):
     return AlignedStep(partition=partition, values=tuple(values))
 
 
-def fraction_average(partition, f):
-    levels = f.values() + (F(0),)
-    sums = [F(0)] * partition.size
-    for n, k, mass in fraction_layout(partition, f):
-        sums[n] += levels[k] * mass
-    return AlignedStep(partition, tuple(s / m for s, m in zip(sums, partition.atoms)))
+def reference_average(partition, f):
+    """partition_average by its definition, with no walk: the mean of f's
+    rearrangement over the atom [c_{n-1}, c_n) is the rise of f's partial
+    integral over it, divided by the atom's mass. Past the atoms f must be
+    zero, which f's cumulative masses tell."""
+    if partition.total_measure != f.total_measure:
+        raise MeasureMismatchError(
+            f"partition tiles {partition.total_measure}, function lives on "
+            f"{f.total_measure}"
+        )
+    ends = [F(0), *accumulate(partition.atoms)]
+    if any(p.value and end > ends[-1]
+           for p, end in zip(f.pieces, accumulate(p.mass for p in f.pieces))):
+        raise PartitionMisalignedError("support extends past the explicit atoms into the tail")
+    integrals = [f.partial_integral(c) for c in ends]
+    return AlignedStep(partition, tuple(
+        (right - left) / mass
+        for left, right, mass in zip(integrals, integrals[1:], partition.atoms)
+    ))
 
 
 @st.composite
@@ -691,12 +704,13 @@ def layout_outcome(action, partition, f):
 # a finite partition and a function on an infinite space
 @hypothesis.example((canonicalize([(2, F(1, 3))], INF), Partition((F(1, 3),), F(1, 3))))
 def test_integer_layout_walk_is_the_fraction_walk(case):
-    """align and partition_average give the Fraction walk's values, or raise
-    its exception with its message."""
+    """align gives the Fraction walk's values, and partition_average the
+    partial-integral means, or each raises its reference's exception with its
+    message."""
     f, partition = case
     assert layout_outcome(align, partition, f) == layout_outcome(fraction_align, partition, f)
     assert (layout_outcome(partition_average, partition, f)
-            == layout_outcome(fraction_average, partition, f))
+            == layout_outcome(reference_average, partition, f))
 
 
 @st.composite

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+from majo import selftest
 from majo.selftest import (
+    SUITE,
     _scaled_hinge_values,
     _scaled_partial_values,
     criterion_fixtures,
@@ -55,3 +58,18 @@ class TestRunner:
         outcome = criterion_fixtures(0)
         assert outcome.passed
         assert outcome.cases == 8
+
+    def test_each_battery_alone_gives_its_outcome_from_the_full_run(self):
+        full = run_all(0)
+        assert len(full) == len(SUITE)
+        for (name, _), whole in zip(SUITE, full):
+            (alone,) = run_all(0, only=[name])
+            assert (alone.name, alone.cases, alone.note, alone.failures) == (
+                whole.name, whole.cases, whole.note, whole.failures
+            ), name
+
+    def test_every_battery_fails_past_the_budget(self, monkeypatch):
+        clock = iter([0.0, 31.0]).__next__
+        monkeypatch.setattr(selftest, "time", SimpleNamespace(monotonic=clock))
+        outcome = criterion_fixtures(0)
+        assert outcome.failures == ["runtime 31.0s breaches the 30s budget"]
