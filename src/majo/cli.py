@@ -27,7 +27,7 @@ from .errors import (
     NotMajorizedError,
     RationalTooLongError,
 )
-from .extended import INF, Infinity, as_fraction, fraction_gcd
+from .extended import INF, Infinity, _shown, as_fraction, fraction_gcd
 from .formats import (
     dump_mat,
     dumps_mat,
@@ -208,10 +208,12 @@ def cmd_check(args) -> int:
 
 
 def _point_str(violation) -> str:
+    """The violation as text; a number past the digit limit is written by
+    its size in bits, so printing never decides the exit code."""
     op = "!=" if violation.relation.value == "==" else ">"
     return (
-        f"{format_rational(violation.point)} "
-        f"({format_rational(violation.left)} {op} {format_rational(violation.right)})"
+        f"{_shown(violation.point)} "
+        f"({_shown(violation.left)} {op} {_shown(violation.right)})"
     )
 
 

@@ -10,7 +10,8 @@ denominator), the form every value and mass is stored in: :func:`_read_ratio`
 (the one reader of a rational written as text, with no regex),
 :func:`_reduced`, :func:`_scale_ratios` and :func:`_sum` (over the lcm of the
 denominators), :func:`_combine`, :class:`_Ratio` and :func:`_format_ratio`
-(:func:`_shown` in error messages). No other module reduces a pair.
+(:func:`_shown` in error messages and ``check``'s text). No other module
+reduces a pair.
 """
 
 from __future__ import annotations
@@ -205,9 +206,10 @@ def _digit_count(n: int) -> int:
 
 
 def _shown(x) -> str:
-    """``str(x)`` for an error message, for an int, ``Fraction``, ``_Ratio``
-    or ``INF``; past the digit limit of :func:`_format_ratio`, the size of
-    the integer or rational in bits, so a message never fails to be written."""
+    """``str(x)`` for an error message or ``check``'s text, for an int,
+    ``Fraction``, ``_Ratio`` or ``INF``; past the digit limit of
+    :func:`_format_ratio`, the size of the integer or rational in bits, so a
+    message or verdict never fails to be written."""
     if isinstance(x, Infinity):
         return "inf"
     n, d = x.numerator, x.denominator

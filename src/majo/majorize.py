@@ -8,7 +8,7 @@ verdict therefore carries either the full list of checked breakpoints or a
 single violating point that re-verifies by direct evaluation.
 
 Each criterion is one ordered sweep over the breakpoints of f and g with
-running sums, comparing the two sides at each point as it reaches it:
+running sums, giving the two sides at each point as it reaches it:
 
 * rearrangement: a fold over the common refinement of the mass layouts of f
   and g (``stepfn._in_order``), adding one product to each integral per
@@ -19,19 +19,20 @@ running sums, comparing the two sides at each point as it reaches it:
 * tail distribution: one downward pass carrying the mass above u and adding
   one layer of the layer-cake sum per grid step.
 
-To decide, a sweep stops at the first violation; the tail sums build from the
-top, so its pass keeps the lowest violation it meets. To certify, the same
-sweep runs to the end and appends every breakpoint to a list. A sweep costs
-O(m + n) integer operations for m and n level sets, after a sort of the
-value grid. The decision runs on integers: :func:`_scaled` puts the integer
-pairs each :class:`StepFunction` stores on shared scales, cached on the two
-level tuples for the last pair only, so ``majorize(g, f)`` after
-``cross_check(f, g)`` scales nothing; only the violation is built as
-``Fraction``s, so deciding never builds the functions' ``pieces``. The
-certificate, :attr:`MajorizationVerdict.checked`, is the full sweep on the
-exact values, run when first read, so a caller that reads it (``majo check
---json``) pays for that sweep, and for both functions' ``pieces``, on top of
-the decision.
+Each sweep is a stream of checkpoints in ascending order of its scan
+parameter. To decide, :func:`_decide` reads the stream up to its first
+failing point; to certify, it reads the same stream to its end. The tail
+sums build from the top, so that sweep collects its points downward and
+reverses them. A sweep costs O(m + n) integer operations for m and n level
+sets, after a sort of the value grid. The decision runs on integers:
+:func:`_scaled` puts the integer pairs each :class:`StepFunction` stores on
+shared scales, cached on the two level tuples for the last pair only, so
+``majorize(g, f)`` after ``cross_check(f, g)`` scales nothing; only the
+violation is built as ``Fraction``s, so deciding never builds the functions'
+``pieces``. The certificate, :attr:`MajorizationVerdict.checked`, is the
+full sweep on the exact values, run when first read, so a caller that reads
+it (``majo check --json``) pays for that sweep, and for both functions'
+``pieces``, on top of the decision.
 :func:`cross_check` scales the pair once for all three criteria and sorts
 its value grid once for the hinge and tail sweeps; each criterion still runs
 its own sweep, so it compares independent computations. The direct
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, MeasureMismatchError
 from .extended import INF, _scale_ratios
@@ -169,42 +170,39 @@ def _decide(
     """Verdict from a criterion's sweep on ``scaled``, the pair as
     :func:`_scaled` gives it once for all the criteria a caller runs.
 
-    The sweep (:data:`_SWEEPS`) returns the first violation, or None; the
-    hinge and tail sweeps read ``grid``, the scaled value grid that
-    :func:`cross_check` sorts once for both, or sort their own when given
-    None, as the certificate does. Given a list, the sweep appends every
-    checkpoint to it instead, in ascending order, and returns None. On the
-    integers a point is over the mass scale (rearrangement) or the value
-    scale (hinge, tail), and a side over the product of both. The
-    certificate sweeps the exact ``Fraction`` levels: the integer sweep over
-    the scales gives the three certificates of the 40 seed-1 ``decide``
-    benchmark pairs in 17 ms, not 58 ms, but those of a 2000-level file of
-    4-digit prime denominators against itself in 9.9 s, not 1.6 s, in gcds
-    with the whole scale (Python 3.11, one core).
+    The sweep (:data:`_SWEEPS`) is one stream of checkpoints, in ascending
+    order, read up to its first failing point to decide and to its end to
+    certify; the hinge and tail sweeps read ``grid``, the scaled value grid
+    that :func:`cross_check` sorts once for both, or sort their own when
+    given None, as the certificate does. On the integers a point is over the
+    mass scale (rearrangement) or the value scale (hinge, tail), and a side
+    over the product of both. The certificate sweeps the exact ``Fraction``
+    levels: the integer sweep over the scales gives the three certificates
+    of the 40 seed-1 ``decide`` benchmark pairs in 17 ms, not 58 ms, but
+    those of a 2000-level file of 4-digit prime denominators against itself
+    in 9.9 s, not 1.6 s, in gcds with the whole scale (Python 3.11, one core).
     """
     mass_scale, value_scale, f_scaled, g_scaled = scaled
     sweep = _SWEEPS[criterion]
-    rearrangement = criterion is Criterion.REARRANGEMENT
-    first = sweep(f_scaled, g_scaled, f.infinite, weak, grid)
     violation = None
-    if first is not None:
-        point, left, right, relation = first
-        if point is not INF:
-            point = Fraction(point, mass_scale if rearrangement else value_scale)
-        product = mass_scale * value_scale
-        left, right = Fraction(left, product), Fraction(right, product)
-        violation = CheckPoint(point, left, right, relation)
+    for point, left, right, relation in sweep(f_scaled, g_scaled, f.infinite, weak, grid):
+        if left > right or (relation is EQ and left != right):
+            if point is not INF:
+                rearrangement = criterion is Criterion.REARRANGEMENT
+                point = Fraction(point, mass_scale if rearrangement else value_scale)
+            product = mass_scale * value_scale
+            left, right = Fraction(left, product), Fraction(right, product)
+            violation = CheckPoint(point, left, right, relation)
+            break
 
     def certificate() -> Tuple[CheckPoint, ...]:
-        checked: List[Point] = []
-        sweep(_levels(f), _levels(g), f.infinite, weak, None, checked)
         # Fraction(): an empty sum, and the point 0, are the int 0
         return tuple([
             CheckPoint(p if p is INF else Fraction(p), Fraction(a), Fraction(b), r)
-            for p, a, b, r in checked
+            for p, a, b, r in sweep(_levels(f), _levels(g), f.infinite, weak, None)
         ])
 
-    return MajorizationVerdict(first is None, criterion, weak, certificate, violation)
+    return MajorizationVerdict(violation is None, criterion, weak, certificate, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +211,8 @@ def _decide(
 
 
 def _partial_sweep(
-    f: Levels, g: Levels, infinite: bool, weak: bool, grid: object,
-    checked: Optional[list] = None,
-) -> Optional[Point]:
+    f: Levels, g: Levels, infinite: bool, weak: bool, grid: object
+) -> Iterator[Point]:
     """Partial integrals at 0 and every cumulative mass of f and g, then at INF
     on an infinite space; unless ``weak``, the endpoint once more for the
     equal-integrals clause. On a finite space the last cumulative mass is the
@@ -229,26 +226,17 @@ def _partial_sweep(
     (fv, fm), (gv, gm) = f, g
     fv, gv = [*fv, 0], [*gv, 0]  # past each support the integrand is 0
     s = left = right = 0
-    if checked is not None:
-        checked.append((s, left, right, LE))
+    yield s, left, right, LE
     for i, j, mass in _in_order(fm, gm):
         s += mass
         left += fv[i] * mass
         right += gv[j] * mass
-        if checked is not None:
-            checked.append((s, left, right, LE))
-        elif left > right:
-            return s, left, right, LE
-    # INF repeats the sides at the last cumulative mass, compared above
-    end = INF if infinite else s
-    if checked is not None:
-        if infinite:
-            checked.append((INF, left, right, LE))
-        if not weak:
-            checked.append((end, left, right, EQ))
-    elif not weak and left != right:
-        return end, left, right, EQ
-    return None
+        yield s, left, right, LE
+    # INF repeats the sides at the last cumulative mass
+    if infinite:
+        yield INF, left, right, LE
+    if not weak:
+        yield INF if infinite else s, left, right, EQ
 
 
 def weak_majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
@@ -275,9 +263,8 @@ def majorize(f: StepFunction, g: StepFunction) -> MajorizationVerdict:
 
 
 def _hinge_sweep(
-    f: Levels, g: Levels, infinite: bool, weak: bool, grid: Optional[List],
-    checked: Optional[list] = None,
-) -> Optional[Point]:
+    f: Levels, g: Levels, infinite: bool, weak: bool, grid: Optional[List]
+) -> Iterator[Point]:
     """Integral of (h - u)+ for h = f and g at each u of the value grid, upward:
     W - u*M, with W = sum v*m and M = sum m over the pieces above u. A piece
     leaves W with its product, computed once, as u reaches its value. On
@@ -298,24 +285,19 @@ def _hinge_sweep(
             gw -= gp[j]
             gmass -= gm[j]
             j -= 1
-        left, right = fw - u * fmass, gw - u * gmass
-        if checked is not None:
-            checked.append((u, left, right, relation))
-        elif left > right or (relation is EQ and left != right):
-            return u, left, right, relation
+        yield u, fw - u * fmass, gw - u * gmass, relation
         relation = LE
-    return None
 
 
 def _tail_sweep(
-    f: Levels, g: Levels, infinite: bool, weak: bool, grid: Optional[List],
-    checked: Optional[list] = None,
-) -> Optional[Point]:
+    f: Levels, g: Levels, infinite: bool, weak: bool, grid: Optional[List]
+) -> List[Point]:
     """Integral of d_h over [u, oo) for h = f and g at each u of the value grid.
 
     Between two grid points d_h is constant, equal to the mass strictly above
     the lower point, so a downward pass adds one layer of the layer-cake sum
-    per grid step. On scaled integers the results are on the product scale.
+    per grid step; it collects the points and returns them reversed, in
+    ascending order. On scaled integers the results are on the product scale.
     """
     (fv, fm), (gv, gm) = f, g
     n, m = len(fv), len(gv)
@@ -323,7 +305,7 @@ def _tail_sweep(
     fa = ga = ft = gt = 0  # masses strictly above u, integrals of d over [u, oo)
     if grid is None:
         grid = sorted({0, *fv, *gv})
-    previous, first = grid[-1], None
+    previous, points = grid[-1], []
     for u in reversed(grid):
         while i < n and fv[i] > u:
             fa += fm[i]
@@ -334,17 +316,12 @@ def _tail_sweep(
         step, previous = previous - u, u
         ft += fa * step
         gt += ga * step
-        if checked is not None:
-            checked.append((u, ft, gt, LE))
-        elif ft > gt:
-            first = u, ft, gt, LE
+        points.append((u, ft, gt, LE))
     # u is the lowest point, reached last: the equality clause unless weak
-    if checked is not None:
-        checked[-1] = (u, ft, gt, LE if weak else EQ)
-        checked.reverse()
-    elif not weak and ft != gt:
-        first = u, ft, gt, EQ
-    return first
+    if not weak:
+        points[-1] = (u, ft, gt, EQ)
+    points.reverse()
+    return points
 
 
 def hinge_criterion(
@@ -373,7 +350,7 @@ def tail_distribution_criterion(
 
 
 # Each criterion's sweep, in the order cross_check reports them.
-_SWEEPS: Dict[Criterion, Callable[..., Optional[Point]]] = {
+_SWEEPS: Dict[Criterion, Callable[..., Iterable[Point]]] = {
     Criterion.REARRANGEMENT: _partial_sweep,
     Criterion.HINGE: _hinge_sweep,
     Criterion.TAIL_DISTRIBUTION: _tail_sweep,

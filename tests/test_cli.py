@@ -892,3 +892,38 @@ def test_an_error_naming_a_rational_past_the_digit_limit_exits_two(workdir, argv
     assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
     assert done.stderr.startswith(f"error: {message}")
     assert not (tmp / "W.mat").exists()
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python writes integers of any length",
+)
+def test_a_verdict_past_the_digit_limit_exits_on_the_verdict(workdir, capsys):
+    """A violation whose sides have more digits than Python writes out is
+    printed by their size in bits, so ``check`` exits 1 (the relation
+    fails) in both directions, under every criterion and with ``--weak``,
+    and 0 on the self pair: printing never decides the exit code."""
+    _, write = workdir
+    five = _primes(10**4, 10**5)
+    levels = [(F(k, five[k]), F(1, five[150 + k])) for k in range(1, 151)]
+    g = write("g.sfn", "total inf\n" + "".join(f"{v} {m}\n" for v, m in levels))
+    # g's lowest value raised by 10^-9: neither function majorizes the other
+    (v, m), rest = levels[0], levels[1:]
+    f = write("f.sfn", "total inf\n" + "".join(
+        f"{v} {m}\n" for v, m in [(v + F(1, 10**9), m), *rest]
+    ))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for criterion in ("all", "rearr", "hinge", "tail"):
+            for weak in ([], ["--weak"]):
+                argv = ["--criterion", criterion, *weak]
+                assert main(["check", f, g, *argv]) == 1, argv
+                if not weak:
+                    assert main(["check", g, f, *argv]) == 1, argv
+                assert main(["check", g, g, *argv]) == 0, argv
+        out = capsys.readouterr().out
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "hinge: fails at 0 (a rational of 4074 bits != a rational of 4044 bits)" in out
+    assert "rearrangement: fails at inf (a rational of 4044 bits != a rational of 4074 bits)" in out

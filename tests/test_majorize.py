@@ -3,6 +3,7 @@
 import copy
 import gc
 import importlib
+import inspect
 import math
 import pickle
 import random
@@ -247,7 +248,7 @@ class TestCrossCheck:
     def test_a_disagreeing_sweep_raises_with_all_three_verdicts(self, monkeypatch):
         """A hinge sweep that finds no violation, patched in, disagrees with
         the other two on a pair that is not majorized."""
-        monkeypatch.setitem(MAJORIZE._SWEEPS, Criterion.HINGE, lambda *_: None)
+        monkeypatch.setitem(MAJORIZE._SWEEPS, Criterion.HINGE, lambda *_: ())
         f, g = incomparable_pair()
         with pytest.raises(InternalInconsistencyError, match="criteria disagree") as err:
             cross_check(f, g)
@@ -256,6 +257,60 @@ class TestCrossCheck:
             (Criterion.HINGE, True),
             (Criterion.TAIL_DISTRIBUTION, False),
         ]
+
+
+class TestDecideStopsAtTheFirstViolation:
+    """_decide draws a criterion's checkpoint stream only through its first
+    failing point; the rearrangement and hinge streams are generators, so
+    they compute no point past it either (the tail stream is built from the
+    top, in full)."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """One [stream, points drawn] record per sweep call, in call order."""
+        records = []
+
+        def counting(sweep):
+            def counted(*args):
+                record = [sweep(*args), 0]
+                records.append(record)
+                for point in record[0]:
+                    record[1] += 1
+                    yield point
+
+            return counted
+
+        for criterion, sweep in list(MAJORIZE._SWEEPS.items()):
+            monkeypatch.setitem(MAJORIZE._SWEEPS, criterion, counting(sweep))
+        return records
+
+    def test_failing_pairs_are_drawn_through_their_first_failing_point(self, draws):
+        rng = random.Random(53)
+        pairs = [incomparable_pair(), incomparable_pair()[::-1]]
+        pairs += [majorized_pair(rng)[::-1] for _ in range(30)]
+        pairs += [random_pair_same_total(rng) for _ in range(30)]
+        failed = 0
+        for f, g in pairs:
+            for weak in (False, True):
+                for criterion in (
+                    weak_majorize if weak else majorize,
+                    lambda f, g: hinge_criterion(f, g, weak=weak),
+                    lambda f, g: tail_distribution_criterion(f, g, weak=weak),
+                ):
+                    draws.clear()
+                    verdict = criterion(f, g)
+                    [(stream, drawn)] = draws
+                    checked = verdict.checked
+                    if verdict.holds:
+                        assert drawn == len(checked)
+                        continue
+                    failed += 1
+                    first = next(i for i, p in enumerate(checked) if not p.satisfied)
+                    assert drawn == first + 1, verdict.criterion
+                    if verdict.criterion is not Criterion.TAIL_DISTRIBUTION:
+                        # paused at the yield of the failing point
+                        assert inspect.getgeneratorstate(stream) == inspect.GEN_SUSPENDED
+        assert failed >= 150
 
 
 class TestOneScalingPerCall:
