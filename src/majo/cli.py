@@ -7,6 +7,12 @@ carry g onto f, which is a bug). JSON reports
 use stable key order and serialize every rational as 'p/q', so identical
 inputs and seed produce byte-identical output; timings are emitted only on
 request because they would break that.
+
+Output: every handler ends in one call to ``_emit``, which builds only what
+it writes: the ``--output`` text, then the JSON report under ``--json`` or
+the text otherwise. It builds both before it writes either, ``--output``
+first. A number too long to write exits 2 naming its target ("cannot write
+<path | standard output>: ..."), and no file is written.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -28,14 +35,7 @@ from .errors import (
     RationalTooLongError,
 )
 from .extended import INF, Infinity, _shown, as_fraction, fraction_gcd
-from .formats import (
-    dump_mat,
-    dumps_mat,
-    dumps_sfn,
-    format_rational,
-    load_mat,
-    load_sfn,
-)
+from .formats import dumps_mat, dumps_sfn, format_rational, load_mat, load_sfn
 from .kernels import kernel_classify, matrix_to_kernel
 from .majorize import (
     MajorizationVerdict,
@@ -83,20 +83,37 @@ def _jsonable(value):
     return value
 
 
-def _emit(report: Optional[dict], as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(_jsonable(report), indent=2))
-    else:
-        for line in lines:
-            print(line)
+@contextmanager
+def _writing(target: str):
+    """Name ``target`` in the error of a number too long to write into it."""
+    try:
+        yield
+    except RationalTooLongError as exc:
+        raise RationalTooLongError(f"cannot write {target}: {exc}") from None
 
 
-def _emit_text(args, report: dict, text: str) -> int:
-    """Write ``text`` to ``--output`` when given, then print the report or it."""
-    if args.output:
-        Path(args.output).write_text(text)
-    _emit(report, args.json, text.splitlines())
-    return EXIT_HOLDS
+def _emit(args, code: int, text, report, written=None) -> int:
+    """Write ``written()``, or ``text()`` when it is None, to ``--output``,
+    then print ``report()`` (the JSON report past its "command" key) under
+    ``--json`` or ``text()``; return ``code``."""
+    output = getattr(args, "output", None)
+    if output:
+        with _writing(output):
+            body = (written or text)()
+    with _writing("standard output"):
+        if args.json:
+            whole = {"command": args.command, **report()}
+            shown = json.dumps(_jsonable(whole), indent=2) + "\n"
+        else:
+            shown = body if output and written is None else text()
+    if output:
+        Path(output).write_text(body)
+    sys.stdout.write(shown)
+    return code
+
+
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _checkpoint_dict(point) -> Optional[dict]:
@@ -126,17 +143,14 @@ def _verdict_dict(verdict: MajorizationVerdict) -> dict:
 
 
 def cmd_rearrange(args) -> int:
-    doc = load_sfn(args.function)
-    rearranged = doc.function.rearrangement()
+    rearranged = load_sfn(args.function).function.rearrangement()
     # only the JSON report reads the level sets as Fractions
-    report = {
-        "command": "rearrange",
+    return _emit(args, EXIT_HOLDS, lambda: dumps_sfn(rearranged), lambda: {
         "input": args.function,
         "pieces": [[p.value, p.mass] for p in rearranged.pieces],
         "total": rearranged.total_measure,
         "output": args.output,
-    } if args.json else None
-    return _emit_text(args, report, dumps_sfn(rearranged))
+    })
 
 
 def _rearrangement(f, g, *, weak: bool) -> MajorizationVerdict:
@@ -155,35 +169,34 @@ def cmd_check(args) -> int:
     g = load_sfn(args.g).function
     start = time.monotonic()
     if args.criterion == "all":
-        report_obj = cross_check(f, g, weak=args.weak)
-        verdicts = list(report_obj.verdicts)
-        holds = report_obj.holds
-        agreement = True
+        verdicts, agreement = list(cross_check(f, g, weak=args.weak).verdicts), True
     else:
-        verdict = _CRITERIA[args.criterion](f, g, weak=args.weak)
-        verdicts = [verdict]
-        holds = verdict.holds
-        agreement = None
+        verdicts, agreement = [_CRITERIA[args.criterion](f, g, weak=args.weak)], None
+    holds = verdicts[0].holds
 
-    reverse_holds = None
+    # the pair's scaling is cached, so the reverse verdict reuses it
+    reverse_holds = None if holds else _rearrangement(g, f, weak=args.weak).holds
     if holds:
-        relation = "weakly majorized" if args.weak else "majorized"
-        summary = f"f is {relation} by g"
+        summary = f"f is {'weakly ' if args.weak else ''}majorized by g"
+    elif reverse_holds:
+        summary = "not majorized (the reverse direction holds)"
     else:
-        # the pair's scaling is cached, so the reverse verdict reuses it
-        reverse_holds = _rearrangement(g, f, weak=args.weak).holds
-        if reverse_holds:
-            summary = "not majorized (the reverse direction holds)"
-        else:
-            summary = "incomparable: both directions fail"
+        summary = "incomparable: both directions fail"
 
-    # only the JSON report reads every checkpoint; building them runs each
-    # criterion's sweep again, in full, on Fractions
-    report = None
-    if args.json:
+    def text():
+        lines = []
+        for v in verdicts:
+            mark = "holds" if v.holds else f"fails at {_point_str(v.violation)}"
+            lines.append(f"{v.criterion.value}: {mark}")
+        if agreement is not None:
+            lines.append("cross-check: all criteria agree")
+        return _lines([*lines, summary])
+
+    def report():
+        # reading every checkpoint runs each criterion's sweep again, in
+        # full, on Fractions
         first_violation = next((v.violation for v in verdicts if v.violation), None)
-        report = {
-            "command": "check",
+        return {
             "inputs": {"f": args.f, "g": args.g},
             "weak": args.weak,
             "verdicts": {v.criterion.value: _verdict_dict(v) for v in verdicts},
@@ -196,15 +209,8 @@ def cmd_check(args) -> int:
             if args.timings
             else None,
         }
-    lines = []
-    for v in verdicts:
-        mark = "holds" if v.holds else f"fails at {_point_str(v.violation)}"
-        lines.append(f"{v.criterion.value}: {mark}")
-    if agreement is not None:
-        lines.append("cross-check: all criteria agree")
-    lines.append(summary)
-    _emit(report, args.json, lines)
-    return EXIT_HOLDS if holds else EXIT_FAILS
+
+    return _emit(args, EXIT_HOLDS if holds else EXIT_FAILS, text, report)
 
 
 def _point_str(violation) -> str:
@@ -227,21 +233,22 @@ def cmd_witness(args) -> int:
         raise InternalInconsistencyError("the witness chain does not carry g onto f")
     partition = chain.source_partition
     atoms = f"{chain.dimension} level-set atom(s)" if chain.dimension else "no atoms"
-    lines = [f"chain of {len(chain.steps)} T-transform(s) on {atoms}"]
     dimension = atom_mass = None
     if args.output:
+        # the grid refuses a matrix over the atom budget before any output
         grid = chain.grid
-        dump_mat(args.output, chain.product)
         dimension = grid.size
         atom_mass = grid.atoms[0] if grid.atoms else None
-        on = f" on atoms of mass {format_rational(atom_mass)}" if atom_mass else ""
-        lines.insert(
-            0,
-            f"wrote {dimension}x{dimension} doubly stochastic witness{on} "
-            f"to {args.output}",
-        )
-    report = {
-        "command": "witness",
+
+    def text():
+        lines = [f"chain of {len(chain.steps)} T-transform(s) on {atoms}"]
+        if args.output:
+            on = f" on atoms of mass {format_rational(atom_mass)}" if atom_mass else ""
+            wrote = f"wrote {dimension}x{dimension} doubly stochastic witness{on}"
+            lines.insert(0, f"{wrote} to {args.output}")
+        return _lines(lines)
+
+    return _emit(args, EXIT_HOLDS, text, lambda: {
         "inputs": {"f": args.f, "g": args.g},
         "witness_path": args.output,
         "steps": [[s.j, s.k, s.weight] for s in chain.steps],
@@ -249,25 +256,20 @@ def cmd_witness(args) -> int:
         "dimension": dimension,
         "atom_mass": atom_mass,
         "total": partition.total_measure,
-    }
-    _emit(report, args.json, lines)
-    return EXIT_HOLDS
+    }, written=lambda: dumps_mat(chain.product))
 
 
 def cmd_classify(args) -> int:
     matrix = load_mat(args.matrix)
     cls = classify_matrix(matrix)
-    report = {
-        "command": "classify",
+    return _emit(args, EXIT_HOLDS, lambda: _lines([cls.label]), lambda: {
         "input": args.matrix,
         "class": cls.label,
         "rows": matrix.rows,
         "cols": matrix.cols,
         "column_sums": list(matrix.column_sums()),
         "row_sums": list(matrix.row_sums()),
-    }
-    _emit(report, args.json, [cls.label])
-    return EXIT_HOLDS
+    })
 
 
 def _load_partition(path) -> Partition:
@@ -281,14 +283,12 @@ def cmd_lift(args) -> int:
     partition = _load_partition(args.partition)
     matrix = load_mat(args.matrix)
     lifted = lift(partition, matrix)
-    report = {
-        "command": "lift",
+    return _emit(args, EXIT_HOLDS, lambda: dumps_mat(lifted), lambda: {
         "partition": args.partition,
         "matrix": args.matrix,
         "entries": [list(row) for row in lifted.entries],
         "output": args.output,
-    }
-    return _emit_text(args, report, dumps_mat(lifted))
+    })
 
 
 def cmd_kernel(args) -> int:
@@ -297,23 +297,20 @@ def cmd_kernel(args) -> int:
     kernel = matrix_to_kernel(partition, matrix)
     cls = kernel_classify(kernel)
     values = kernel.values
-    report = lines = None
-    if args.json:
-        # only the report reads the marginals again
-        report = {
-            "command": "kernel",
-            "partition": args.partition,
-            "matrix": args.matrix,
-            "class": cls.label,
-            "values": [list(row) for row in values],
-            "column_integrals": list(kernel.column_integrals()),
-            "row_integrals": list(kernel.row_integrals()),
-        }
-    else:
-        lines = [f"kernel classifies {cls.label}"]
-        lines += [" ".join(format_rational(v) for v in row) for row in values]
-    _emit(report, args.json, lines)
-    return EXIT_HOLDS
+
+    def text():
+        rows = (" ".join(format_rational(v) for v in row) for row in values)
+        return _lines([f"kernel classifies {cls.label}", *rows])
+
+    # only the report reads the marginals again
+    return _emit(args, EXIT_HOLDS, text, lambda: {
+        "partition": args.partition,
+        "matrix": args.matrix,
+        "class": cls.label,
+        "values": [list(row) for row in values],
+        "column_integrals": list(kernel.column_integrals()),
+        "row_integrals": list(kernel.row_integrals()),
+    })
 
 
 def cmd_apply(args) -> int:
@@ -339,15 +336,13 @@ def cmd_apply(args) -> int:
                 "--atom-mass to fix the alignment"
             )
         result, partition = sequence_apply(matrix, f, mass)
-    report = {
-        "command": "apply",
+    return _emit(args, EXIT_HOLDS, lambda: dumps_sfn(result, partition), lambda: {
         "matrix": args.matrix,
         "function": args.function,
         "pieces": [[p.value, p.mass] for p in result.pieces],
         "total": result.total_measure,
         "output": args.output,
-    }
-    return _emit_text(args, report, dumps_sfn(result, partition))
+    })
 
 
 def _tiling_mass(f, matrix) -> Fraction:
@@ -390,8 +385,7 @@ def _parse_delta_grid(pattern: str):
 
 
 def cmd_equi(args) -> int:
-    doc = load_sfn(args.function)
-    f = doc.function
+    f = load_sfn(args.function).function
     deltas = _parse_delta_grid(args.delta_grid)
     ops_dir = Path(args.ops)
     matrices = sorted(ops_dir.glob("*.mat"))
@@ -428,27 +422,27 @@ def cmd_equi(args) -> int:
     bits = [max(d.numerator.bit_length(), d.denominator.bit_length()) for d in deltas]
     longest = bits.index(max(bits))
     first = row(deltas[longest])
-    for key in ("delta", "modulus", "bound"):
-        format_rational(first[key])
+    with _writing("standard output"):
+        for key in ("delta", "modulus", "bound"):
+            format_rational(first[key])
     rows = [first if i == longest else row(d) for i, d in enumerate(deltas)]
-    all_within = all(r["within_bound"] for r in rows)
-    report = {
-        "command": "equi",
+
+    def text():
+        return _lines([f"{'delta':>12} {'modulus':>12} {'bound':>12}  ok", *(
+            f"{format_rational(r['delta']):>12} "
+            f"{format_rational(r['modulus']):>12} "
+            f"{format_rational(r['bound']):>12}  "
+            f"{'yes' if r['within_bound'] else 'NO'}"
+            for r in rows
+        )])
+
+    code = EXIT_HOLDS if all(r["within_bound"] for r in rows) else EXIT_FAILS
+    return _emit(args, code, text, lambda: {
         "function": args.function,
         "operators": names,
         "family_size": len(family),
         "rows": rows,
-    }
-    lines = [f"{'delta':>12} {'modulus':>12} {'bound':>12}  ok"]
-    for row in rows:
-        lines.append(
-            f"{format_rational(row['delta']):>12} "
-            f"{format_rational(row['modulus']):>12} "
-            f"{format_rational(row['bound']):>12}  "
-            f"{'yes' if row['within_bound'] else 'NO'}"
-        )
-    _emit(report, args.json, lines)
-    return EXIT_HOLDS if all_within else EXIT_FAILS
+    })
 
 
 def cmd_selftest(args) -> int:
@@ -456,8 +450,16 @@ def cmd_selftest(args) -> int:
 
     outcomes = selftest.run_all(args.seed, only=args.only or None)
     passed = sum(o.passed for o in outcomes)
-    report = {
-        "command": "selftest",
+
+    def text():
+        lines = [o.line() for o in outcomes]
+        for o in outcomes:
+            lines.extend(f"    {msg}" for msg in o.failures)
+        lines.append(f"{passed}/{len(outcomes)} criteria passed (seed {args.seed})")
+        return _lines(lines)
+
+    code = EXIT_HOLDS if passed == len(outcomes) else EXIT_FAILS
+    return _emit(args, code, text, lambda: {
         "seed": args.seed,
         "passed": passed,
         "failed": len(outcomes) - passed,
@@ -471,13 +473,7 @@ def cmd_selftest(args) -> int:
             }
             for o in outcomes
         ],
-    }
-    lines = [o.line() for o in outcomes]
-    for o in outcomes:
-        lines.extend(f"    {msg}" for msg in o.failures)
-    lines.append(f"{passed}/{len(outcomes)} criteria passed (seed {args.seed})")
-    _emit(report, args.json, lines)
-    return EXIT_HOLDS if passed == len(outcomes) else EXIT_FAILS
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,6 @@ class CheckPoint:
     right: Fraction
     relation: Relation = Relation.LE
 
-    @property
-    def satisfied(self) -> bool:
-        if self.relation is Relation.LE:
-            return self.left <= self.right
-        return self.left == self.right
-
 
 @dataclass(frozen=True)
 class MajorizationVerdict:

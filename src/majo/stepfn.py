@@ -143,14 +143,6 @@ class StepFunction:
     def values(self) -> Tuple[Fraction, ...]:
         return tuple([p.value for p in self.pieces])
 
-    def cumulative_masses(self) -> Tuple[Fraction, ...]:
-        """Running mass totals: the breakpoints of the rearrangement layout."""
-        out, acc = [], ZERO
-        for piece in self.pieces:
-            acc += piece.mass
-            out.append(acc)
-        return tuple(out)
-
     # -- primitives ----------------------------------------------------------
 
     def integral(self) -> Fraction:

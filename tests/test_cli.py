@@ -927,3 +927,30 @@ def test_a_verdict_past_the_digit_limit_exits_on_the_verdict(workdir, capsys):
         sys.set_int_max_str_digits(limit)
     assert "hinge: fails at 0 (a rational of 4074 bits != a rational of 4044 bits)" in out
     assert "rearrangement: fails at inf (a rational of 4044 bits != a rational of 4074 bits)" in out
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python writes integers of any length",
+)
+def test_a_writer_past_the_digit_limit_names_its_output(workdir, capsys):
+    """The 150 masses 1/p of one value, over the largest 5-digit primes p,
+    merge into a mass of about 750 digits. Under the smallest digit limit
+    Python allows, ``rearrange`` names the output it cannot write, the ``-o``
+    file or standard output, and exits 2 with no file written."""
+    tmp, write = workdir
+    lines = "".join(f"1 1/{p}\n" for p in _primes(10**4, 10**5)[-150:])
+    source = write("r150.sfn", f"total inf\n{lines}")
+    out = tmp / "out.sfn"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        to_file = main(["rearrange", source, "-o", str(out)]), capsys.readouterr()
+        to_stdout = main(["rearrange", source, "--json"]), capsys.readouterr()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for (code, printed), target in ((to_file, out), (to_stdout, "standard output")):
+        assert code == 2 and printed.out == ""
+        assert printed.err.startswith(f"error: cannot write {target}: a numerator ")
+        assert printed.err.count("\n") == 1
+    assert not out.exists()

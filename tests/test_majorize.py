@@ -11,6 +11,7 @@ import sys
 import threading
 import weakref
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -45,6 +46,19 @@ from majo.sampling import (
 # the modules, not the functions of the same names that majo exports
 MAJORIZE = importlib.import_module("majo.majorize")
 CLI = importlib.import_module("majo.cli")
+
+
+def cumulative(f):
+    """The running totals of f's level-set masses, the breakpoints of f*."""
+    return accumulate(p.mass for p in f.pieces)
+
+
+def fails(point):
+    """The failure rule, stated apart from ``majorize._decide``: a ``<=``
+    checkpoint fails on left > right, an ``==`` checkpoint on left != right."""
+    if point.relation is Relation.LE:
+        return point.left > point.right
+    return point.left != point.right
 
 
 def incomparable_pair():
@@ -98,7 +112,7 @@ class TestWeakMajorize:
             verdict = weak_majorize(f, g)
             assert verdict.holds
             points = {p.point for p in verdict.checked}
-            expected = {F(0)} | set(f.cumulative_masses()) | set(g.cumulative_masses())
+            expected = {F(0), *cumulative(f), *cumulative(g)}
             assert expected <= points
 
     def test_failure_certificate_reverifies(self):
@@ -305,7 +319,7 @@ class TestDecideStopsAtTheFirstViolation:
                         assert drawn == len(checked)
                         continue
                     failed += 1
-                    first = next(i for i, p in enumerate(checked) if not p.satisfied)
+                    first = next(i for i, p in enumerate(checked) if fails(p))
                     assert drawn == first + 1, verdict.criterion
                     if verdict.criterion is not Criterion.TAIL_DISTRIBUTION:
                         # paused at the yield of the failing point
@@ -580,7 +594,7 @@ class TestSweepsMatchDirectEvaluators:
 
     def expected_points(self, verdict, f, g):
         if verdict.criterion is Criterion.REARRANGEMENT:
-            cuts = {F(0)} | set(f.cumulative_masses()) | set(g.cumulative_masses())
+            cuts = {F(0), *cumulative(f), *cumulative(g)}
             points = sorted(cuts | ({f.total_measure} - {INF}))
             points += [INF] if f.infinite else []
             return points + ([] if verdict.weak else [f.total_measure])
@@ -621,7 +635,7 @@ class TestSweepsMatchDirectEvaluators:
                     else:  # the smallest grid point: 0, or a negative value
                         assert strict_points == {verdict.checked[0].point}
                     assert verdict.violation == next(
-                        (p for p in verdict.checked if not p.satisfied), None
+                        (p for p in verdict.checked if fails(p)), None
                     )
                     seen.add((kind, verdict.criterion, verdict.holds))
         # both outcomes occur for every criterion on every kind of input
