@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success (relation holds / command completed), 1 the checked
-relation fails, 2 malformed input or violated precondition, 3 internal
-inconsistency (equivalent criteria disagreed, or a witness chain does not
-carry g onto f, which is a bug). JSON reports
+relation fails, 2 malformed input or violated precondition (every number on
+the command line, ``--atom-mass``, ``--delta-grid`` values and ``2^k`` bounds
+and ``--seed``, is read by ``_read_ratio`` as in the files), 3 internal
+inconsistency, a bug: criteria disagreed, a witness chain does not carry g onto
+f, or an ``equi`` row exceeds its bound (``equi`` never exits 1). JSON reports
 use stable key order and serialize every rational as 'p/q', so identical
 inputs and seed produce byte-identical output; timings are emitted only on
 request because they would break that.
@@ -34,7 +36,7 @@ from .errors import (
     NotMajorizedError,
     RationalTooLongError,
 )
-from .extended import INF, Infinity, _shown, as_fraction, fraction_gcd
+from .extended import INF, Infinity, _read_ratio, _shown, as_fraction, fraction_gcd
 from .formats import dumps_mat, dumps_sfn, format_rational, load_mat, load_sfn
 from .kernels import kernel_classify, matrix_to_kernel
 from .majorize import (
@@ -352,36 +354,29 @@ def _tiling_mass(f, matrix) -> Fraction:
 
 def _parse_delta_grid(pattern: str):
     pattern = pattern.strip()
-    if ".." in pattern:
-        lo, hi = pattern.split("..", 1)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-        def power(tok: str) -> int:
-            tok = tok.strip()
-            if tok.startswith("2^"):
-                try:
-                    k = int(tok[2:])
-                except ValueError:
-                    pass
-                else:
-                    # 2^|k| has floor(|k| log10 2) + 1 digits; refused before
-                    # a grid that grows quadratically in bits is built
-                    if limit and abs(k) * Fraction(math.log10(2)) >= limit:
-                        raise RationalTooLongError(
-                            f"the delta grid bound {tok[:40]!r} needs an integer "
-                            f"of more than {limit} digits, Python's limit for "
-                            "writing one"
-                        )
-                    return k
-            raise MajoError(f"delta grid bounds look like 2^-3, got {tok!r}")
-
-        a, b = power(lo), power(hi)
-        step = -1 if a > b else 1
-        return [Fraction(2) ** k for k in range(a, b + step, step)]
-    deltas = [as_fraction(tok) for tok in pattern.split(",") if tok.strip()]
-    if not deltas:
-        raise MajoError(f"delta grid {pattern!r} lists no deltas")
-    return deltas
+    if ".." not in pattern:
+        deltas = [as_fraction(tok) for tok in pattern.split(",") if tok.strip()]
+        if not deltas:
+            raise MajoError(f"delta grid {pattern[:40]!r} lists no deltas")
+        return deltas
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponents = []
+    for tok in map(str.strip, pattern.split("..", 1)):
+        pair = _read_ratio(tok[2:]) if tok[:2] == "2^" and "/" not in tok else None
+        if pair is None:
+            raise MajoError(f"delta grid bounds look like 2^-3, got {tok[:40]!r}")
+        k = pair[0]
+        # 2^|k| has floor(|k| log10 2) + 1 digits; refused before a grid that
+        # grows quadratically in bits is built
+        if limit and abs(k) * Fraction(math.log10(2)) >= limit:
+            raise RationalTooLongError(
+                f"the delta grid bound {tok[:40]!r} needs an integer of more "
+                f"than {limit} digits, Python's limit for writing one"
+            )
+        exponents.append(k)
+    a, b = exponents
+    step = -1 if a > b else 1
+    return [Fraction(2) ** k for k in range(a, b + step, step)]
 
 
 def cmd_equi(args) -> int:
@@ -431,13 +426,17 @@ def cmd_equi(args) -> int:
         return _lines([f"{'delta':>12} {'modulus':>12} {'bound':>12}  ok", *(
             f"{format_rational(r['delta']):>12} "
             f"{format_rational(r['modulus']):>12} "
-            f"{format_rational(r['bound']):>12}  "
-            f"{'yes' if r['within_bound'] else 'NO'}"
+            f"{format_rational(r['bound']):>12}  yes"
             for r in rows
         )])
 
-    code = EXIT_HOLDS if all(r["within_bound"] for r in rows) else EXIT_FAILS
-    return _emit(args, code, text, lambda: {
+    # every image is majorized by f, so a row past its bound is a bug
+    over = [r["delta"] for r in rows if not r["within_bound"]]
+    if over:
+        raise InternalInconsistencyError(
+            f"the modulus at delta {_shown(over[0])} exceeds its bound"
+        )
+    return _emit(args, EXIT_HOLDS, text, lambda: {
         "function": args.function,
         "operators": names,
         "family_size": len(family),
@@ -446,21 +445,25 @@ def cmd_equi(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    pair = None if "/" in args.seed else _read_ratio(args.seed)
+    if pair is None:
+        raise MajoError(f"--seed must be an integer, got {args.seed[:40]!r}")
+    seed = pair[0]
     from . import selftest
 
-    outcomes = selftest.run_all(args.seed, only=args.only or None)
+    outcomes = selftest.run_all(seed, only=args.only or None)
     passed = sum(o.passed for o in outcomes)
 
     def text():
         lines = [o.line() for o in outcomes]
         for o in outcomes:
             lines.extend(f"    {msg}" for msg in o.failures)
-        lines.append(f"{passed}/{len(outcomes)} criteria passed (seed {args.seed})")
+        lines.append(f"{passed}/{len(outcomes)} criteria passed (seed {seed})")
         return _lines(lines)
 
     code = EXIT_HOLDS if passed == len(outcomes) else EXIT_FAILS
     return _emit(args, code, text, lambda: {
-        "seed": args.seed,
+        "seed": seed,
         "passed": passed,
         "failed": len(outcomes) - passed,
         "outcomes": [
@@ -565,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_equi)
 
     p = sub.add_parser("selftest", help="run the randomized invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument(
         "--only",
         action="append",

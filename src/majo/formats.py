@@ -12,12 +12,12 @@ nowhere else.
 A matrix file is ``rows cols`` on the first effective line followed by
 row-major entries separated by arbitrary whitespace.
 
-Each line is split into tokens once, and every rational token (a level's
-value and mass, the total, the partition atoms, the tail mass, a matrix
-entry) is read by the one reader ``extended._read_ratio``, with no regex. A
-level set's value and mass stay integer pairs in lowest terms and go to the
-integer core of ``canonicalize`` with no ``Fraction`` built; the writer
-formats a function from the same pairs with ``extended._format_ratio``.
+Each line is split into tokens once, and every number token (a level's value
+and mass, the total, the partition atoms, the tail mass and count, a matrix
+entry, the header counts) is read by the one reader ``extended._read_ratio``,
+with no regex. A level set's value and mass stay integer pairs in lowest terms
+and go to the integer core of ``canonicalize`` with no ``Fraction`` built; the
+writer formats a function from the same pairs with ``extended._format_ratio``.
 """
 
 from __future__ import annotations
@@ -56,13 +56,11 @@ def _parse_rational(token: str, line: int, column: int) -> Fraction:
 
 
 def _parse_count(token: str, line: int, column: int, message: str) -> int:
-    """A nonnegative integer written in ASCII digits only (no sign, no '_')."""
-    if token.isascii() and token.isdigit():
-        try:
-            return int(token)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise ParseError(message, line=line, column=column, token=token)
+    """Digits alone, no sign or slash, read by ``_read_ratio`` as an integer."""
+    pair = _read_ratio(token) if token.isdigit() else None
+    if pair is None:
+        raise ParseError(message, line=line, column=column, token=token)
+    return pair[0]
 
 
 def _read_text(path) -> str:
@@ -154,10 +152,9 @@ def loads_sfn(text: str) -> SfnDocument:
                     token=" ".join(tokens),
                 )
             mass = _parse_rational(tokens[1], number, 2)
-            count = None
-            if tokens[3].lower() != "inf":
-                message = "tail count must be a nonnegative integer or inf"
-                count = _parse_count(tokens[3], number, 4, message)
+            message = "tail count must be a nonnegative integer or inf"
+            inf = tokens[3].lower() == "inf"
+            count = None if inf else _parse_count(tokens[3], number, 4, message)
             tail = Tail(mass, count)
             tail_line = number
         else:
@@ -219,8 +216,7 @@ def loads_mat(text: str) -> OperatorMatrix:
             "first line must be 'rows cols'", line=number, token=" ".join(tokens)
         )
     message = "rows and cols must be nonnegative integers"
-    rows = _parse_count(tokens[0], number, 1, message)
-    cols = _parse_count(tokens[1], number, 2, message)
+    rows, cols = (_parse_count(t, number, c, message) for c, t in enumerate(tokens, 1))
     if rows == 0 and cols > 0:
         raise ParseError("a matrix without rows has no columns", line=number)
     entries: List[Fraction] = []

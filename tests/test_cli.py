@@ -39,6 +39,14 @@ def majorized(write):
     return f, g
 
 
+def identity_family(workdir):
+    """``total inf`` / ``2 1`` and a directory holding the 1x1 identity."""
+    tmp, write = workdir
+    (tmp / "ops").mkdir()
+    (tmp / "ops" / "identity.mat").write_text("1 1\n1\n")
+    return write("f.sfn", "total inf\n2 1\n"), str(tmp / "ops")
+
+
 class TestCheck:
     def test_incomparable_pair_exits_one(self, workdir, capsys):
         _, write = workdir
@@ -599,6 +607,54 @@ class TestEqui:
         assert time.monotonic() - start < 2
         assert "over Python's limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [
+        "2^-1_0..2^-1",
+        "2^-\u0663..2^-1",
+        "2^ -2..2^-1",
+        "2^-3/1..2^-1",
+        "2^-" + "9" * 5000 + "..2^-1",
+        "2^-1..2^" + "9" * 4000,
+        "," * 3000,
+    ], ids=["underscore", "arabic-indic", "space", "slash", "5000-digits",
+            "4000-digits", "commas"])
+    def test_a_grid_token_off_the_file_rule_exits_two(self, workdir, capsys, grid):
+        f, ops = identity_family(workdir)
+        assert main(["equi", f, "--ops", ops, "--delta-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # one line, quoting no more than 40 characters of the token
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) < 150
+
+    def test_a_bound_may_carry_a_sign(self, workdir, capsys):
+        f, ops = identity_family(workdir)
+        for grid, deltas in (("2^+2..2^1", ["4", "2"]), ("2^-0..2^-2", ["1", "1/2", "1/4"])):
+            argv = ["equi", f, "--ops", ops, "--delta-grid", grid, "--json"]
+            assert main(argv) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert [row["delta"] for row in rows] == deltas
+
+    def test_a_row_over_its_bound_is_an_internal_inconsistency(
+        self, workdir, capsys, monkeypatch
+    ):
+        from majo.diagnostics import EquiIntegrabilityReport
+
+        def over(family, delta, source):
+            # past the bound at 1/4 and at 1/8, whose row is computed first
+            modulus = F(1) if delta <= F(1, 4) else F(0)
+            return EquiIntegrabilityReport(delta, modulus, F(1, 2), len(family))
+
+        monkeypatch.setattr("majo.cli.equi_modulus", over)
+        f, ops = identity_family(workdir)
+        for flag in ([], ["--json"]):
+            argv = ["equi", f, "--ops", ops, "--delta-grid", "1/2,1/4,1/8"]
+            assert main(argv + flag) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "internal inconsistency: the modulus at delta 1/4 exceeds its bound\n"
+            )
+
 
 class TestSelftest:
     def test_single_battery_passes(self, workdir, capsys):
@@ -610,6 +666,24 @@ class TestSelftest:
         assert main(["selftest", "--only", "fixtures", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["seed"] == 0
+
+    @pytest.mark.parametrize("seed", ["\u0663", "1_0", " 7", "x", "3/1", ""])
+    def test_a_seed_off_the_file_rule_exits_two(self, workdir, capsys, seed):
+        assert main(["selftest", "--only", "fixtures", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must be an integer, got {seed!r}\n"
+
+    def test_a_seed_may_carry_a_sign(self, workdir, capsys):
+        for seed, read in (("-3", -3), ("+3", 3), ("-0", 0)):
+            assert main(["selftest", "--only", "fixtures", "--seed", seed, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == read
+
+    def test_a_long_seed_is_quoted_by_its_first_40_characters(self, workdir, capsys):
+        assert main(["selftest", "--only", "fixtures", "--seed", "1_" * 3000]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --seed must be an integer, got {'1_' * 20!r}\n"
+        )
 
     def test_only_lists_the_batteries_of_the_suite(self):
         from majo import cli, selftest

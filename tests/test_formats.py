@@ -303,3 +303,14 @@ class TestMat:
     def test_other_separators_are_whitespace_inside_a_line(self, separator):
         matrix = loads_mat(f"2{separator}2\n1{separator}0{separator}0 1")
         assert matrix == OperatorMatrix.identity(2)
+
+
+# tokens the rational reader takes that are no count: a sign or a slash
+@pytest.mark.parametrize("token", ["+1", "-0", "1/1", "2/2"])
+@pytest.mark.parametrize("load, text, message, line, column", [
+    (loads_mat, "{} 1\n1\n", SHAPE_ERROR, 1, 1),
+    (loads_mat, "1 {}\n1\n", SHAPE_ERROR, 1, 2),
+    (loads_sfn, "total inf\n1 1\npartition 1\ntail 1 x {}\n", COUNT_ERROR, 4, 4),
+], ids=["rows", "cols", "tail-count"])
+def test_a_count_is_digits_alone(load, text, message, line, column, token):
+    assert_parse_error(load, text.format(token), message, line, column, token)

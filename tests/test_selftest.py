@@ -1,12 +1,18 @@
 """The suite's own machinery: scaled oracles, determinism, fixtures."""
 
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 from majo import selftest
 from majo.selftest import (
+    MAX_FAILURES,
     SUITE,
+    SuiteOutcome,
     _scaled_hinge_values,
     _scaled_partial_values,
     criterion_fixtures,
@@ -48,6 +54,15 @@ class TestDeterminism:
         assert first.failures == second.failures
 
 
+GOLDEN = Path(__file__).parent / "golden" / "selftest_seed0.json"
+
+
+@pytest.fixture(scope="module")
+def seed0_run():
+    """The full suite at seed 0, run once for the tests that read it."""
+    return run_all(0)
+
+
 class TestRunner:
     def test_only_filter(self):
         outcomes = run_all(3, only=["fixtures"])
@@ -59,14 +74,35 @@ class TestRunner:
         assert outcome.passed
         assert outcome.cases == 8
 
-    def test_each_battery_alone_gives_its_outcome_from_the_full_run(self):
-        full = run_all(0)
-        assert len(full) == len(SUITE)
-        for (name, _), whole in zip(SUITE, full):
+    def test_each_battery_alone_gives_its_outcome_from_the_full_run(self, seed0_run):
+        assert len(seed0_run) == len(SUITE)
+        for (name, _), whole in zip(SUITE, seed0_run):
             (alone,) = run_all(0, only=[name])
             assert (alone.name, alone.cases, alone.note, alone.failures) == (
                 whole.name, whole.cases, whole.note, whole.failures
             ), name
+
+    def test_the_full_run_gives_the_golden_outcomes(self, seed0_run):
+        golden = json.loads(GOLDEN.read_text())["outcomes"]
+        assert len(seed0_run) == len(golden)
+        for outcome, expected in zip(seed0_run, golden):
+            assert {
+                "name": outcome.name,
+                "passed": outcome.passed,
+                "cases": outcome.cases,
+                "note": outcome.note,
+                "failures": outcome.failures,
+            } == expected
+
+    def test_failures_past_the_cap_add_one_suppression_line(self):
+        outcome = SuiteOutcome("battery", 1)
+        for k in range(MAX_FAILURES + 5):
+            outcome.fail(f"case {k}")
+        assert outcome.failures == [
+            *(f"case {k}" for k in range(MAX_FAILURES)),
+            "... further failures suppressed",
+        ]
+        assert not outcome.passed
 
     def test_every_battery_fails_past_the_budget(self, monkeypatch):
         clock = iter([0.0, 31.0]).__next__

@@ -386,3 +386,19 @@ class TestEssSup:
 
     def test_constant(self):
         assert canonicalize([(F(5, 3), 7)], 7).ess_sup() == F(5, 3)
+
+
+class TestStrAndEquality:
+    def test_str_of_a_finite_function_lists_its_padding(self):
+        f = canonicalize([(F(1, 2), 2)], 3)
+        assert str(f) == "1/2*chi[2] + 0*chi[1] on total 3"
+
+    def test_str_of_an_infinite_function(self):
+        assert str(tall_narrow()) == "3*chi[1] + 1/2*chi[1] on total inf"
+        assert str(canonicalize([], INF)) == "0 on total inf"
+
+    @pytest.mark.parametrize("other", [None, 0, "1*chi[2] on total 2", ((1, 2),)])
+    def test_equality_with_another_type_is_false(self, other):
+        f = canonicalize([(1, 2)], 2)
+        assert f.__eq__(other) is NotImplemented
+        assert f != other and not f == other
