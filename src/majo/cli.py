@@ -35,6 +35,7 @@ from .errors import (
     MajoError,
     NotMajorizedError,
     RationalTooLongError,
+    _cut,
 )
 from .extended import INF, Infinity, _read_ratio, _shown, as_fraction, fraction_gcd
 from .formats import dumps_mat, dumps_sfn, format_rational, load_mat, load_sfn
@@ -277,7 +278,7 @@ def cmd_classify(args) -> int:
 def _load_partition(path) -> Partition:
     doc = load_sfn(path)
     if doc.partition is None:
-        raise MajoError(f"{path} carries no partition block")
+        raise MajoError(f"{_cut(path)} carries no partition block")
     return doc.partition
 
 
@@ -357,20 +358,20 @@ def _parse_delta_grid(pattern: str):
     if ".." not in pattern:
         deltas = [as_fraction(tok) for tok in pattern.split(",") if tok.strip()]
         if not deltas:
-            raise MajoError(f"delta grid {pattern[:40]!r} lists no deltas")
+            raise MajoError(f"delta grid {_cut(pattern)!r} lists no deltas")
         return deltas
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     exponents = []
     for tok in map(str.strip, pattern.split("..", 1)):
         pair = _read_ratio(tok[2:]) if tok[:2] == "2^" and "/" not in tok else None
         if pair is None:
-            raise MajoError(f"delta grid bounds look like 2^-3, got {tok[:40]!r}")
+            raise MajoError(f"delta grid bounds look like 2^-3, got {_cut(tok)!r}")
         k = pair[0]
         # 2^|k| has floor(|k| log10 2) + 1 digits; refused before a grid that
         # grows quadratically in bits is built
         if limit and abs(k) * Fraction(math.log10(2)) >= limit:
             raise RationalTooLongError(
-                f"the delta grid bound {tok[:40]!r} needs an integer of more "
+                f"the delta grid bound {_cut(tok)!r} needs an integer of more "
                 f"than {limit} digits, Python's limit for writing one"
             )
         exponents.append(k)
@@ -385,7 +386,7 @@ def cmd_equi(args) -> int:
     ops_dir = Path(args.ops)
     matrices = sorted(ops_dir.glob("*.mat"))
     if not matrices:
-        raise MajoError(f"no .mat files under {ops_dir}")
+        raise MajoError(f"no .mat files under {_cut(ops_dir)}")
     infinite = f.total_measure is INF
     if infinite:
         # the coarsest grid that refines every level set
@@ -399,7 +400,7 @@ def cmd_equi(args) -> int:
             image = sequence_apply(matrix, f, mass)[0]
             _require_comparable(image, f)
         except MajoError as exc:
-            raise MajoError(f"{path.name}: {exc}") from None
+            raise MajoError(f"{_cut(path.name)}: {exc}") from None
         family.append(image)
         names.append(path.name)
 
@@ -447,7 +448,7 @@ def cmd_equi(args) -> int:
 def cmd_selftest(args) -> int:
     pair = None if "/" in args.seed else _read_ratio(args.seed)
     if pair is None:
-        raise MajoError(f"--seed must be an integer, got {args.seed[:40]!r}")
+        raise MajoError(f"--seed must be an integer, got {_cut(args.seed)!r}")
     seed = pair[0]
     from . import selftest
 
@@ -593,6 +594,8 @@ def main(argv=None) -> int:
         print(f"not majorized: {exc}", file=sys.stderr)
         return EXIT_FAILS
     except (MajoError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # str() quotes it whole
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_cut(exc.filename)!r}"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DeltaOutOfRangeError, EmptyFamilyError
-from .extended import as_fraction
+from .extended import _shown, as_fraction
 from .majorize import _require_same_total
 from .stepfn import ZERO, StepFunction, _in_order
 
@@ -28,7 +28,9 @@ def small_set_modulus(h: StepFunction, delta) -> Fraction:
     """
     delta = as_fraction(delta)
     if delta < 0 or delta > h.total_measure:
-        raise DeltaOutOfRangeError(f"delta = {delta} outside [0, {h.total_measure}]")
+        raise DeltaOutOfRangeError(
+            f"delta = {_shown(delta)} outside [0, {_shown(h.total_measure)}]"
+        )
     return h.partial_integral(delta)
 
 

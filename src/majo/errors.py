@@ -8,6 +8,11 @@ callers (notably the CLI) can map any contract violation to a single
 from __future__ import annotations
 
 
+def _cut(text) -> str:
+    """The first 40 characters of a token or path: all an error message quotes."""
+    return str(text)[:40]
+
+
 class MajoError(Exception):
     """Base error for the package."""
 
@@ -126,7 +131,7 @@ class ParseError(MajoError):
     def __init__(self, message: str, *, line: int, column: int = 1, token: str = ""):
         detail = f"line {line}, column {column}"
         if token:
-            detail += f", near {token[:40]!r}"
+            detail += f", near {_cut(token)!r}"
         super().__init__(f"{message} ({detail})")
         self.line = line
         self.column = column

@@ -9,9 +9,9 @@ This is also the toolkit for exact integer pairs (numerator, positive
 denominator), the form every value and mass is stored in: :func:`_read_ratio`
 (the one reader of a rational written as text, with no regex),
 :func:`_reduced`, :func:`_scale_ratios` and :func:`_sum` (over the lcm of the
-denominators), :func:`_combine`, :class:`_Ratio` and :func:`_format_ratio`
-(:func:`_shown` in error messages and ``check``'s text). No other module
-reduces a pair.
+denominators), :func:`_combine`, :class:`_Ratio`, :func:`_format_ratio` and
+:func:`_shown`, the one writer of a number in an error message or ``check``'s
+text, which never raises. No other module reduces a pair.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import EmptyFamilyError, InvalidRationalError, RationalTooLongError
+from .errors import EmptyFamilyError, InvalidRationalError, RationalTooLongError, _cut
 
 
 @functools.total_ordering
@@ -70,7 +70,7 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         pair = _read_ratio(x.strip())
         if pair is None:
-            raise InvalidRationalError(f"expected an integer or p/q, got {x[:40]!r}")
+            raise InvalidRationalError(f"expected an integer or p/q, got {_cut(x)!r}")
         return Fraction(*pair)
     raise TypeError(f"exact rational expected, got {type(x).__name__}: {x!r}")
 

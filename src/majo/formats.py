@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import ParseError
+from .errors import ParseError, _cut
 from .extended import INF, _format_ratio, _read_ratio, _shown
 from .operators import OperatorMatrix, Partition, Tail
 # canonicalize is not called here, but majo.formats.canonicalize stays a name
@@ -70,7 +70,7 @@ def _read_text(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len(_split_lines(data[:exc.start].decode("utf-8")))
-        raise ParseError(f"{path} is not UTF-8 text", line=line) from None
+        raise ParseError(f"{_cut(path)} is not UTF-8 text", line=line) from None
 
 
 def _split_lines(text: str) -> List[str]:

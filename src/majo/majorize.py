@@ -51,7 +51,7 @@ from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistencyError, MeasureMismatchError
-from .extended import INF, _scale_ratios
+from .extended import INF, _scale_ratios, _shown
 from .stepfn import Level, StepFunction, _BuiltOnFirstRead, _in_order
 
 
@@ -103,10 +103,11 @@ class CrossCheckReport:
     verdicts: Tuple[MajorizationVerdict, ...]
 
 
-def _require_same_total(f: StepFunction, g: StepFunction) -> None:
+def _require_same_total(f, g) -> None:
+    """The one refusal of unequal total measures, of functions or partitions."""
     if f.total_measure != g.total_measure:
         raise MeasureMismatchError(
-            f"total measures differ: {f.total_measure} vs {g.total_measure}"
+            f"total measures differ: {_shown(f.total_measure)} vs {_shown(g.total_measure)}"
         )
 
 

@@ -50,7 +50,7 @@ from .extended import (
     exact_sum,
     fraction_gcd,
 )
-from .majorize import Criterion, _scaled
+from .majorize import Criterion, _require_same_total, _scaled
 from .stepfn import ZERO, StepFunction, _canonical, _in_order, canonicalize
 
 ONE = Fraction(1)
@@ -80,7 +80,7 @@ class Tail:
     def __post_init__(self):
         object.__setattr__(self, "mass", as_fraction(self.mass))
         if self.mass.numerator <= 0:
-            raise NegativeMassError(f"tail atom mass {self.mass} must be positive")
+            raise NegativeMassError(f"tail atom mass {_shown(self.mass)} must be positive")
         if self.count is not None and self.count < 1:
             raise InvalidPartitionError("finite tail count must be >= 1")
 
@@ -98,7 +98,7 @@ class Partition:
         object.__setattr__(self, "total_measure", as_extended(self.total_measure))
         for atom in self.atoms:
             if atom.numerator <= 0:
-                raise NegativeMassError(f"atom mass {atom} must be positive")
+                raise NegativeMassError(f"atom mass {_shown(atom)} must be positive")
         if self.total_measure is INF:
             if self.tail is None or self.tail.count is not None:
                 raise InvalidPartitionError(
@@ -115,7 +115,7 @@ class Partition:
             tiled = exact_sum(self.atoms) + tail_mass
             if tiled != self.total_measure:
                 raise MeasureMismatchError(
-                    f"atoms tile {_shown(tiled)}, total is {self.total_measure}"
+                    f"atoms tile {_shown(tiled)}, total is {_shown(self.total_measure)}"
                 )
 
     @property
@@ -178,15 +178,6 @@ class AlignedStep:
 _INTO_TAIL = "support extends past the explicit atoms into the tail"
 
 
-def _same_total(partition: Partition, f: StepFunction) -> None:
-    """f and the partition must live on one measure space to be laid together."""
-    if partition.total_measure != f.total_measure:
-        raise MeasureMismatchError(
-            f"partition tiles {partition.total_measure}, function lives on "
-            f"{f.total_measure}"
-        )
-
-
 def _aligned_levels(partition: Partition, f: StepFunction) -> List[int]:
     """The index of the level set of f on each atom, ``len(f.pieces)`` for
     zero past the support: f's rearrangement laid over the atoms left to
@@ -197,7 +188,7 @@ def _aligned_levels(partition: Partition, f: StepFunction) -> List[int]:
     scale grows with the denominators. A nonzero level left for the tail,
     where every function of the partition is zero, is an error.
     """
-    _same_total(partition, f)
+    _require_same_total(partition, f)
     # past the support f is zero on a level set of mass 1/0, above every atom
     masses, k, levels = [mass for _, mass in f._levels] + [(1, 0)], 0, []
     ln, ld = masses[0]  # what is left of level set k
@@ -207,7 +198,7 @@ def _aligned_levels(partition: Partition, f: StepFunction) -> List[int]:
         if over < 0:
             value = _shown(_Ratio(*f._levels[k][0]))
             raise PartitionMisalignedError(
-                f"atom of mass {atom} straddles a level boundary "
+                f"atom of mass {_shown(atom)} straddles a level boundary "
                 f"(only {_shown(_Ratio(ln, ld))} left at value {value})"
             )
         levels.append(k)
@@ -286,7 +277,7 @@ class OperatorMatrix:
         for row in rows:
             for entry in row:
                 if entry.numerator < 0:
-                    raise NegativeEntryError(f"negative entry {entry}")
+                    raise NegativeEntryError(f"negative entry {_shown(entry)}")
 
     @property
     def rows(self) -> int:
@@ -383,7 +374,7 @@ def partition_average(partition: Partition, f: StepFunction) -> AlignedStep:
     its :func:`align` values. A fold over :func:`_in_order`; a nonzero
     segment past the explicit atoms, in the tail, is an error.
     """
-    _same_total(partition, f)
+    _require_same_total(partition, f)
     levels = f.values() + (ZERO,)
     sums = [ZERO] * partition.size
     for n, k, mass in _in_order(partition.atoms, [p.mass for p in f.pieces]):
@@ -403,8 +394,7 @@ def partition_average_matrix(
     (in order); entry (r, c) is mass(r)/mass(block) when both fine atoms share
     a coarse block, and 0 otherwise.
     """
-    if partition.total_measure != refinement.total_measure:
-        raise MeasureMismatchError("partition and refinement tile different totals")
+    _require_same_total(partition, refinement)
     if partition.explicit_measure != refinement.explicit_measure:
         raise PartitionMisalignedError(
             "the refinement's explicit atoms must tile the partition's"
@@ -413,7 +403,7 @@ def partition_average_matrix(
     for r, block, mass in _in_order(refinement.atoms, partition.atoms):
         if mass != refinement.atoms[r]:
             raise PartitionMisalignedError(
-                f"fine atom of mass {refinement.atoms[r]} straddles a coarse boundary"
+                f"fine atom of mass {_shown(refinement.atoms[r])} straddles a coarse boundary"
             )
         blocks.append(block)
         shares.append(mass / partition.atoms[block])
@@ -463,18 +453,13 @@ def sequence_apply(
     """
     _require_sds(matrix)
     mass = as_fraction(mass)
-    infinite = f.total_measure is INF
-    if not infinite and mass * matrix.cols != f.total_measure:
-        raise MeasureMismatchError(
-            f"{matrix.cols} atoms of mass {mass} cannot tile total {f.total_measure}"
-        )
     col_partition = Partition.equal_mass(matrix.cols, mass, f.total_measure)
     if f.support_measure > mass * matrix.cols:
         raise DimensionMismatchError(
             f"support of mass {_shown(f.support_measure)} needs more than "
             f"{matrix.cols} atoms of mass {_shown(mass)}"
         )
-    row_total = INF if infinite else mass * matrix.rows
+    row_total = INF if f.infinite else mass * matrix.rows
     row_partition = Partition.equal_mass(matrix.rows, mass, row_total)
     image = _image(matrix, col_partition, f, row_partition)
     return image.step_function(), row_partition
@@ -506,7 +491,7 @@ class TTransform:
             raise InvalidTTransformError("T-transform needs coordinates 0 <= j < k")
         n, d = self.weight.as_integer_ratio()
         if not 0 <= n <= d:
-            raise InvalidTTransformError(f"mixing weight {self.weight} outside [0, 1]")
+            raise InvalidTTransformError(f"mixing weight {_shown(self.weight)} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -529,7 +514,7 @@ class WitnessChain:
         for step in self.steps:
             if step.k >= self.dimension:
                 raise DimensionMismatchError(
-                    f"coordinate {step.k} outside dimension {self.dimension}"
+                    f"coordinate {_shown(step.k)} outside dimension {self.dimension}"
                 )
             wn, wd = step.weight.as_integer_ratio()
             pj, qj = masses[step.j].as_integer_ratio()

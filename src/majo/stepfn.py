@@ -168,7 +168,7 @@ class StepFunction:
         """Integral of the decreasing rearrangement over [0, s]."""
         s = as_extended(s)
         if s < 0 or s > self.total_measure:
-            raise SOutOfRangeError(f"s = {s} outside [0, {self.total_measure}]")
+            raise SOutOfRangeError(f"s = {_shown(s)} outside [0, {_shown(self.total_measure)}]")
         if s is INF:
             return self.integral()
         acc, remaining = ZERO, s
@@ -185,7 +185,7 @@ class StepFunction:
         u = as_fraction(u)
         if self.infinite and u < 0:
             raise DivergentHingeError(
-                f"hinge at u = {u} < 0 diverges on an infinite measure space"
+                f"hinge at u = {_shown(u)} < 0 diverges on an infinite measure space"
             )
         return sum(((p.value - u) * p.mass for p in self.pieces if p.value > u), ZERO)
 
@@ -199,7 +199,7 @@ class StepFunction:
         u = as_fraction(u)
         if self.infinite and u < 0:
             raise DivergentHingeError(
-                f"tail integral from u = {u} < 0 diverges on an infinite measure space"
+                f"tail integral from u = {_shown(u)} < 0 diverges on an infinite measure space"
             )
         cuts = sorted({p.value for p in self.pieces if p.value > u})
         acc, lo = ZERO, u
@@ -260,13 +260,13 @@ def _canonical(levels: Iterable[Level], total: ExtendedRational) -> StepFunction
         merged.pop(_ZERO_KEY, None)
     else:
         if total < 0:
-            raise MassExceedsTotalError(f"total measure {total} must be nonnegative")
+            raise MassExceedsTotalError(f"total measure {_shown(total)} must be nonnegative")
         sn, sd = _sum(merged.values())
         tn, td = total.as_integer_ratio()
         rest = tn * sd - sn * td  # the total minus the support, times sd·td
         if rest < 0:
             raise MassExceedsTotalError(
-                f"masses sum to {_shown(Fraction(sn, sd))} > total measure {total}"
+                f"masses sum to {_shown(Fraction(sn, sd))} > total measure {_shown(total)}"
             )
         if rest:
             zero = merged.get(_ZERO_KEY)

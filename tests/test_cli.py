@@ -817,7 +817,7 @@ class TestExitCodes:
         f = write("f.sfn", "total 2\n1 2\n")
         no_columns = write("no-columns.mat", "2 0\n")
         assert main(["apply", no_columns, f]) == 2
-        assert "0 atoms of mass 2 cannot tile total 2" in capsys.readouterr().err
+        assert "atoms tile 0, total is 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1028,3 +1028,80 @@ def test_a_writer_past_the_digit_limit_names_its_output(workdir, capsys):
         assert printed.err.startswith(f"error: cannot write {target}: a numerator ")
         assert printed.err.count("\n") == 1
     assert not out.exists()
+
+
+# 640 digits, the smallest digit limit Python allows: read as given, while a
+# product or quotient of it is past the limit
+TEN_639 = "1" + "0" * 639
+BITS = (10**640).bit_length()  # of 10^640, past the limit by one digit
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python writes integers of any length",
+)
+@pytest.mark.parametrize("function, argv, message", [
+    (f"total {TEN_639}\n-1 {TEN_639}\n",
+     ["equi", "f.sfn", "--ops", "ops10", "--delta-grid", "1"],
+     f"r.mat: total measures differ: a rational of {BITS} bits vs {TEN_639}\n"),
+    (f"total {TEN_639}\n1 {TEN_639}\n",
+     ["equi", "f.sfn", "--ops", "ops10", "--delta-grid=-1"],
+     f"delta = -1 outside [0, a rational of {BITS} bits]\n"),
+    (f"total 1/{TEN_639}\n2 1/3{TEN_639[1:]}\n",
+     ["apply", "id10.mat", "f.sfn"],
+     f"atom of mass a rational of {BITS} bits straddles a level boundary "
+     f"(only a rational of {(3 * 10**640).bit_length()} bits left at value 2)\n"),
+], ids=["unequal-totals", "delta-range", "straddle"])
+def test_a_refusal_past_the_digit_limit_exits_two(
+    workdir, capsys, monkeypatch, function, argv, message
+):
+    """Under the smallest digit limit, a refusal whose number is past it
+    writes that number by its size: one ``error:`` line and exit 2, where
+    ``str`` would raise ``ValueError`` out of ``main``. ``equi`` lays f over
+    10 atoms of ten times its total, as the 10x1 column ``r.mat`` maps them,
+    and ``apply`` lays f over 10 atoms of a tenth of its total."""
+    tmp, write = workdir
+    write("f.sfn", function)
+    (tmp / "ops10").mkdir()
+    write("ops10/r.mat", "10 1\n1\n" + "0\n" * 9)
+    write("id10.mat", "10 10\n" + "".join(
+        " ".join("1" if i == j else "0" for j in range(10)) + "\n" for i in range(10)
+    ))
+    monkeypatch.chdir(tmp)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    printed = capsys.readouterr()
+    assert code == 2 and printed.out == ""
+    assert printed.err == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["equi", "f.sfn", "--ops", "LONG"], "no .mat files under " + "d" * 40 + "\n"),
+    # too long a name for the system to look up: an OSError, whose name is cut
+    (["equi", "f.sfn", "--ops", "x" * 5000], ""),
+    (["kernel", "LONG/p.sfn", "id1.mat"], "d" * 40 + " carries no partition block\n"),
+    (["rearrange", "LONG/bad.sfn"], "d" * 40 + " is not UTF-8 text (line 2, column 1)\n"),
+    (["rearrange", "LONG/missing.sfn"],
+     "[Errno 2] No such file or directory: '" + "d" * 40 + "'\n"),
+], ids=["ops", "5000-character-ops", "partition", "non-utf8", "missing"])
+def test_a_long_path_is_quoted_by_its_first_40_characters(
+    workdir, capsys, monkeypatch, argv, message
+):
+    """A path is quoted as a token is, by its first 40 characters: one line
+    under 150 bytes, where the whole path would flood standard error."""
+    tmp, write = workdir
+    write("f.sfn", "total 1\n1 1\n")
+    long_dir = Path(*["d" * 200] * 10)  # 2009 characters
+    (tmp / long_dir).mkdir(parents=True)
+    (tmp / long_dir / "p.sfn").write_text("total 1\n1 1\n")
+    (tmp / long_dir / "bad.sfn").write_bytes(b"total 1\n1 \xff1\n")
+    monkeypatch.chdir(tmp)
+    argv = [arg.replace("LONG", str(long_dir)) for arg in argv]
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith(f"error: {message}")
+    assert printed.err.count("\n") == 1 and len(printed.err.encode()) < 150

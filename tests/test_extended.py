@@ -1,12 +1,44 @@
 """The extended-rational layer: one infinity, exact coercions, gcd."""
 
 import operator
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from majo import INF, StepFunction, as_fraction, equi_modulus, fraction_gcd, indicator
-from majo.errors import MajoError
+from majo import (
+    INF,
+    OperatorMatrix,
+    Partition,
+    StepFunction,
+    Tail,
+    TTransform,
+    WitnessChain,
+    align,
+    as_fraction,
+    canonicalize,
+    equi_modulus,
+    fraction_gcd,
+    indicator,
+    l1_distance,
+    majorize,
+    partition_average,
+    partition_average_matrix,
+    small_set_modulus,
+)
+from majo.errors import (
+    DeltaOutOfRangeError,
+    DimensionMismatchError,
+    DivergentHingeError,
+    InvalidTTransformError,
+    MajoError,
+    MassExceedsTotalError,
+    MeasureMismatchError,
+    NegativeEntryError,
+    NegativeMassError,
+    PartitionMisalignedError,
+    SOutOfRangeError,
+)
 from majo.extended import Infinity, as_extended
 
 
@@ -118,3 +150,89 @@ class TestErrorContract:
         with pytest.raises(MajoError) as info:
             build()
         assert isinstance(info.value, ValueError)
+
+
+# past the smallest digit limit Python allows, 640 digits, which the fixture
+# below sets
+BIG = 10**700
+
+
+@pytest.fixture
+def digit_limit_640():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python writes integers of any length")
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def bits(x) -> str:
+    """The size by which ``extended._shown`` names a number past the digit
+    limit, after "an integer" or "a rational"."""
+    x = F(x)
+    return f"of {max(x.numerator.bit_length(), x.denominator.bit_length())} bits"
+
+
+def on(total):
+    """A partition of one atom of mass 1 and one tail atom tiling ``total``."""
+    return Partition((F(1),), total, Tail(total - 1, 1))
+
+
+@pytest.mark.usefixtures("digit_limit_640")
+class TestRefusalsPastTheDigitLimit:
+    """Every refusal writes its numbers with ``extended._shown``: past the
+    digit limit it raises its own error, naming the number by its size,
+    where ``str`` would raise ``ValueError``."""
+
+    @pytest.mark.parametrize("refuse, error, number", [
+        (lambda: majorize(canonicalize([], BIG), canonicalize([], 1)),
+         MeasureMismatchError, BIG),
+        (lambda: small_set_modulus(canonicalize([], 1), BIG), DeltaOutOfRangeError, BIG),
+        (lambda: align(Partition((F(BIG + 1, 2 * BIG), F(BIG - 1, 2 * BIG)), 1),
+                       canonicalize([(2, F(1, 2))], 1)),
+         PartitionMisalignedError, F(BIG + 1, 2 * BIG)),
+        (lambda: Tail(-BIG), NegativeMassError, BIG),
+        (lambda: Partition((F(-BIG),), INF, Tail(1)), NegativeMassError, BIG),
+        (lambda: Partition((F(1),), BIG), MeasureMismatchError, BIG),
+        (lambda: OperatorMatrix(((-BIG,),)), NegativeEntryError, BIG),
+        (lambda: partition_average_matrix(
+            Partition.equal_mass(2, 1, 2), Partition((1 + F(1, BIG), 1 - F(1, BIG)), 2)),
+         PartitionMisalignedError, 1 + F(1, BIG)),
+        (lambda: TTransform(0, 1, BIG), InvalidTTransformError, BIG),
+        (lambda: canonicalize([], 1).partial_integral(BIG), SOutOfRangeError, BIG),
+        (lambda: canonicalize([], INF).hinge_integral(-BIG), DivergentHingeError, BIG),
+        (lambda: canonicalize([], INF).tail_distribution_integral(-BIG),
+         DivergentHingeError, BIG),
+        (lambda: canonicalize([], -BIG), MassExceedsTotalError, BIG),
+        (lambda: canonicalize([(1, 2)], 1 + F(1, BIG)), MassExceedsTotalError,
+         1 + F(1, BIG)),
+        (lambda: WitnessChain((TTransform(0, BIG, 0),), Partition.equal_mass(1, 1, 1)),
+         DimensionMismatchError, BIG),
+    ], ids=["same-total", "small-set-modulus", "straddle", "tail-mass", "atom-mass",
+            "partition-total", "negative-entry", "fine-atom", "weight", "s", "hinge-u",
+            "tail-u", "negative-total", "masses-over-total", "chain-coordinate"])
+    def test_a_refusal_names_a_long_number_by_its_size(self, refuse, error, number):
+        with pytest.raises(MajoError) as info:
+            refuse()
+        assert type(info.value) is error
+        assert bits(number) in str(info.value)
+
+    @pytest.mark.parametrize("refuse, first, second", [
+        (lambda: align(Partition.equal_mass(2, 1, 2), canonicalize([(1, 1)], BIG)), 2, BIG),
+        (lambda: partition_average(Partition.equal_mass(2, 1, 2),
+                                   canonicalize([(1, 1)], BIG)), 2, BIG),
+        (lambda: partition_average_matrix(Partition.equal_mass(2, 1, 2), on(BIG)), 2, BIG),
+        (lambda: majorize(canonicalize([(1, 1)], BIG), indicator(1, 2)), BIG, 2),
+        (lambda: l1_distance(indicator(1, 2), canonicalize([(1, 1)], BIG)), 2, BIG),
+        (lambda: equi_modulus([canonicalize([(1, 1)], BIG)], 1,
+                              canonicalize([(-1, 1)], 2)), BIG, 2),
+    ], ids=["align", "partition_average", "partition_average_matrix", "majorize",
+            "l1_distance", "equi_modulus"])
+    def test_every_unequal_total_is_one_refusal(self, refuse, first, second):
+        with pytest.raises(MeasureMismatchError) as info:
+            refuse()
+        shown = [f"a rational {bits(t)}" if t is BIG else str(t) for t in (first, second)]
+        assert str(info.value) == f"total measures differ: {shown[0]} vs {shown[1]}"

@@ -190,7 +190,7 @@ class TestAlign:
     @pytest.mark.parametrize("lay", [align, partition_average])
     def test_a_partition_of_another_total_is_refused(self, lay):
         partition = Partition.equal_mass(2, 1, 2)
-        with pytest.raises(MeasureMismatchError, match="tiles 2, function lives on 3"):
+        with pytest.raises(MeasureMismatchError, match="total measures differ: 2 vs 3"):
             lay(partition, canonicalize([(1, 1)], 3))
 
     def test_aligned_step_refuses_extra_values_and_negative_infinite_values(self):
@@ -324,7 +324,7 @@ class TestPartitionAverage:
         "coarse, fine, error, message",
         [
             (Partition.equal_mass(2, 1, 2), Partition.equal_mass(3, 1, 3),
-             MeasureMismatchError, "tile different totals"),
+             MeasureMismatchError, "total measures differ: 2 vs 3"),
             (Partition((F(1),), F(3), Tail(F(1), 2)), Partition.equal_mass(3, 1, 3),
              PartitionMisalignedError, "must tile the partition's"),
             (Partition((F(1), F(2)), F(3)), Partition((F(2), F(1)), F(3)),

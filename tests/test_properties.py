@@ -600,8 +600,7 @@ def fraction_layout(partition, f):
     level masses and the atoms laid side by side by ``_in_order``."""
     if partition.total_measure != f.total_measure:
         raise MeasureMismatchError(
-            f"partition tiles {partition.total_measure}, function lives on "
-            f"{f.total_measure}"
+            f"total measures differ: {partition.total_measure} vs {f.total_measure}"
         )
     for n, k, mass in _in_order(partition.atoms, [p.mass for p in f.pieces]):
         if n < partition.size:
@@ -632,8 +631,7 @@ def reference_average(partition, f):
     zero, which f's cumulative masses tell."""
     if partition.total_measure != f.total_measure:
         raise MeasureMismatchError(
-            f"partition tiles {partition.total_measure}, function lives on "
-            f"{f.total_measure}"
+            f"total measures differ: {partition.total_measure} vs {f.total_measure}"
         )
     ends = [F(0), *accumulate(partition.atoms)]
     if any(p.value and end > ends[-1]
